@@ -53,7 +53,7 @@ from .verify import verify_root
 CRT_BITS = 62
 PRIME_BUDGET = 4000
 
-# norm_checks counts the always-on per-ideal norm-anchor assertions
+# norm_checks counts the always-on per-ideal norm-anchor checks
 stats = {"norm_checks": 0, "primes": 0}
 
 
@@ -221,7 +221,8 @@ def couveignes_mod_p(y: FactoredElement, e: int, emb: SubfieldEmbedding,
         xi = xbar * _poly_at(z.coeffs, gen_img) ** kinv
         # corrected root must reproduce the anchor (one extra norm per ideal)
         stats["norm_checks"] += 1
-        assert fq_norm_to_subfield(xi, gen_img, sub) == abar
+        if fq_norm_to_subfield(xi, gen_img, sub) != abar:
+            raise NormMismatch(f"corrected root misses the norm anchor mod {p}")
         residues.append(list(xi.coeffs))
     return crt_ideals(residues, list(cp.upper_ideals), K)
 

@@ -7,6 +7,7 @@ residue field, the local root is unique and costs one exponentiation, and the
 global root is assembled by CRT over ideals and over primes.
 """
 
+import math
 from dataclasses import dataclass
 
 from . import gfpoly
@@ -77,14 +78,8 @@ def _primitive_root_of_unity(q: int, m: int) -> int:
 
 def _split_ideals(q: int, m: int) -> tuple:
     w = _primitive_root_of_unity(q, m)
-    roots = sorted(pow(w, t, q) for t in range(1, m) if _coprime(t, m))
+    roots = sorted(pow(w, t, q) for t in range(1, m) if math.gcd(t, m) == 1)
     return tuple(PrimeIdealRep(q, ((-r) % q, 1), 1) for r in roots)
-
-
-def _coprime(a: int, b: int) -> bool:
-    while b:
-        a, b = b, a % b
-    return a == 1
 
 
 def check_good_prime(q: int, K: NumberField, e: int):

@@ -6,11 +6,14 @@ FactoredElement is a list of (element, exponent) terms and every algorithm
 downstream works on residues of the individual terms.
 
 The complex-embedding constant cinf() bounds how coefficient vectors grow
-relative to embedding size: ||C(x)||_inf <= ||Sigma(x)||_inf * cinf. Together
-with the factored-form bound in coeff_bound_root (the log of the root's
-embedding norm is at most the sum of the logs of the factors' norms,
-independent of e) it yields the certified coefficient bound B used by all
-reconstruction paths.
+relative to embedding size: ||C(x)||_inf <= ||Sigma(x)||_inf * cinf. Each
+factor's embedding size is bounded in integers by the triangle inequality,
+|sigma(u)| <= sum_i |c_i| R^i / den over u's power-basis coordinates, with
+R >= max |alpha| over the roots of f (R = 1 for cyclotomic f, as |zeta| = 1).
+Together with the factored-form bound in coeff_bound_root (the root's
+embedding norm is at most the product of the factors' norms, independent of
+e) it yields the certified coefficient bound B used by all reconstruction
+paths. mpmath is used only once per field, for the embeddings, cinf and R.
 """
 
 from __future__ import annotations
@@ -108,6 +111,7 @@ class NumberField:
             self._omega_inv = _frac_matrix_inverse(self.omega)
         self._roots: dict[int, list] = {}
         self._cinf = None
+        self._radius = None
 
     @classmethod
     def cyclotomic(cls, m: int) -> "NumberField":
@@ -222,24 +226,44 @@ class NumberField:
         self._roots[prec] = roots
         return roots
 
-    def sigma_norm_inf(self, x: "FieldElement", prec: int = 192):
-        """Upper bound for max_sigma |sigma(x)| as an mpf."""
-        roots = self.embeddings(prec)
-        poly = x.power_basis_fractions()
-        with mp.workprec(prec):
-            best = mp.mpf(0)
-            coeffs = [mp.mpf(c.numerator) / c.denominator for c in poly]
-            for r in roots:
-                acc = mp.mpc(0)
-                for c in reversed(coeffs):
-                    acc = acc * r + c
-                a = abs(acc)
-                if a > best:
-                    best = a
-            return best * (1 + mp.mpf(2) ** (10 - prec))
+    def radius_powers(self) -> tuple[list[int], int]:
+        """(t, s) with t[i] / 2^s >= R^i, R >= max |alpha| over the roots of f.
 
-    def cinf(self):
-        """Upper bound for the basis-change norm ||V^-1 Omega^-1||_1 (mpf)."""
+        Cyclotomic f has |zeta| = 1, so t is all ones and s = 0. Otherwise R
+        is the largest embedding's modulus plus the root error certified in
+        embeddings(), rounded up once to s fractional bits; the powers follow
+        by integer ceiling products, so no entry is ever rounded down.
+        """
+        if self._radius is None:
+            if self.conductor:
+                self._radius = ([1] * self.n, 0)
+            else:
+                prec, s = 192, 64
+                with mp.workprec(prec):
+                    r = max(abs(z) for z in self.embeddings(prec))
+                    top = int(mp.ceil(mp.ldexp(r + mp.mpf(2) ** (-prec // 2), s)))
+                t = [1 << s]
+                for _ in range(self.n - 1):
+                    t.append(-(-t[-1] * top >> s))
+                self._radius = (t, s)
+        return self._radius
+
+    def sigma_bound(self, x: "FieldElement") -> tuple[int, int]:
+        """(num, den) with num / den >= max_sigma |sigma(x)|, in integers.
+
+        Triangle inequality: |sigma(x)| <= sum_i |c_i| R^i / den for the
+        power-basis coordinates c_i / den of x and R^i from radius_powers().
+        """
+        t, s = self.radius_powers()
+        coords, den = x.power_basis_integers()
+        return sum(abs(c) * r for c, r in zip(coords, t)), den << s
+
+    def cinf(self) -> Fraction:
+        """Upper bound for the basis-change norm ||V^-1 Omega^-1||_1.
+
+        The stabilized value times 1.05 is rounded up to 64 fractional bits,
+        so callers combine it exactly in integer arithmetic.
+        """
         if self._cinf is not None:
             return self._cinf
         prec = 192
@@ -247,7 +271,8 @@ class NumberField:
         for _ in range(5):
             val = self._cinf_at(prec)
             if prev is not None and abs(prev - val) <= abs(val) * mp.mpf(2) ** -16:
-                self._cinf = val * mp.mpf("1.05")
+                up = mp.ceil(mp.ldexp(val * mp.mpf("1.05"), 64))
+                self._cinf = Fraction(int(up), 1 << 64)
                 return self._cinf
             prev = val
             prec *= 2
@@ -452,6 +477,16 @@ class FieldElement:
                     out[j] += Fraction(c, self.den) * K.omega[i][j]
         return out
 
+    def power_basis_integers(self) -> tuple[tuple, int]:
+        """(coords, den): power-basis coordinates over one positive denominator."""
+        if self.field.omega is None:
+            return self.num, self.den
+        fr = self.power_basis_fractions()
+        den = 1
+        for c in fr:
+            den = den * c.denominator // math.gcd(den, c.denominator)
+        return tuple(int(c * den) for c in fr), den
+
     def reduce_mod_prime(self, p: int) -> list[int]:
         """Power-basis coordinates mod p; DenominatorClash if p meets den."""
         if self.field.omega is None:
@@ -589,22 +624,28 @@ def normalize_exponents(y: FactoredElement, e: int) -> tuple[FactoredElement, Fa
 def coeff_bound_root(y: FactoredElement, e: int, K: NumberField) -> int:
     """Integer B >= ||C(x)||_inf for any root x^e = y with exponents <= e.
 
-    B = ceil(1.1 * cinf * exp(sum_i ln+ ||Sigma(u_i)||_inf)); the sum does not
-    depend on e, only on the sizes of the factors.
+    B = ceil(1.1 * cinf * prod_i max(1, S(u_i))) over the terms with a_i > 0,
+    where S(u) = sum_j |c_j| R^j / den >= ||Sigma(u)||_inf is the integer
+    bound of NumberField.sigma_bound: the triangle inequality over u's
+    power-basis coordinates c_j / den, with R = 1 for cyclotomic K (|zeta| = 1)
+    and otherwise R >= max |alpha| rounded up once per field from the cached
+    embeddings (radius_powers). |sigma(x)| = prod |sigma(u_i)|^(a_i/e) is at
+    most prod max(1, S(u_i)) because a_i <= e, so the product does not depend
+    on e. Everything is combined as one exact fraction with cinf already
+    rounded up and a final ceiling division: no step rounds down.
     """
     for _, a in y.terms:
         if not 0 <= a <= e:
             raise ValueError("exponents must lie in [0, e] for the bound")
-    with mp.workprec(192):
-        log_sum = mp.mpf(0)
-        for u, a in y.terms:
-            if a == 0:
-                continue
-            s = K.sigma_norm_inf(u)
-            if s > 1:
-                log_sum += mp.log(s)
-        b = mp.mpf("1.1") * K.cinf() * mp.exp(log_sum)
-        return max(1, int(mp.ceil(b)))
+    c = K.cinf()
+    num, den = 11 * c.numerator, 10 * c.denominator
+    for u, a in y.terms:
+        if a:
+            s, d = K.sigma_bound(u)
+            if s > d:
+                num *= s
+                den *= d
+    return max(1, -(-num // den))
 
 
 # -- modular reduction and CRT ----------------------------------------------------
@@ -644,14 +685,7 @@ def multi_reduce(us: list[FieldElement], moduli: list[int]):
     tree = build_product_tree(moduli)
     out = []
     for u in us:
-        coords = u.num if u.field.omega is None else None
-        den = u.den
-        if coords is None:
-            fr = u.power_basis_fractions()
-            den = 1
-            for c in fr:
-                den = den * c.denominator // math.gcd(den, c.denominator)
-            coords = tuple(int(c * den) for c in fr)
+        coords, den = u.power_basis_integers()
         den_res = _remainder_tree(den, tree)
         dinv = []
         for d, m in zip(den_res, moduli):

@@ -42,17 +42,6 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def next_prime(n: int) -> int:
-    n += 1
-    if n <= 2:
-        return 2
-    if n % 2 == 0:
-        n += 1
-    while not is_prime(n):
-        n += 2
-    return n
-
-
 def random_prime(rng: random.Random, bits: int) -> int:
     """Random prime in [2^(bits-1), 2^bits)."""
     assert bits >= 2
@@ -111,28 +100,6 @@ def modinv(a: int, m: int) -> int:
     if g != 1:
         raise ValueError(f"{a} not invertible mod {m}")
     return x % m
-
-
-def crt_pair(r1: int, m1: int, r2: int, m2: int) -> tuple[int, int]:
-    """Combine x = r1 mod m1, x = r2 mod m2 for coprime moduli."""
-    inv = modinv(m1 % m2, m2)
-    t = (r2 - r1) * inv % m2
-    return r1 + m1 * t, m1 * m2
-
-def crt_list(residues: list[int], moduli: list[int]) -> tuple[int, int]:
-    """CRT over pairwise coprime moduli, combined as a balanced tree."""
-    pairs = list(zip(residues, moduli))
-    if not pairs:
-        raise ValueError("empty CRT input")
-    while len(pairs) > 1:
-        nxt = []
-        for i in range(0, len(pairs) - 1, 2):
-            (r1, m1), (r2, m2) = pairs[i], pairs[i + 1]
-            nxt.append(crt_pair(r1, m1, r2, m2))
-        if len(pairs) % 2:
-            nxt.append(pairs[-1])
-        pairs = nxt
-    return pairs[0]
 
 
 def factorize(n: int) -> dict[int, int]:

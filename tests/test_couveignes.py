@@ -155,6 +155,26 @@ def test_couveignes_mod_p_norm_mismatch():
         couveignes_mod_p(y, 3, EMB15, bad, cp)
 
 
+def test_couveignes_mod_p_anchor_check_raises(monkeypatch):
+    # the re-check of the corrected root raises, so python -O keeps it
+    real = couveignes.fq_norm_to_subfield
+    calls = []
+
+    def skewed(x, gen_img, sub):
+        # per ideal: the first norm sizes the correction, the second re-checks
+        calls.append(x)
+        val = real(x, gen_img, sub)
+        return val if len(calls) % 2 else val + sub.one
+
+    monkeypatch.setattr(couveignes, "fq_norm_to_subfield", skewed)
+    y = FactoredElement(K15, [(K15.gen, 3)])
+    a = relative_norm(FactoredElement(K15, [(K15.gen, 1)]), EMB15).value()
+    cp = make_couveignes_prime(K15, EMB15, 7)
+    with pytest.raises(NormMismatch, match="misses the norm anchor"):
+        couveignes_mod_p(y, 3, EMB15, a, cp)
+    assert len(calls) == 2
+
+
 def test_eth_root_couveignes_roundtrip():
     rng = random.Random(11)
     x = K15.element([rng.randrange(-2, 3) for _ in range(8)])

@@ -105,12 +105,13 @@ def test_pow_negative():
 # -- embeddings and bounds ---------------------------------------------------------
 
 
-def test_sigma_norm_gaussian():
+def test_sigma_bound_gaussian():
     K = NumberField.cyclotomic(4)
     x = K.element([3, 4])
-    # |3 + 4i| = 5 at both embeddings
-    s = K.sigma_norm_inf(x)
-    assert abs(float(s) - 5.0) < 1e-6
+    # |3 + 4i| = 5 at both embeddings; the triangle inequality gives 3 + 4
+    num, den = K.sigma_bound(x)
+    assert Fraction(num, den) == 7
+    assert abs(float(_sigma_norm_reference(K, x)) - 5.0) < 1e-6
 
 
 def test_cinf_gaussian():
@@ -144,6 +145,64 @@ def test_coeff_bound_dominates_root_coeffs():
                 assert all(abs(c) <= B for c in root.num)
                 cases += 1
     assert cases > 100
+
+
+def _sigma_norm_reference(K, u, prec=192):
+    """max_sigma |sigma(u)| by Horner at every complex embedding."""
+    with mp.workprec(prec):
+        best = mp.mpf(0)
+        for r in K.embeddings(prec):
+            acc = mp.mpc(0)
+            for c in reversed(u.num):
+                acc = acc * r + c
+            best = max(best, abs(acc) / u.den)
+        return best
+
+
+# cyclotomic good and bad conductors, then x^3 - x - 1 and x^5 - x - 1
+BOUND_FIELDS = [NumberField.cyclotomic(m) for m in (3, 4, 5, 8, 9, 12, 15, 31)] + [
+    NumberField([-1, -1, 0, 1]),
+    NumberField([-1, -1, 0, 0, 0, 1]),
+]
+
+
+@pytest.mark.parametrize("K", BOUND_FIELDS, ids=repr)
+def test_coeff_bound_property_planted_roots(K):
+    rng = random.Random(f"bound:{K.f}")
+    cinf = mp.mpf(K.cinf().numerator) / K.cinf().denominator
+    R = max(abs(z) for z in K.embeddings())
+    # ||c||_1 <= n * cinf * ||Sigma||_inf, and R^i <= R^(n-1): the most the
+    # integer per-term bound may lose against the embedding norm
+    loss_bits = int(mp.ceil(mp.log(K.n * cinf * R ** (K.n - 1), 2))) + 1
+    for _ in range(8):
+        e = rng.choice((2, 3, 5, 7))
+        terms, root = [], K.one
+        while not terms:
+            for _ in range(rng.randrange(1, 4)):
+                u = K.random_element(rng, bits=rng.randrange(1, 40),
+                                     den=rng.randrange(1, 50))
+                if u.is_zero():
+                    continue
+                kind = rng.randrange(3)
+                if kind == 0:  # u^a * u^(e-a), a in [0, e]
+                    a = rng.randrange(e + 1)
+                    terms += [(u, a), (u, e - a)]
+                    root = root * u
+                elif kind == 1:
+                    terms.append((u ** e, 1))
+                    root = root * u
+                else:  # a zero exponent contributes nothing to the root
+                    terms.append((u, 0))
+        B = coeff_bound_root(FactoredElement(K, terms), e, K)
+        assert B >= 1
+        assert all(abs(c) <= B * root.den for c in root.num)
+        ref = mp.mpf("1.1") * cinf
+        live = 0
+        for u, a in terms:
+            if a:
+                ref *= max(1, _sigma_norm_reference(K, u))
+                live += 1
+        assert B.bit_length() <= int(mp.ceil(ref)).bit_length() + live * loss_bits
 
 
 def test_coeff_bound_rejects_bad_exponents():
