@@ -18,6 +18,7 @@ from .numfield import FactoredElement, NumberField
 from .primes import derive_rng
 from .saturation import GeneratingSet, detect_eth_powers
 from .strategy import METHODS, RootRequest, eth_root
+from .verify import verify_root
 
 EXIT_OK = 0
 EXIT_NOT_A_POWER = 2
@@ -124,12 +125,13 @@ def cmd_root(args) -> int:
         return _fail(f"budget exhausted: {exc}", EXIT_BUDGET)
     except EthrootError as exc:
         return _fail(f"cannot process: {exc}", EXIT_PARSE)
+    seconds = round(time.perf_counter() - t0, 6)
     _write_lines([{
         "root": _element_doc(res.root),
         "prefactor": _term_docs(res.prefactor),
         "method_used": res.method_used,
-        "verified": True,
-        "seconds": round(time.perf_counter() - t0, 6),
+        "verified": verify_root(res.root, y, e, K, seed=seed),
+        "seconds": seconds,
         "seed": str(seed),
     }], args.out)
     return EXIT_OK
@@ -164,7 +166,7 @@ def cmd_detect(args) -> int:
                 line["root"] = _element_doc(res.root)
                 line["prefactor"] = _term_docs(res.prefactor)
                 line["method_used"] = res.method_used
-                line["verified"] = True
+                line["verified"] = verify_root(res.root, y, e, K, seed=seed)
             lines.append(line)
         _write_lines(lines, args.out)
     except NotAnEthPower as exc:

@@ -7,7 +7,6 @@ residue field, the local root is unique and costs one exponentiation, and the
 global root is assembled by CRT over ideals and over primes.
 """
 
-import math
 from dataclasses import dataclass
 
 from . import gfpoly
@@ -23,11 +22,11 @@ from .numfield import (
     crt_ideals,
     crt_integers_symmetric,
     multi_reduce,
+    split_prime_ideals,
 )
 from .primes import (
     check_odd_prime_power,
     derive_rng,
-    factorize,
     is_prime,
     multiplicative_order,
     prime_power_split,
@@ -61,25 +60,9 @@ class GoodPrime:
 
     def split_roots(self) -> list[int]:
         """Roots r of the linear ideals (alpha - r); only when all_split."""
-        assert self.all_split
+        if not self.all_split:
+            raise ValueError(f"{self.q} is not totally split")
         return [(-g[0]) % self.q for g in (i.g for i in self.ideals)]
-
-
-def _primitive_root_of_unity(q: int, m: int) -> int:
-    """Element of exact order m in F_q*, for q = 1 mod m."""
-    mfac = list(factorize(m))
-    c = 2
-    while True:
-        w = pow(c, (q - 1) // m, q)
-        if w != 1 and all(pow(w, m // p, q) != 1 for p in mfac):
-            return w
-        c += 1
-
-
-def _split_ideals(q: int, m: int) -> tuple:
-    w = _primitive_root_of_unity(q, m)
-    roots = sorted(pow(w, t, q) for t in range(1, m) if math.gcd(t, m) == 1)
-    return tuple(PrimeIdealRep(q, ((-r) % q, 1), 1) for r in roots)
 
 
 def check_good_prime(q: int, K: NumberField, e: int):
@@ -97,7 +80,7 @@ def check_good_prime(q: int, K: NumberField, e: int):
         if pow(q, d, l) == 1:
             return Rejection("root-of-unity", d)
         if d == 1:
-            return GoodPrime(q, _split_ideals(q, m), True)
+            return GoodPrime(q, split_prime_ideals(q, m), True)
         fac = factor_mod_p(list(K.f), q, seed=1)
         ideals = tuple(PrimeIdealRep(q, tuple(g), len(g) - 1) for g, _ in fac)
         return GoodPrime(q, ideals, False)

@@ -59,22 +59,23 @@ def mul(a: list[int], b: list[int], p: int) -> list[int]:
 
 
 def divmod_(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
+    """Quotient and remainder mod p (a prime power if b is monic), lazily reduced."""
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
     r = a[:]
     q = [0] * max(0, len(a) - len(b) + 1)
-    inv_lead = pow(b[-1], p - 2, p)
     db = deg(b)
+    inv_lead = 1 if b[-1] % p == 1 else pow(b[-1], p - 2, p)
+    low = b[:-1]
     for i in range(len(r) - 1, db - 1, -1):
         c = r[i] % p
         if c == 0:
-            r[i] = 0
             continue
-        f = c * inv_lead % p
-        q[i - db] = f
-        for j, y in enumerate(b):
-            r[i - db + j] = (r[i - db + j] - f * y) % p
-    return trim(q), trim(r)
+        base = i - db
+        q[base] = f = c * inv_lead % p
+        for j, y in enumerate(low):
+            r[base + j] -= f * y
+    return trim(q), trim([c % p for c in r[:db]])
 
 
 def rem(a: list[int], b: list[int], p: int) -> list[int]:
@@ -98,7 +99,8 @@ def mulmod(a: list[int], b: list[int], mod: list[int], p: int) -> list[int]:
 
 
 def powmod(a: list[int], n: int, mod: list[int], p: int) -> list[int]:
-    assert n >= 0
+    if n < 0:
+        raise ValueError("powmod needs n >= 0")
     result = [1]
     a = rem(a, mod, p)
     while n:

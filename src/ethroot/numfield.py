@@ -35,7 +35,7 @@ from .errors import (
     PrecisionLoss,
     ZeroInput,
 )
-from .primes import euler_phi, modinv
+from .primes import euler_phi, factorize, modinv
 
 # -- integer polynomial helpers (index = degree, stripped, [] = 0) ------------
 
@@ -714,6 +714,25 @@ class PrimeIdealRep:
     f_deg: int
 
 
+def split_prime_ideals(q: int, m: int) -> tuple:
+    """The phi(m) ideals (q, zeta_m - r), r primitive m-th roots of 1 mod prime q.
+
+    Sorted by g = (-r) % q, the order factor_mod_p lists Phi_m mod q in.
+    """
+    if (q - 1) % m:
+        raise ValueError(f"{q} is not 1 mod {m}")
+    w = next(w for w in (pow(c, (q - 1) // m, q) for c in range(2, q))
+             if all(pow(w, m // p, q) != 1 for p in factorize(m)))
+    gs, acc = [], 1
+    for t in range(1, m):
+        acc = acc * w % q  # w^t, so g = -w^t mod q
+        if math.gcd(t, m) == 1:
+            gs.append(q - acc)
+    if len(set(gs)) != euler_phi(m):
+        raise ValueError(f"Phi_{m} does not split into {euler_phi(m)} roots mod {q}")
+    return tuple(PrimeIdealRep(q, (g, 1), 1) for g in sorted(gs))
+
+
 def reduce_mod_ideal(coeffs_mod_p: list[int], ideal: PrimeIdealRep) -> list[int]:
     """Residue of a mod-p coordinate vector in F_p[x]/(g)."""
     return gfpoly.rem(gfpoly.trim(list(coeffs_mod_p)), list(ideal.g), ideal.p)
@@ -749,7 +768,6 @@ def crt_integers_symmetric(vectors: list[list[int]], moduli: list[int],
     """
     if not vectors:
         raise ValueError("no residue vectors")
-    n = len(vectors[0])
     pairs = [(v, m) for v, m in zip(vectors, moduli)]
     while len(pairs) > 1:
         nxt = []
@@ -759,7 +777,7 @@ def crt_integers_symmetric(vectors: list[list[int]], moduli: list[int],
             m = m1 * m2
             combined = [
                 (a + m1 * ((b - a) * inv % m2)) % m
-                for a, b in zip(v1, v2)
+                for a, b in zip(v1, v2, strict=True)
             ]
             nxt.append((combined, m))
         if len(pairs) % 2:
@@ -776,7 +794,6 @@ def crt_integers_symmetric(vectors: list[list[int]], moduli: list[int],
             out.append(c - modulus)
         else:
             raise BoundViolation("coordinate outside the certified bound")
-    assert len(out) == n
     return out
 
 

@@ -44,7 +44,8 @@ def is_prime(n: int) -> bool:
 
 def random_prime(rng: random.Random, bits: int) -> int:
     """Random prime in [2^(bits-1), 2^bits)."""
-    assert bits >= 2
+    if bits < 2:
+        raise ValueError("random_prime needs bits >= 2")
     while True:
         n = rng.randrange(1 << (bits - 1), 1 << bits) | 1
         if is_prime(n):
@@ -104,7 +105,8 @@ def modinv(a: int, m: int) -> int:
 
 def factorize(n: int) -> dict[int, int]:
     """Prime factorization by trial division + Pollard rho. For moduli-sized n."""
-    assert n >= 1
+    if n < 1:
+        raise ValueError("factorize needs n >= 1")
     out: dict[int, int] = {}
     for p in _SMALL_PRIMES:
         while n % p == 0:

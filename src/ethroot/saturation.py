@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from . import gfpoly
 from .errors import NotUnit, RamifiedE, SearchExhausted, ZeroInput
 from .fq import FqElement, FqField, factor_mod_p, fq_dlog_order_e
-from .numfield import FactoredElement, FieldElement, NumberField, PrimeIdealRep
+from .numfield import FactoredElement, FieldElement, NumberField, PrimeIdealRep, split_prime_ideals
 from .primes import check_odd_prime_power, derive_rng, is_prime, modinv, prime_power_split
 from .strategy import RootRequest, RootResult, eth_root
 
@@ -63,17 +63,10 @@ class CharacterMatrix:
     column_tags: list
 
 
-def _eval_mod(coeffs, x: int, q: int) -> int:
-    acc = 0
-    for c in reversed(coeffs):
-        acc = (acc * x + c) % q
-    return acc
-
-
 def _unit_residue(u: FieldElement, r: int, q: int) -> int:
     if u.den % q == 0:
         raise ValueError(f"denominator of u vanishes mod {q}")
-    val = _eval_mod(u.num, r, q) * modinv(u.den % q, q) % q
+    val = gfpoly.evaluate(u.num, r, q) * modinv(u.den % q, q) % q
     if val == 0:
         raise ValueError(f"u is not a unit mod the ideal over {q}")
     return val
@@ -92,8 +85,9 @@ def select_character_primes(K: NumberField, e: int, count: int, U,
                             seed: int = 0, budget: int = SELECT_BUDGET) -> list:
     """Degree-1 primes Q with N(Q) = 1 mod e, units at every u_j, chi tables.
 
-    Cyclotomic fields sample q = 1 mod lcm(e, m) so f splits completely;
-    otherwise q = 1 mod e and whatever linear factors show up are used.
+    Cyclotomic fields sample q = 1 mod lcm(e, m), so f splits completely
+    into the known linear ideals and nothing is factored; otherwise q = 1
+    mod e and whatever linear factors of f mod q show up are used.
     """
     ell, _ = check_odd_prime_power(e)
     if count < 1:
@@ -123,18 +117,21 @@ def select_character_primes(K: NumberField, e: int, count: int, U,
         seen.add(q)
         if any(a % q == 0 for a in avoid):
             continue
-        fac = factor_mod_p(list(K.f), q)
-        if any(mult > 1 for _, mult in fac):
-            continue
-        linears = [g for g, _ in fac if len(g) == 2]
+        if K.conductor is not None:
+            linears = split_prime_ideals(q, K.conductor)
+        else:
+            fac = factor_mod_p(list(K.f), q)
+            if any(mult > 1 for _, mult in fac):
+                continue
+            linears = [PrimeIdealRep(q, tuple(g), 1) for g, _ in fac if len(g) == 2]
         if not linears:
             continue
         field = FqField(q, [0, 1])
         zeta = field.element([_order_e_element(q, e, ell, rng)])
-        for g in linears:
+        for ideal in linears:
             if len(out) >= count:
                 break
-            r = (-g[0]) % q
+            r = (-ideal.g[0]) % q
             try:
                 table = tuple(
                     fq_dlog_order_e(
@@ -143,7 +140,7 @@ def select_character_primes(K: NumberField, e: int, count: int, U,
                     for u in U)
             except ValueError:
                 continue  # some u_j vanishes mod this ideal; its siblings may do
-            out.append(CharacterPrime(PrimeIdealRep(q, tuple(g), 1), zeta, table))
+            out.append(CharacterPrime(ideal, zeta, table))
     return out
 
 

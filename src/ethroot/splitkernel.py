@@ -84,7 +84,8 @@ def split_roots_kernel(bases, exps, good_primes, e, K) -> list[list[int]]:
     qs = np.array([gp.q for gp in good_primes], dtype=np.int64)
     qs2 = qs[:, None]
     W = np.array([gp.split_roots() for gp in good_primes], dtype=np.int64)
-    assert W.shape[1] == n
+    if W.shape[1] != n:
+        raise ValueError("each prime must supply deg f split roots")
     ords = qs - 1
 
     prod = np.ones_like(W)

@@ -94,6 +94,19 @@ def test_root_output_feeds_back(capsys):
     assert parse_lines(out2)[0]["verified"] is True
 
 
+def test_verified_reports_the_check(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "verify_root", lambda *args, **kwargs: False)
+    code, out = run(capsys, [
+        "root", "--conductor", "4", "--e", "3",
+        "--element", '[{"coeffs": ["-2", "2"], "exp": "1"}]'])
+    assert code == 0
+    assert parse_lines(out)[0]["verified"] is False
+    path, _ = _plant_fixture(tmp_path)
+    code, out = run(capsys, ["detect", str(path), "--roots"])
+    assert code == 0
+    assert parse_lines(out)[0]["verified"] is False
+
+
 def _plant_fixture(tmp_path):
     g = K4.element([2, 1])
     cube = g ** 3

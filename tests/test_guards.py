@@ -1,0 +1,60 @@
+"""Input and invariant guards raise explicitly, so `python -O` keeps them."""
+
+import ast
+import random
+from pathlib import Path
+
+import pytest
+
+from ethroot import gfpoly
+from ethroot.crtroot import GoodPrime, check_good_prime
+from ethroot.numfield import NumberField, crt_integers_symmetric
+from ethroot.primes import factorize, random_prime
+from ethroot.splitkernel import split_roots_kernel
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "ethroot"
+
+
+def test_library_has_no_assert_statements():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+def test_random_prime_rejects_one_bit():
+    with pytest.raises(ValueError):
+        random_prime(random.Random(0), 1)
+
+
+def test_factorize_rejects_zero():
+    with pytest.raises(ValueError):
+        factorize(0)
+
+
+def test_powmod_rejects_negative_exponent():
+    with pytest.raises(ValueError):
+        gfpoly.powmod([1, 1], -1, [1, 0, 1], 7)
+
+
+def test_split_roots_needs_an_all_split_prime():
+    K = NumberField.cyclotomic(4)
+    gp = check_good_prime(7, K, 5)  # 7 = 3 mod 4 is inert in Q(i)
+    assert isinstance(gp, GoodPrime) and not gp.all_split
+    with pytest.raises(ValueError):
+        gp.split_roots()
+
+
+def test_split_kernel_rejects_primes_of_another_field():
+    K4, K8 = NumberField.cyclotomic(4), NumberField.cyclotomic(8)
+    gp = check_good_prime(17, K8, 3)  # four roots where Q(i) needs two
+    assert isinstance(gp, GoodPrime) and gp.all_split
+    with pytest.raises(ValueError):
+        split_roots_kernel([K4.element([1, 1])], [3], [gp], 3, K4)
+
+
+def test_crt_integers_rejects_ragged_vectors():
+    with pytest.raises(ValueError):
+        crt_integers_symmetric([[1, 2], [3]], [10007, 10009], 10)

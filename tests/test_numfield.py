@@ -25,7 +25,10 @@ from ethroot.numfield import (
     multi_reduce,
     normalize_exponents,
     relative_norm,
+    split_prime_ideals,
 )
+from ethroot.fq import factor_mod_p
+from ethroot.primes import is_prime
 
 
 # -- cyclotomic polynomials ------------------------------------------------------
@@ -299,6 +302,29 @@ def test_crt_ideals_round_trip():
             residues = [reduce_mod_ideal(target, ideal) for ideal in ideals]
             z = crt_ideals(residues, ideals, K)
             assert z == target
+
+
+@pytest.mark.parametrize("m", [3, 4, 5, 8, 9, 12, 15, 16, 31])
+def test_split_prime_ideals_match_factor_mod_p(m):
+    rng = random.Random(f"split:{m}")
+    f = cyclotomic_poly(m)
+    found = 0
+    while found < 3:
+        q = m * rng.randrange(1 << 20, 1 << 40) + 1
+        if not is_prime(q):
+            continue
+        found += 1
+        fac = factor_mod_p(f, q)
+        assert all(len(g) == 2 and mult == 1 for g, mult in fac)
+        want = tuple(PrimeIdealRep(q, tuple(g), 1) for g, _ in fac)
+        assert split_prime_ideals(q, m) == want
+
+
+def test_split_prime_ideals_reject_non_split_primes():
+    with pytest.raises(ValueError):
+        split_prime_ideals(7, 4)  # 7 = 3 mod 4
+    with pytest.raises(ValueError):
+        split_prime_ideals(13, 5)  # 13 = 3 mod 5
 
 
 def test_crt_ideals_incomplete():

@@ -1,5 +1,9 @@
 import random
 
+import pytest
+
+from ethroot import verify
+from ethroot.fq import factor_mod_p
 from ethroot.numfield import FactoredElement, NumberField
 from ethroot.verify import verify_root
 
@@ -53,3 +57,96 @@ def test_large_field_modular_only():
     y = FactoredElement(K, [(x, 3)])
     assert verify_root(x, y, 3, K)
     assert not verify_root(x * K.gen, y, 3, K)
+
+
+# -- split-prime trials on cyclotomic fields --------------------------------------
+
+# good and bad (rad(e) | m) conductors, small and above the exact-check degree
+SPLIT_CASES = [(7, 3), (16, 3), (11, 5), (9, 3), (15, 5), (21, 7)]
+
+
+def _no_factoring(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("cyclotomic verification must not factor")
+
+    monkeypatch.setattr(verify, "factor_mod_p", refuse)
+
+
+@pytest.mark.parametrize("m,e", SPLIT_CASES)
+def test_split_primes_accept_planted_roots_without_factoring(monkeypatch, m, e):
+    _no_factoring(monkeypatch)
+    K = NumberField.cyclotomic(m)
+    rng = random.Random(f"planted:{m}:{e}")
+    u = K.random_element(rng, bits=20)
+    v = K.random_element(rng, bits=20, den=rng.randrange(2, 50))
+    planted = [
+        (u, [(u, e)]),
+        (v, [(v, e)]),  # denominator
+        (u * u, [(u, 2 * e)]),  # exponent above e
+        (u * v, [(u * v * v, e), (v, -e)]),  # negative exponent
+        (u / v, [(u, e), (v, -e)]),
+        (K.one, []),  # empty product
+    ]
+    if m % e == 0:
+        # bad field: zeta_m^(m/e) is a nontrivial e-th root of unity
+        planted.append((u * K.gen ** (m // e), [(u, e)]))
+        planted.append((K.gen ** (m // e), []))
+    for x, terms in planted:
+        assert verify_root(x, FactoredElement(K, terms), e, K, seed=3)
+
+
+@pytest.mark.parametrize("m,e", SPLIT_CASES)
+def test_split_primes_reject_near_misses(monkeypatch, m, e):
+    _no_factoring(monkeypatch)
+    # only the modular trials decide: no exact expansion
+    monkeypatch.setattr(verify, "_exact_affordable", lambda *args: False)
+    K = NumberField.cyclotomic(m)
+    rng = random.Random(f"near:{m}:{e}")
+    x = K.random_element(rng, bits=20)
+    w = K.random_element(rng, bits=20, den=7)
+    k = 1  # zeta_m^(k e) != 1 for every case, m never divides e
+    assert (K.gen ** (k * e)) != K.one
+    misses = [
+        (x + K.one, [(x, e)]),
+        (x * K.gen ** k, [(x, e)]),
+        (x * w, [(x, e), (w, e - 1)]),  # one exponent off by one
+        (x / w, [(x, e), (w, 1 - e)]),
+        (K.zero, [(x, e)]),
+    ]
+    for bad, terms in misses:
+        assert not verify_root(bad, FactoredElement(K, terms), e, K, seed=3)
+    assert verify_root(x * w, FactoredElement(K, [(x, e), (w, e)]), e, K, seed=3)
+
+
+def test_generic_field_still_factors(monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return factor_mod_p(*args, **kwargs)
+
+    monkeypatch.setattr(verify, "factor_mod_p", counting)
+    K = NumberField([-1, -1, 0, 1])  # x^3 - x - 1
+    x = K.element([2, -1, 3], 5)
+    assert verify_root(x, FactoredElement(K, [(x, 3)]), 3, K)
+    assert len(calls) == 3  # one factorization per trial prime
+
+
+@pytest.mark.parametrize("q", [5, 13, 17])
+def test_split_check_keeps_zero_and_pole_rules(q):
+    # at q = 1 mod 4, i - r vanishes at one of the two ideals above q
+    K = NumberField.cyclotomic(4)
+    r = next(t for t in range(q) if t * t % q == q - 1)
+    z = K.element([-r, 1])
+    w = K.element([1, 1])  # norm 2: a unit at every odd q
+    cases = [
+        (z, [(z, 3)], True),  # zero on both sides at one ideal
+        (z * w, [(z, 3), (w, 3)], True),
+        (z, [(z, -3)], False),  # pole of y where x vanishes
+        (z, [(w, 3)], False),  # x vanishes, y does not
+        (w, [(z, 3)], False),  # y vanishes, x does not
+    ]
+    for x, terms, want in cases:
+        y = FactoredElement(K, terms)
+        assert verify._check_split(x, y, 3, K, q) is want
+        assert verify._check_mod_q(x, y, 3, K, q) is want
