@@ -342,7 +342,6 @@ def main(argv=None) -> int:
     p_root.add_argument("--element", help="JSON list of {coeffs, den, exp}")
     p_root.add_argument("--method", default="auto", choices=METHODS)
     p_root.add_argument("--seed", default=DEFAULT_SEED, type=int)
-    p_root.add_argument("--jobs", default=1, type=int)
     p_root.add_argument("--out")
     p_root.set_defaults(func=cmd_root)
 
@@ -352,7 +351,6 @@ def main(argv=None) -> int:
     p_det.add_argument("--roots", action="store_true",
                        help="also extract and verify the roots")
     p_det.add_argument("--seed", default=DEFAULT_SEED, type=int)
-    p_det.add_argument("--jobs", default=1, type=int)
     p_det.add_argument("--out")
     p_det.set_defaults(func=cmd_detect)
 

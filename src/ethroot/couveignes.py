@@ -21,7 +21,6 @@ from .errors import (
     NormMismatch,
     NotApplicable,
     SearchExhausted,
-    Unsupported,
     VerificationFailed,
     ZeroInput,
 )
@@ -32,6 +31,7 @@ from .numfield import (
     NumberField,
     PrimeIdealRep,
     SubfieldEmbedding,
+    avoid_integers,
     clear_denominators,
     coeff_bound_root,
     crt_ideals,
@@ -227,13 +227,6 @@ def couveignes_mod_p(y: FactoredElement, e: int, emb: SubfieldEmbedding,
     return crt_ideals(residues, list(cp.upper_ideals), K)
 
 
-def _content(coords) -> int:
-    g = 0
-    for c in coords:
-        g = math.gcd(g, c)
-    return g
-
-
 def eth_root_couveignes(y: FactoredElement, e: int, K: NumberField,
                         emb: SubfieldEmbedding, norm_root_solver,
                         seed: int = 0) -> FieldElement:
@@ -251,8 +244,6 @@ def eth_root_couveignes(y: FactoredElement, e: int, K: NumberField,
         raise ValueError("[K:L] must be prime to e")
     if emb.L.conductor is not None and emb.L.conductor % e != 0:
         raise ValueError("L does not contain the e-th roots of unity")
-    if K.omega is not None or emb.L.omega is not None:
-        raise Unsupported("couveignes works on power-basis orders")
     terms = [(u, a) for u, a in y.terms if a != 0]
     if not terms:
         return K.one
@@ -263,9 +254,8 @@ def eth_root_couveignes(y: FactoredElement, e: int, K: NumberField,
     a = norm_root_solver(relative_norm(work, emb))
     if not isinstance(a, FieldElement) or a.field != emb.L:
         raise IncompatibleFields("norm root does not lie in L")
-    avoid = [u.den for u, _ in work.terms] + [_content(u.num) for u, _ in work.terms]
-    avoid += [a.den, _content(a.num)]
-    cps = select_couveignes_primes(K, emb, e, B, seed=seed, avoid=tuple(avoid))
+    avoid = avoid_integers([u for u, _ in work.terms] + [a])
+    cps = select_couveignes_primes(K, emb, e, B, seed=seed, avoid=avoid)
     vectors = [couveignes_mod_p(work, e, emb, a, cp) for cp in cps]
     coords = crt_integers_symmetric(vectors, [cp.p for cp in cps], B)
     x = K.element(coords)

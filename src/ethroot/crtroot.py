@@ -213,9 +213,8 @@ def eth_root_double_crt(y: FactoredElement, e: int, K: NumberField,
 
     bases = [u for u, _ in work.terms]
     exps = [a for _, a in work.terms]
-    kernel_ok = (K.n > 1 and K.omega is None
-                 and all(gp.all_split and gp.q < (1 << SPLIT_BITS)
-                         for gp in allp))
+    kernel_ok = K.n > 1 and all(gp.all_split and gp.q < (1 << SPLIT_BITS)
+                                for gp in allp)
     if kernel_ok:
         from .splitkernel import split_roots_kernel
 

@@ -78,7 +78,7 @@ class NormMismatch(EthrootError):
 
 
 class NotApplicable(EthrootError):
-    """No relative tower exists for this field/exponent pair."""
+    """A method does not apply to this field/exponent pair (e.g. no tower)."""
 
 
 class RamifiedE(EthrootError):

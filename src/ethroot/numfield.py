@@ -1,9 +1,9 @@
 """Number fields K = Q[x]/(f) and elements kept in factored form.
 
-Elements are integer coordinate vectors over the order's basis with a single
-positive denominator. Products of many elements are never expanded; a
-FactoredElement is a list of (element, exponent) terms and every algorithm
-downstream works on residues of the individual terms.
+Elements are integer coordinate vectors over the power basis 1, alpha, ...,
+alpha^(n-1) with a single positive denominator. Products of many elements are
+never expanded; a FactoredElement is a list of (element, exponent) terms and
+every algorithm downstream works on residues of the individual terms.
 
 The complex-embedding constant cinf() bounds how coefficient vectors grow
 relative to embedding size: ||C(x)||_inf <= ||Sigma(x)||_inf * cinf. Each
@@ -93,22 +93,15 @@ def cyclotomic_poly(m: int) -> list[int]:
 
 
 class NumberField:
-    """Q[x]/(f) with a distinguished order basis (default the power basis)."""
+    """Q[x]/(f) for monic integral f; elements live on the power basis."""
 
-    def __init__(self, f: list[int], conductor: int | None = None,
-                 omega=None, f0: int = 1):
+    def __init__(self, f: list[int], conductor: int | None = None):
         f = [int(c) for c in f]
         if not f or f[-1] != 1 or len(f) < 2:
             raise ValueError("f must be monic of degree >= 1")
         self.f = tuple(f)
         self.n = len(f) - 1
         self.conductor = conductor
-        self.f0 = f0
-        self.omega = None
-        self._omega_inv = None
-        if omega is not None:
-            self.omega = tuple(tuple(Fraction(x) for x in row) for row in omega)
-            self._omega_inv = _frac_matrix_inverse(self.omega)
         self._roots: dict[int, list] = {}
         self._cinf = None
         self._radius = None
@@ -120,15 +113,10 @@ class NumberField:
         return cls(cyclotomic_poly(m), conductor=m)
 
     def __eq__(self, other):
-        return (
-            isinstance(other, NumberField)
-            and self.f == other.f
-            and self.omega == other.omega
-            and self.f0 == other.f0
-        )
+        return isinstance(other, NumberField) and self.f == other.f
 
     def __hash__(self):
-        return hash((self.f, self.omega, self.f0))
+        return hash(self.f)
 
     def __repr__(self):
         if self.conductor:
@@ -146,8 +134,6 @@ class NumberField:
             num = [num]
         num = [int(c) for c in num]
         if len(num) > self.n:
-            if self.omega is not None:
-                raise ValueError("overlong vector needs the power basis")
             num = self.reduce_int_poly(num)
         num = num + [0] * (self.n - len(num))
         return FieldElement(self, tuple(num[: self.n]), den)._normalize()
@@ -158,16 +144,6 @@ class NumberField:
         for c in fr:
             den = den * c.denominator // math.gcd(den, c.denominator)
         return self.element([int(c * den) for c in fr], den)
-
-    def from_power_fractions(self, coeffs) -> "FieldElement":
-        """Element from power-basis rational coordinates (any order basis)."""
-        fr = [Fraction(c) for c in coeffs] + [Fraction(0)] * (self.n - len(coeffs))
-        if self.omega is not None:
-            fr = [
-                sum(fr[j] * self._omega_inv[j][i] for j in range(self.n))
-                for i in range(self.n)
-            ]
-        return self.from_fractions(fr)
 
     @property
     def zero(self) -> "FieldElement":
@@ -255,11 +231,10 @@ class NumberField:
         power-basis coordinates c_i / den of x and R^i from radius_powers().
         """
         t, s = self.radius_powers()
-        coords, den = x.power_basis_integers()
-        return sum(abs(c) * r for c, r in zip(coords, t)), den << s
+        return sum(abs(c) * r for c, r in zip(x.num, t)), x.den << s
 
     def cinf(self) -> Fraction:
-        """Upper bound for the basis-change norm ||V^-1 Omega^-1||_1.
+        """Upper bound for the basis-change norm ||V^-1||_1.
 
         The stabilized value times 1.05 is rounded up to 64 fractional bits,
         so callers combine it exactly in integer arithmetic.
@@ -297,18 +272,6 @@ class NumberField:
                 if abs(deriv) == 0:
                     raise PrecisionLoss("repeated root at working precision")
                 rows.append([q[i] / deriv for i in range(n)])
-            if self._omega_inv is not None:
-                oi = [
-                    [mp.mpf(c.numerator) / c.denominator for c in row]
-                    for row in self._omega_inv
-                ]
-                rows = [
-                    [
-                        sum(row[k] * oi[k][i] for k in range(n))
-                        for i in range(n)
-                    ]
-                    for row in rows
-                ]
             best = mp.mpf(0)
             for i in range(n):
                 s = sum(abs(row[i]) for row in rows)
@@ -317,26 +280,8 @@ class NumberField:
             return best
 
 
-def _frac_matrix_inverse(m):
-    n = len(m)
-    a = [[Fraction(m[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
-         for i in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            raise ValueError("basis matrix is singular")
-        a[col], a[piv] = a[piv], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                fct = a[r][col]
-                a[r] = [x - fct * y for x, y in zip(a[r], a[col])]
-    return tuple(tuple(row[n:]) for row in a)
-
-
 class FieldElement:
-    """num / den over the order basis; num integer vector of length n."""
+    """num / den over the power basis; num integer vector of length n."""
 
     __slots__ = ("field", "num", "den")
 
@@ -392,21 +337,9 @@ class FieldElement:
     def __mul__(self, other):
         other = self._check(other)
         K = self.field
-        if K.omega is not None:
-            return self._mul_general(other)
         prod = _zmul(_ztrim(list(self.num)), _ztrim(list(other.num)))
         red = K.reduce_int_poly(prod)
         return FieldElement(K, tuple(red), self.den * other.den)._normalize()
-
-    def _mul_general(self, other):
-        K = self.field
-        a = self.power_basis_fractions()
-        b = other.power_basis_fractions()
-        prod = _fmul(_ftrim(list(a)), _ftrim(list(b)))
-        f = [Fraction(c) for c in K.f]
-        if len(prod) > K.n:
-            _, prod = _fdivmod(prod, f)
-        return K.from_power_fractions(prod)
 
     __radd__ = __add__
     __rmul__ = __mul__
@@ -439,7 +372,7 @@ class FieldElement:
         if len(r0) != 1:
             raise ZeroDivisionError("element not invertible (f reducible?)")
         inv = [c / r0[0] for c in s0]
-        return K.from_power_fractions(inv)
+        return K.from_fractions(inv)
 
     def __truediv__(self, other):
         other = self._check(other)
@@ -467,39 +400,14 @@ class FieldElement:
 
     def power_basis_fractions(self) -> list[Fraction]:
         """Coordinates over the power basis as Fractions (length n)."""
-        K = self.field
-        if K.omega is None:
-            return [Fraction(c, self.den) for c in self.num]
-        out = [Fraction(0)] * K.n
-        for i, c in enumerate(self.num):
-            if c:
-                for j in range(K.n):
-                    out[j] += Fraction(c, self.den) * K.omega[i][j]
-        return out
-
-    def power_basis_integers(self) -> tuple[tuple, int]:
-        """(coords, den): power-basis coordinates over one positive denominator."""
-        if self.field.omega is None:
-            return self.num, self.den
-        fr = self.power_basis_fractions()
-        den = 1
-        for c in fr:
-            den = den * c.denominator // math.gcd(den, c.denominator)
-        return tuple(int(c * den) for c in fr), den
+        return [Fraction(c, self.den) for c in self.num]
 
     def reduce_mod_prime(self, p: int) -> list[int]:
         """Power-basis coordinates mod p; DenominatorClash if p meets den."""
-        if self.field.omega is None:
-            if math.gcd(self.den, p) != 1:
-                raise DenominatorClash(p)
-            dinv = modinv(self.den, p)
-            return [c % p * dinv % p for c in self.num]
-        out = []
-        for c in self.power_basis_fractions():
-            if math.gcd(c.denominator, p) != 1:
-                raise DenominatorClash(p)
-            out.append(c.numerator % p * modinv(c.denominator, p) % p)
-        return out
+        if math.gcd(self.den, p) != 1:
+            raise DenominatorClash(p)
+        dinv = modinv(self.den, p)
+        return [c % p * dinv % p for c in self.num]
 
 
 def _ftrim(a):
@@ -584,8 +492,21 @@ class FactoredElement:
             out = out * u ** a
         return out
 
-    def denominators(self) -> set[int]:
-        return {u.den for u, _ in self.terms if u.den != 1}
+
+def avoid_integers(us) -> tuple:
+    """Integers whose primes must stay out of modular work on the elements us.
+
+    These are the denominators other than 1 and the numerator contents above
+    1: a prime dividing one turns a unit factor into 0 or 1/0 locally.
+    """
+    out = set()
+    for u in us:
+        if u.den != 1:
+            out.add(u.den)
+        c = math.gcd(*u.num)
+        if c > 1:
+            out.add(c)
+    return tuple(sorted(out))
 
 
 def clear_denominators(y: FactoredElement, e: int) -> tuple[FactoredElement, int]:
@@ -685,22 +606,21 @@ def multi_reduce(us: list[FieldElement], moduli: list[int]):
     tree = build_product_tree(moduli)
     out = []
     for u in us:
-        coords, den = u.power_basis_integers()
-        den_res = _remainder_tree(den, tree)
+        den_res = _remainder_tree(u.den, tree)
         dinv = []
         for d, m in zip(den_res, moduli):
             if math.gcd(d, m) != 1:
                 raise DenominatorClash(m)
             dinv.append(modinv(d, m))
         rows = []
-        for c in coords:
+        for c in u.num:
             r = _remainder_tree(abs(c), tree)
             if c < 0:
                 r = [(m - v) % m for v, m in zip(r, moduli)]
             rows.append(r)
         per_mod = []
         for j, m in enumerate(moduli):
-            per_mod.append([rows[i][j] * dinv[j] % m for i in range(len(coords))])
+            per_mod.append([rows[i][j] * dinv[j] % m for i in range(len(rows))])
         out.append(per_mod)
     return out
 

@@ -20,7 +20,6 @@ from .errors import (
     NotAPower,
     RootSeedMissing,
     SeedInvalid,
-    Unsupported,
     VerificationFailed,
 )
 from .fq import FqElement, FqField, fq_eth_root
@@ -56,7 +55,7 @@ LLL_DELTA = Fraction(99, 100)
 TWIST_BUDGET = 4096
 MAX_DOUBLINGS = 4
 
-# lift_checks counts the always-on convergence assertions (one per step)
+# lift_checks counts the always-on convergence checks (one per step)
 stats = {"lift_steps": 0, "lift_checks": 0, "twists": 0, "doublings": 0}
 
 
@@ -155,7 +154,7 @@ def _check_converged(a_mod, x, e, modpoly, M):
     t = gfpoly.mulmod(a_mod, gfpoly.powmod(x, e, modpoly, M), modpoly, M)
     stats["lift_checks"] += 1
     if gfpoly.trim(t) != [1]:
-        raise AssertionError(f"Newton convergence check failed at modulus {M}")
+        raise VerificationFailed(f"Newton convergence check failed at modulus {M}")
 
 
 def hensel_lift(a_poly: list[int], x0, e: int, ctx: PadicContext) -> list[int]:
@@ -239,8 +238,6 @@ def eth_root_padic(y: FactoredElement, e: int, K: NumberField, p: int,
         raise ValueError("exponents must lie in [0, e]")
     if e % p == 0:
         raise ValueError("p divides e")
-    if K.omega is not None:
-        raise Unsupported("p-adic lifting works on the power basis order")
     if not is_inert(K, p):
         raise ValueError(f"p={p} is not inert in K")
     work, T = clear_denominators(FactoredElement(K, terms), e)
@@ -363,18 +360,6 @@ def hensel_factor_lift(g: list[int], f: list[int], p: int, a: int) -> list[int]:
     return ga
 
 
-def _zrem(a: list[int], f: list[int]) -> list[int]:
-    """Exact remainder of a by monic f over Z."""
-    a = list(a)
-    n = len(f) - 1
-    for i in range(len(a) - 1, n - 1, -1):
-        c = a[i]
-        if c:
-            for j in range(n + 1):
-                a[i - n + j] -= c * f[j]
-    return a[:n]
-
-
 @dataclass(frozen=True)
 class IdealLattice:
     """Row basis (Hermite form) of pil^a inside the coefficient embedding."""
@@ -425,7 +410,7 @@ def build_ideal_lattice(pil: PrimeIdealRep, a: int, K: NumberField,
     if ga is None:
         ga = hensel_factor_lift(list(pil.g), list(K.f), p, a)
     rows = [[pa if i == j else 0 for i in range(n)] for j in range(n)]
-    gel = K.element(_zrem(ga, list(K.f)))
+    gel = K.element(ga)
     for j in range(n - pil.f_deg):
         el = gel * K.gen ** j
         if el.den != 1:
@@ -550,8 +535,6 @@ def eth_root_padic_reconstruct(y: FactoredElement, e: int, K: NumberField,
         raise ValueError("exponents must lie in [0, e]")
     if e % p == 0:
         raise ValueError("p divides e")
-    if K.omega is not None:
-        raise Unsupported("reconstruction works on the power basis order")
     work, T = clear_denominators(FactoredElement(K, terms), e)
     Bp = coeff_bound_root(work, e, K)
     a = precision_estimate(K.n, pil.f_deg, p, Bp)

@@ -14,9 +14,16 @@ from dataclasses import dataclass
 from . import gfpoly
 from .errors import NotUnit, RamifiedE, SearchExhausted, ZeroInput
 from .fq import FqElement, FqField, factor_mod_p, fq_dlog_order_e
-from .numfield import FactoredElement, FieldElement, NumberField, PrimeIdealRep, split_prime_ideals
+from .numfield import (
+    FactoredElement,
+    FieldElement,
+    NumberField,
+    PrimeIdealRep,
+    avoid_integers,
+    split_prime_ideals,
+)
 from .primes import check_odd_prime_power, derive_rng, is_prime, modinv, prime_power_split
-from .strategy import RootRequest, RootResult, eth_root
+from .strategy import RootRequest, eth_root
 
 CHAR_BITS = 29
 SELECT_BUDGET = 100000
@@ -93,13 +100,7 @@ def select_character_primes(K: NumberField, e: int, count: int, U,
     if count < 1:
         raise ValueError("count must be at least 1")
     M = e if K.conductor is None else math.lcm(e, K.conductor)
-    avoid = set()
-    for u in U:
-        if u.den != 1:
-            avoid.add(u.den)
-        c = math.gcd(*u.num) if u.num else 0
-        if c > 1:
-            avoid.add(c)
+    avoid = avoid_integers(U)
     rng = derive_rng(seed, "characters")
     bits = max(CHAR_BITS, M.bit_length() + 8)
     t_lo = max(1, (1 << (bits - 1)) // M)

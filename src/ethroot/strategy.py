@@ -3,13 +3,12 @@
 Order on auto: double-CRT when some prime sees no e-th roots of unity in any
 residue field; inert-prime Hensel lifting when one exists; the relative
 Couveignes recursion when a cyclotomic tower exists; prime-ideal lattice
-reconstruction as the last resort. Backends re-check their own admissibility
-(raising NotApplicable/Unsupported), so auto never runs an inapplicable
-method, and a genuine failure falls through to the next applicable one
-before NotAnEthPower is reported.
+reconstruction, which applies to every field, as the last resort. Each
+runner checks its own admissibility and raises NotApplicable, so auto never
+runs an inapplicable method, and a genuine failure falls through to the next
+method before NotAnEthPower is reported.
 """
 
-import math
 import time
 from dataclasses import dataclass, field
 
@@ -24,7 +23,6 @@ from .errors import (
     NotAnEthPower,
     NotApplicable,
     SearchExhausted,
-    Unsupported,
 )
 from .fq import factor_mod_p
 from .numfield import (
@@ -33,6 +31,7 @@ from .numfield import (
     NumberField,
     PrimeIdealRep,
     SubfieldEmbedding,
+    avoid_integers,
     normalize_exponents,
 )
 from .padic import eth_root_padic, eth_root_padic_reconstruct, find_inert_prime
@@ -95,19 +94,6 @@ def _counter_delta(before: dict, after: dict) -> dict:
     return out
 
 
-def _avoid_integers(y: FactoredElement) -> tuple:
-    # primes dividing a denominator or a whole numerator need to stay out of
-    # the modular work: they turn a unit factor into 0 or 1/0 locally
-    out = set()
-    for u, _ in y.terms:
-        if u.den != 1:
-            out.add(u.den)
-        c = math.gcd(*u.num) if u.num else 0
-        if c > 1:
-            out.add(c)
-    return tuple(sorted(out))
-
-
 def pick_reconstruct_ideal(K: NumberField, e: int, seed: int = 0,
                            avoid=(), budget: int = 200) -> PrimeIdealRep:
     """An unramified prime ideal for the lattice backend.
@@ -147,31 +133,72 @@ def _tower_root(y_level: FactoredElement, plan, level: int, e: int,
 
 def _base_root(y: FactoredElement, L: NumberField, method: str, e: int,
                seed: int, budgets: dict) -> FieldElement:
-    avoid = _avoid_integers(y)
-    search = budgets.get("search")
     if method == "padic":
-        kw = {"seed": seed, "avoid": avoid}
-        if search is not None:
-            kw["budget"] = search
-        p = find_inert_prime(L, e, **kw)
-        if p is not None:
-            return eth_root_padic(y, e, L, p, seed=seed)
-        # cyclic unit groups promise an inert prime; fall back if the
-        # budget ran dry anyway
-    pil = pick_reconstruct_ideal(L, e, seed=seed, avoid=avoid)
+        try:
+            return run_padic(y, L, e, seed, budgets)
+        except NotApplicable:
+            pass  # cyclic unit groups promise an inert prime, but the budget ran dry
+    return run_reconstruct(y, L, e, seed, budgets)
+
+
+# -- backend runners: (y, K, e, seed, budgets) -> root, or NotApplicable -------
+
+
+def run_double_crt(y: FactoredElement, K: NumberField, e: int, seed: int,
+                   budgets: dict) -> FieldElement:
+    bad_kw = {"seed": seed}
+    if K.conductor is None and budgets.get("search") is not None:
+        bad_kw["candidates"] = budgets["search"]
+    if is_bad_field(K, e, **bad_kw):
+        raise NotApplicable("every prime sees e-th roots of unity")
+    return eth_root_double_crt(y, e, K, seed=seed)
+
+
+def run_padic(y: FactoredElement, K: NumberField, e: int, seed: int,
+              budgets: dict) -> FieldElement:
+    kw = {"seed": seed, "avoid": avoid_integers([u for u, _ in y.terms])}
+    if budgets.get("search") is not None:
+        kw["budget"] = budgets["search"]
+    p = find_inert_prime(K, e, **kw)
+    if p is None:
+        raise NotApplicable("no inert prime found")
+    return eth_root_padic(y, e, K, p, seed=seed)
+
+
+def run_couveignes(y: FactoredElement, K: NumberField, e: int, seed: int,
+                   budgets: dict) -> FieldElement:
+    if K.conductor is None or K.conductor % e != 0:
+        raise NotApplicable("tower construction needs a cyclotomic bad case")
+    plan = build_tower(K, e)
+    return _tower_root(y, plan, 0, e, seed, budgets)
+
+
+def run_reconstruct(y: FactoredElement, K: NumberField, e: int, seed: int,
+                    budgets: dict) -> FieldElement:
+    avoid = avoid_integers([u for u, _ in y.terms])
+    pil = pick_reconstruct_ideal(K, e, seed=seed, avoid=avoid)
     kw = {}
     if budgets.get("doublings") is not None:
         kw["max_doublings"] = budgets["doublings"]
-    return eth_root_padic_reconstruct(y, e, L, pil, seed=seed, **kw)
+    return eth_root_padic_reconstruct(y, e, K, pil, seed=seed, **kw)
+
+
+RUNNERS = {
+    "double_crt": run_double_crt,
+    "padic": run_padic,
+    "couveignes": run_couveignes,
+    "reconstruct": run_reconstruct,
+}
 
 
 def eth_root(req: RootRequest) -> RootResult:
     """Strategy entry point: normalize exponents, dispatch, return the root.
 
     auto tries double_crt, padic, couveignes, reconstruct in that order,
-    skipping inapplicable ones; NotAnEthPower means every applicable method
-    ran and failed its verification, Unsupported that none was applicable.
-    An explicitly requested method propagates its own errors unchanged.
+    skipping inapplicable ones; reconstruct applies to every field, so
+    NotAnEthPower means every applicable method ran and failed. Unsupported
+    is raised only for an exponent that is not an odd prime power. An
+    explicitly requested method propagates its own errors unchanged.
     """
     check_odd_prime_power(req.e)
     if req.method not in METHODS:
@@ -180,58 +207,18 @@ def eth_root(req: RootRequest) -> RootResult:
     if req.y.field != K:
         raise IncompatibleFields("request element does not live in K")
     prefactor, residual = normalize_exponents(req.y, e)
-    search = budgets.get("search")
-    avoid = _avoid_integers(residual)
-
-    def run_double_crt(y: FactoredElement) -> FieldElement:
-        bad_kw = {"seed": seed}
-        if K.conductor is None and search is not None:
-            bad_kw["candidates"] = search
-        if is_bad_field(K, e, **bad_kw):
-            raise NotApplicable("every prime sees e-th roots of unity")
-        return eth_root_double_crt(y, e, K, seed=seed)
-
-    def run_padic(y: FactoredElement) -> FieldElement:
-        kw = {"seed": seed, "avoid": avoid}
-        if search is not None:
-            kw["budget"] = search
-        p = find_inert_prime(K, e, **kw)
-        if p is None:
-            raise NotApplicable("no inert prime found")
-        return eth_root_padic(y, e, K, p, seed=seed)
-
-    def run_couveignes(y: FactoredElement) -> FieldElement:
-        if K.conductor is None or K.conductor % e != 0:
-            raise NotApplicable("tower construction needs a cyclotomic bad case")
-        plan = build_tower(K, e)
-        return _tower_root(y, plan, 0, e, seed, budgets)
-
-    def run_reconstruct(y: FactoredElement) -> FieldElement:
-        pil = pick_reconstruct_ideal(K, e, seed=seed, avoid=avoid)
-        kw = {}
-        if budgets.get("doublings") is not None:
-            kw["max_doublings"] = budgets["doublings"]
-        return eth_root_padic_reconstruct(y, e, K, pil, seed=seed, **kw)
-
-    order = {
-        "double_crt": run_double_crt,
-        "padic": run_padic,
-        "couveignes": run_couveignes,
-        "reconstruct": run_reconstruct,
-    }
     if req.method == "auto":
-        plan = list(order.items())
+        plan = list(RUNNERS.items())
     else:
-        plan = [(req.method, order[req.method])]
+        plan = [(req.method, RUNNERS[req.method])]
 
     before = _counters()
     t0 = time.perf_counter()
     failures: list[str] = []
-    applicable = 0
     for name, backend in plan:
         try:
-            root = backend(residual)
-        except (NotApplicable, Unsupported) as exc:
+            root = backend(residual, K, e, seed, budgets)
+        except NotApplicable as exc:
             if req.method != "auto":
                 raise
             failures.append(f"{name}: not applicable: {exc}")
@@ -239,7 +226,6 @@ def eth_root(req: RootRequest) -> RootResult:
         except EthrootError as exc:
             if req.method != "auto":
                 raise
-            applicable += 1
             failures.append(f"{name}: {type(exc).__name__}: {exc}")
             continue
         if prefactor.terms:
@@ -250,6 +236,4 @@ def eth_root(req: RootRequest) -> RootResult:
             "counters": _counter_delta(before, _counters()),
         }
         return RootResult(prefactor, root, name, stats)
-    if applicable == 0:
-        raise Unsupported("no implemented method applies to this field")
     raise NotAnEthPower("; ".join(failures))

@@ -33,10 +33,11 @@ def _exact_affordable(x: FieldElement, y: FactoredElement, e: int,
 
 def _usable_prime(q: int, x: FieldElement, y: FactoredElement,
                   K: NumberField) -> bool:
-    if K.conductor is not None and K.conductor % q == 0:
-        return False
     if x.den % q == 0 or any(u.den % q == 0 for u, _ in y.terms):
         return False
+    if K.conductor is not None:
+        # Phi_m divides x^m - 1, which is squarefree mod every q not dividing m
+        return K.conductor % q != 0
     fbar = gfpoly.from_int_poly(list(K.f), q)
     if gfpoly.deg(fbar) != K.n:
         return False

@@ -24,6 +24,28 @@ def test_library_has_no_assert_statements():
     assert found == []
 
 
+def test_library_has_no_unused_module_imports():
+    # __init__.py re-exports; "# noqa" marks an import kept as module surface
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        text = path.read_text()
+        lines = text.splitlines()
+        tree = ast.parse(text, filename=str(path))
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        for node in tree.body:
+            if (not isinstance(node, (ast.Import, ast.ImportFrom))
+                    or getattr(node, "module", None) == "__future__"):
+                continue
+            for alias in node.names:
+                name = (alias.asname or alias.name).split(".")[0]
+                marked = "# noqa" in lines[node.lineno - 1] + lines[alias.lineno - 1]
+                if name not in used and not marked:
+                    found.append(f"{path.name}:{alias.lineno} {name}")
+    assert found == []
+
+
 def test_random_prime_rejects_one_bit():
     with pytest.raises(ValueError):
         random_prime(random.Random(0), 1)

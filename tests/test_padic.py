@@ -4,10 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from ethroot import gfpoly
+from ethroot import gfpoly, padic
 from ethroot.crtroot import eth_root_double_crt
 from ethroot.errors import (
     DenominatorClash,
+    NotAnEthPower,
     RootSeedMissing,
     SeedInvalid,
     VerificationFailed,
@@ -31,6 +32,7 @@ from ethroot.padic import (
     stats,
 )
 from ethroot.primes import multiplicative_order
+from ethroot.strategy import RootRequest, eth_root
 
 
 def factored(K, pairs):
@@ -193,6 +195,26 @@ def test_eth_root_padic_global_non_power():
     u = (K.element([1, 1]) ** 3) * K.element([1, 7])
     with pytest.raises(VerificationFailed):
         eth_root_padic(factored(K, [(u, 1)]), 3, K, 7)
+
+
+def test_convergence_check_raises_verification_failed():
+    # a * x^e = 2 * 1 != 1 in Z[x]/(25, x^2 + 1)
+    with pytest.raises(VerificationFailed):
+        padic._check_converged([2], [1], 3, [1, 0, 1], 25)
+
+
+def test_failed_convergence_check_falls_through_in_auto(monkeypatch):
+    # a broken Newton check is a backend failure, not a crash of the dispatcher
+    check = padic._check_converged
+
+    def skewed(a_mod, x, e, modpoly, M):
+        check(a_mod, gfpoly.add(x, [1], M), e, modpoly, M)
+
+    monkeypatch.setattr(padic, "_check_converged", skewed)
+    K = NumberField.cyclotomic(9)
+    x = K.random_element(random.Random(9), bits=40)  # past one 16-bit prime
+    with pytest.raises(NotAnEthPower, match="padic: VerificationFailed: Newton"):
+        eth_root(RootRequest(K, 3, factored(K, [(x ** 3, 1)])))
 
 
 def test_eth_root_padic_agrees_with_double_crt():

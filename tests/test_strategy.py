@@ -113,13 +113,12 @@ def test_explicit_method_propagates_not_applicable():
         eth_root(RootRequest(K16, 3, y, method="couveignes"))
 
 
-def test_nothing_applicable_raises_unsupported():
-    # flagged order basis + unknown conductor + no good primes: every backend refuses
-    ident = [[1 if i == j else 0 for j in range(8)] for i in range(8)]
-    Ko = NumberField(cyclotomic_poly(15), omega=ident)
-    u = Ko.element([0, 1, 0, 0, 0, 0, 0, 0])
+@pytest.mark.parametrize("e", [4, 6, 45])
+def test_exponent_outside_scope_raises_unsupported(e):
+    # even, not a prime power, odd but not a prime power
+    y = planted(K16, K16.element([1, 1, 0, 0, 0, 0, 0, 0]), e)
     with pytest.raises(Unsupported):
-        eth_root(RootRequest(Ko, 3, planted(Ko, u, 3), budgets={"search": 60}))
+        eth_root(RootRequest(K16, e, y))
 
 
 def test_unknown_method_rejected():

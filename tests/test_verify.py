@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from ethroot import verify
+from ethroot import gfpoly, verify
 from ethroot.fq import factor_mod_p
 from ethroot.numfield import FactoredElement, NumberField
 from ethroot.verify import verify_root
@@ -75,6 +75,11 @@ def _no_factoring(monkeypatch):
 @pytest.mark.parametrize("m,e", SPLIT_CASES)
 def test_split_primes_accept_planted_roots_without_factoring(monkeypatch, m, e):
     _no_factoring(monkeypatch)
+
+    def refuse(*args):
+        raise AssertionError("Phi_m needs no squarefree test at q = 1 mod m")
+
+    monkeypatch.setattr(gfpoly, "gcd", refuse)
     K = NumberField.cyclotomic(m)
     rng = random.Random(f"planted:{m}:{e}")
     u = K.random_element(rng, bits=20)
