@@ -69,7 +69,10 @@ def check_good_prime(q: int, K: NumberField, e: int):
     """GoodPrime if q is unramified and no residue field sees mu_l.
 
     Returns a Rejection (never raises) when q fails. The decision only needs
-    l = rad(e): gcd(e, q^d - 1) = 1 iff q^d != 1 mod l.
+    l = rad(e): gcd(e, q^d - 1) = 1 iff q^d != 1 mod l. An unramified q = 1
+    mod l is refused without factoring f: F_q, and so every residue field,
+    already holds mu_l. Rejection.degree is then 1, the degree of F_q, not
+    that of a residue field; otherwise it is the residue degree d that failed.
     """
     l, _ = prime_power_split(e)
     m = K.conductor
@@ -85,10 +88,10 @@ def check_good_prime(q: int, K: NumberField, e: int):
         ideals = tuple(PrimeIdealRep(q, tuple(g), len(g) - 1) for g, _ in fac)
         return GoodPrime(q, ideals, False)
     fbar = gfpoly.from_int_poly(list(K.f), q)
-    if gfpoly.deg(fbar) != K.n:
-        return Rejection("ramified")  # q divides the leading coefficient
     if gfpoly.deg(gfpoly.gcd(fbar, gfpoly.derivative(fbar, q), q)) > 0:
         return Rejection("ramified")
+    if q % l == 1:
+        return Rejection("root-of-unity", 1)
     fac = factor_mod_p(list(K.f), q, seed=1)
     for g, _ in fac:
         d = len(g) - 1

@@ -4,7 +4,9 @@ Elements are fixed-length coefficient vectors over F_p modulo a monic
 irreducible. The e-th root routine dispatches on v = v_l(q-1) for e = l^k:
 v = 0 gives the unique-root exponent inverse, 0 < v <= k an exponent inverse
 in the prime-to-l part, and v > k runs k successive l-th root extractions
-(Adleman-Manders-Miller / Tonelli-Shanks style).
+(Adleman-Manders-Miller / Tonelli-Shanks style). The l-th non-residue that
+run needs is searched among the constants first, and those lie in F_p, so
+each is tested with one integer pow mod p instead of a power in F_q.
 """
 
 from __future__ import annotations
@@ -212,14 +214,21 @@ def factor_mod_p(f: list[int], p: int, seed: int = 0) -> list[tuple[list[int], i
 def _nonresidue(field: FqField, ell: int) -> FqElement:
     """Deterministic l-th non-residue: small elements first, then seeded draws.
 
-    The small-index prefix of the enumeration is all constants, which can be
-    universally l-th powers (e.g. l | p + 1 in F_{p^2}), so the scan must not
-    stay sequential past a short prefix.
+    The small-index prefix of the enumeration starts with the constants
+    c < p, which lie in F_p: there c^((q-1)/l) = c^(((q-1)/l) mod (p-1)), one
+    integer pow. Constants can be universally l-th powers (e.g. l | p + 1 in
+    F_{p^2}), so the scan must not stay sequential past a short prefix.
     """
+    p = field.p
     exp = (field.q - 1) // ell
+    exp_p = exp % (p - 1)
     for idx in range(2, min(field.q, 32)):
+        if idx < p:
+            if pow(idx, exp_p, p) != 1:
+                return field.element_at(idx)
+            continue
         t = field.element_at(idx)
-        if not t.is_zero() and t ** exp != field.one:
+        if t ** exp != field.one:
             return t
     rng = random.Random(field.q ^ ell)
     while True:

@@ -47,15 +47,20 @@ def scale(a: list[int], c: int, p: int) -> list[int]:
     return trim([x * c % p for x in a])
 
 
-def mul(a: list[int], b: list[int], p: int) -> list[int]:
+def _product(a: list[int], b: list[int]) -> list[int]:
+    """Schoolbook product over Z, neither reduced nor trimmed."""
     if not a or not b:
         return []
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return trim([c % p for c in out])
+            for j, y in enumerate(b, i):
+                out[j] += x * y
+    return out
+
+
+def mul(a: list[int], b: list[int], p: int) -> list[int]:
+    return trim([c % p for c in _product(a, b)])
 
 
 def divmod_(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
@@ -78,8 +83,25 @@ def divmod_(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
     return trim(q), trim([c % p for c in r[:db]])
 
 
+def _reduce(r: list[int], b: list[int], p: int) -> list[int]:
+    """r mod b, reducing r in place: no quotient, one final pass mod p."""
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    db = len(b) - 1
+    inv_lead = 1 if b[-1] % p == 1 else pow(b[-1], p - 2, p)
+    low = b[:-1]
+    for i in range(len(r) - 1, db - 1, -1):
+        c = r[i] % p
+        if c:
+            base = i - db
+            f = c * inv_lead % p
+            for j, y in enumerate(low, base):
+                r[j] -= f * y
+    return trim([c % p for c in r[:db]])
+
+
 def rem(a: list[int], b: list[int], p: int) -> list[int]:
-    return divmod_(a, b, p)[1]
+    return _reduce(a[:], b, p)
 
 
 def monic(a: list[int], p: int) -> list[int]:
@@ -95,7 +117,8 @@ def gcd(a: list[int], b: list[int], p: int) -> list[int]:
 
 
 def mulmod(a: list[int], b: list[int], mod: list[int], p: int) -> list[int]:
-    return rem(mul(a, b, p), mod, p)
+    """a * b mod (mod, p): the product is neither reduced nor trimmed first."""
+    return _reduce(_product(a, b), mod, p)
 
 
 def powmod(a: list[int], n: int, mod: list[int], p: int) -> list[int]:
@@ -231,8 +254,20 @@ def factor(f: list[int], p: int, seed: int = 0) -> list[tuple[list[int], int]]:
     return out
 
 
+def _compose_mod(g: list[int], h: list[int], mod: list[int], p: int) -> list[int]:
+    """g(h) mod (mod, p) for reduced g, by Horner: deg g products mod `mod`."""
+    acc: list[int] = []
+    for c in reversed(g):
+        acc = add(mulmod(acc, h, mod, p), [c], p)
+    return acc
+
+
 def is_irreducible(f: list[int], p: int) -> bool:
-    """Rabin test: x^(p^n) = x mod f and gcd conditions at maximal subdegrees."""
+    """Rabin test: x^(p^n) = x mod f and gcd conditions at maximal subdegrees.
+
+    x^(p^i) is x^p composed with x^(p^(i-1)) (von zur Gathen-Shoup), so each
+    Frobenius step costs deg f - 1 products instead of a p-th power.
+    """
     n = deg(f)
     if n < 1:
         return False
@@ -241,10 +276,11 @@ def is_irreducible(f: list[int], p: int) -> bool:
     from .primes import factorize
 
     x = [0, 1]
-    h = x
-    powers = {}
-    for i in range(1, n + 1):
-        h = powmod(h, p, f, p)
+    frob = powmod(x, p, f, p)
+    h = frob
+    powers = {1: frob}
+    for i in range(2, n + 1):
+        h = _compose_mod(frob, h, f, p)
         powers[i] = h
     if sub(powers[n], x, p):
         return False

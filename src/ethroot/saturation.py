@@ -6,14 +6,26 @@ Schirokauer map at e, known valuations) kill e-th powers, and enough of them
 make the converse hold up to probability e^-r, so the left kernel of the
 character matrix names the powers. Roots are then extracted by the strategy
 layer without ever expanding a product.
+
+Character ideals have degree 1, so their residue field is F_q itself: the
+residues, the power u^((q-1)/e) and its discrete log base zeta are all
+computed in integers mod q (baby-step giant-step), with no F_q arithmetic.
 """
 
 import math
 from dataclasses import dataclass
 
 from . import gfpoly
-from .errors import NotUnit, RamifiedE, SearchExhausted, ZeroInput
-from .fq import FqElement, FqField, factor_mod_p, fq_dlog_order_e
+from .errors import (
+    BudgetExceeded,
+    IncompatibleFields,
+    NotInGroup,
+    NotUnit,
+    RamifiedE,
+    SearchExhausted,
+    ZeroInput,
+)
+from .fq import FqElement, FqField, factor_mod_p
 from .numfield import (
     FactoredElement,
     FieldElement,
@@ -27,7 +39,7 @@ from .strategy import RootRequest, eth_root
 
 CHAR_BITS = 29
 SELECT_BUDGET = 100000
-DLOG_LIMIT = 1 << 40  # matches the BSGS budget in fq
+DLOG_LIMIT = 1 << 40  # matches the BSGS budget of fq.fq_dlog_order_e
 EXTRA_CHARACTERS = 20  # failure probability <= e^-20
 
 
@@ -88,6 +100,27 @@ def _order_e_element(q: int, e: int, ell: int, rng) -> int:
             return z
 
 
+def _dlog_mod_q(t: int, z: int, e: int, q: int) -> int:
+    """log_z t mod e in F_q*, z of exact order e: integer baby-step giant-step."""
+    if e > DLOG_LIMIT:
+        raise BudgetExceeded(f"dlog order {e} above 2^40 budget")
+    if pow(t, e, q) != 1:
+        raise NotInGroup("element is not in the order-e subgroup")
+    m = math.isqrt(e - 1) + 1
+    baby: dict[int, int] = {}
+    cur = 1
+    for j in range(m):
+        baby.setdefault(cur, j)
+        cur = cur * z % q
+    giant = pow(z, -m, q)
+    cur = t % q
+    for g in range(m + 1):
+        if cur in baby:
+            return (g * m + baby[cur]) % e
+        cur = cur * giant % q
+    raise NotInGroup("element outside the cyclic group")
+
+
 def select_character_primes(K: NumberField, e: int, count: int, U,
                             seed: int = 0, budget: int = SELECT_BUDGET) -> list:
     """Degree-1 primes Q with N(Q) = 1 mod e, units at every u_j, chi tables.
@@ -127,17 +160,15 @@ def select_character_primes(K: NumberField, e: int, count: int, U,
             linears = [PrimeIdealRep(q, tuple(g), 1) for g, _ in fac if len(g) == 2]
         if not linears:
             continue
-        field = FqField(q, [0, 1])
-        zeta = field.element([_order_e_element(q, e, ell, rng)])
+        z = _order_e_element(q, e, ell, rng)
+        zeta = FqField(q, [0, 1]).element([z])
         for ideal in linears:
             if len(out) >= count:
                 break
             r = (-ideal.g[0]) % q
             try:
                 table = tuple(
-                    fq_dlog_order_e(
-                        field.element([pow(_unit_residue(u, r, q), (q - 1) // e, q)]),
-                        zeta, e)
+                    _dlog_mod_q(pow(_unit_residue(u, r, q), (q - 1) // e, q), z, e, q)
                     for u in U)
             except ValueError:
                 continue  # some u_j vanishes mod this ideal; its siblings may do
@@ -155,9 +186,10 @@ def chi(u: FieldElement, cp: CharacterPrime, e: int) -> int:
         raise ValueError("character ideals must have degree 1")
     q = ideal.p
     r = (-ideal.g[0]) % q
+    if cp.zeta.field.q != q:
+        raise IncompatibleFields("zeta does not live in the residue field")
     val = _unit_residue(u, r, q)
-    t = pow(val, (q - 1) // e, q)
-    return fq_dlog_order_e(cp.zeta.field.element([t]), cp.zeta, e)
+    return _dlog_mod_q(pow(val, (q - 1) // e, q), cp.zeta.coeffs[0], e, q)
 
 
 def schirokauer_map(u: FieldElement, e: int, K: NumberField) -> list:

@@ -175,8 +175,10 @@ def run_couveignes(y: FactoredElement, K: NumberField, e: int, seed: int,
 
 def run_reconstruct(y: FactoredElement, K: NumberField, e: int, seed: int,
                     budgets: dict) -> FieldElement:
-    avoid = avoid_integers([u for u, _ in y.terms])
-    pil = pick_reconstruct_ideal(K, e, seed=seed, avoid=avoid)
+    pick_kw = {"seed": seed, "avoid": avoid_integers([u for u, _ in y.terms])}
+    if budgets.get("search") is not None:
+        pick_kw["budget"] = budgets["search"]
+    pil = pick_reconstruct_ideal(K, e, **pick_kw)
     kw = {}
     if budgets.get("doublings") is not None:
         kw["max_doublings"] = budgets["doublings"]

@@ -39,8 +39,6 @@ def _usable_prime(q: int, x: FieldElement, y: FactoredElement,
         # Phi_m divides x^m - 1, which is squarefree mod every q not dividing m
         return K.conductor % q != 0
     fbar = gfpoly.from_int_poly(list(K.f), q)
-    if gfpoly.deg(fbar) != K.n:
-        return False
     return gfpoly.deg(gfpoly.gcd(fbar, gfpoly.derivative(fbar, q), q)) == 0
 
 

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from ethroot import crtroot
 from ethroot.crtroot import (
     GoodPrime,
     Rejection,
@@ -13,7 +14,9 @@ from ethroot.crtroot import (
     select_crt_primes,
 )
 from ethroot.errors import SearchExhausted, VerificationFailed
-from ethroot.numfield import FactoredElement, NumberField, multi_reduce
+from ethroot.fq import factor_mod_p
+from ethroot.numfield import FactoredElement, NumberField, PrimeIdealRep, multi_reduce
+from ethroot.primes import random_prime
 
 
 def factored(K, pairs):
@@ -52,6 +55,52 @@ def test_check_good_prime_generic_field():
     assert isinstance(gp, Rejection)
     gp = check_good_prime(11, K, 3)  # 3^2 = 9 = -2, so split; 11 = 2 mod 3
     assert isinstance(gp, GoodPrime) and gp.all_split
+
+
+ELL = {3: 3, 5: 5, 25: 5}  # e -> rad(e)
+
+
+def reference_good_prime(q, K, e, fac):
+    """The decision taken from a full factorization fac of f mod q."""
+    ell = ELL[e]
+    if any(mult > 1 for _, mult in fac):
+        return Rejection("ramified")
+    for g, _ in fac:
+        if pow(q, len(g) - 1, ell) == 1:
+            return Rejection("root-of-unity", len(g) - 1)
+    ideals = tuple(PrimeIdealRep(q, tuple(g), len(g) - 1) for g, _ in fac)
+    return GoodPrime(q, ideals, all(i.f_deg == 1 for i in ideals))
+
+
+def test_check_good_prime_matches_full_factorization():
+    rng = random.Random("good-prime-reference")
+    fields = [NumberField([-1, -1, 0, 1]), NumberField([-1, -1, 0, 0, 0, 1]),
+              NumberField([2, 0, 1])]
+    for _ in range(200):
+        q = random_prime(rng, 62)
+        for K in fields:
+            fac = factor_mod_p(list(K.f), q, seed=1)
+            for e in (3, 5, 25):
+                got = check_good_prime(q, K, e)
+                want = reference_good_prime(q, K, e, fac)
+                if isinstance(want, Rejection) and q % ELL[e] == 1:
+                    # mu_l already in F_q: refused as degree 1 before factoring
+                    want = Rejection("root-of-unity", 1)
+                assert got == want, (q, K.f, e)
+
+
+def test_check_good_prime_q_one_mod_l_needs_no_factoring(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("factor_mod_p called")
+
+    monkeypatch.setattr(crtroot, "factor_mod_p", refuse)
+    K = NumberField([-1, -1, 0, 1])  # x^3 - x - 1, discriminant -23
+    for q in (7, 13, 31, 2 ** 61 - 1):  # all 1 mod 3
+        assert check_good_prime(q, K, 3) == Rejection("root-of-unity", 1)
+        assert check_good_prime(q, K, 9) == Rejection("root-of-unity", 1)
+    assert check_good_prime(23, K, 3).kind == "ramified"  # 23 = 2 mod 3
+    with pytest.raises(AssertionError):
+        check_good_prime(11, K, 3)  # 11 = 2 mod 3 must factor
 
 
 # -- prime selection --------------------------------------------------------------

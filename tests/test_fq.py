@@ -12,6 +12,7 @@ from ethroot.errors import (
 )
 from ethroot.fq import (
     FqField,
+    _nonresidue,
     factor_mod_p,
     fq_dlog_order_e,
     fq_eth_root,
@@ -222,3 +223,33 @@ def test_dlog_budget():
     f31 = make_field(31, 1)
     with pytest.raises(BudgetExceeded):
         fq_dlog_order_e(f31.one, f31.element(2), 3 ** 26)
+
+
+# -- non-residues ----------------------------------------------------------------
+
+
+def full_power_nonresidue(field, ell):
+    """The scan as it was: every candidate raised to (q-1)/l in F_q."""
+    exp = (field.q - 1) // ell
+    for idx in range(2, min(field.q, 32)):
+        t = field.element_at(idx)
+        if not t.is_zero() and t ** exp != field.one:
+            return t
+    rng = random.Random(field.q ^ ell)
+    while True:
+        t = field.random_element(rng)
+        if not t.is_zero() and t ** exp != field.one:
+            return t
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 13, 31, 37, 41, 61, 1009])
+def test_nonresidue_matches_full_power_scan(p):
+    checked = 0
+    for d in range(1, 7):
+        field = make_field(p, d, seed=d)
+        for ell in (3, 5, 7):
+            if (field.q - 1) % ell:
+                continue
+            assert _nonresidue(field, ell) == full_power_nonresidue(field, ell)
+            checked += 1
+    assert checked >= 2

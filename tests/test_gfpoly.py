@@ -75,3 +75,47 @@ def test_mulmod_powmod_match_schoolbook(p, monic):
         assert gfpoly.mulmod(a, b, mod, p) == ref_divmod(ref_mul(a, b, p), mod, p)[1]
         n = rng.randrange(0, 12)
         assert gfpoly.powmod(a, n, mod, p) == ref_powmod(a, n, mod, p)
+
+
+# -- irreducibility -----------------------------------------------------------
+
+
+def monic_polys(n, p):
+    """Every monic polynomial of degree n over F_p."""
+    for idx in range(p ** n):
+        coeffs = []
+        for _ in range(n):
+            coeffs.append(idx % p)
+            idx //= p
+        yield coeffs + [1]
+
+
+def trial_division_irreducible(f, p):
+    n = len(f) - 1
+    if n < 1:
+        return False
+    return not any(not ref_divmod(f, g, p)[1]
+                   for d in range(1, n // 2 + 1) for g in monic_polys(d, p))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_is_irreducible_matches_trial_division(p):
+    for n in range(5):
+        for f in monic_polys(n, p):
+            assert gfpoly.is_irreducible(f, p) == trial_division_irreducible(f, p), f
+
+
+def test_is_irreducible_large_prime_products():
+    p = (1 << 61) - 1
+    rng = random.Random("irreducible:2^61-1")
+    for _ in range(8):
+        d1, d2 = rng.randrange(1, 4), rng.randrange(1, 4)
+        g = gfpoly.random_irreducible(d1, p, rng)
+        h = gfpoly.random_irreducible(d2, p, rng)
+        # the factorization's DDF takes its own Frobenius powers, not the test's
+        assert gfpoly.factor(g, p) == [(g, 1)]
+        assert gfpoly.is_irreducible(h, p)
+        assert not gfpoly.is_irreducible(gfpoly.mul(g, h, p), p)
+    for _ in range(30):
+        f = rand_poly(rng, rng.randrange(2, 7), p, monic=True)
+        assert gfpoly.is_irreducible(f, p) == (gfpoly.factor(f, p) == [(f, 1)])

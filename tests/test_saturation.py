@@ -3,13 +3,23 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ethroot.errors import NotUnit, RamifiedE, SearchExhausted, ZeroInput
-from ethroot.fq import FqField
+from ethroot.errors import (
+    BudgetExceeded,
+    NotInGroup,
+    NotUnit,
+    RamifiedE,
+    SearchExhausted,
+    ZeroInput,
+)
+from ethroot.fq import FqField, fq_dlog_order_e
 from ethroot.numfield import NumberField, PrimeIdealRep
 from ethroot.saturation import (
     CharacterPrime,
     GeneratingSet,
+    _dlog_mod_q,
     build_character_matrix,
     chi,
     detect_eth_powers,
@@ -83,6 +93,34 @@ def test_chi_rejects_non_units():
     deg2 = CharacterPrime(PrimeIdealRep(31, (1, 0, 1), 2), F31.element([2]))
     with pytest.raises(ValueError):
         chi(Q.element([3]), deg2, 5)
+
+
+def test_chi_budget_and_group_checks():
+    with pytest.raises(BudgetExceeded):
+        chi(Q.element([3]), CP31, 3 ** 26)  # above the 2^40 BSGS budget
+    with pytest.raises(NotInGroup):
+        chi(Q.element([3]), CP31, 7)  # 7 does not divide 30: 3^28 != 1
+
+
+# e -> (prime q = 1 mod e, the prime dividing e)
+CHAR_CASES = {3: (1000003, 3), 5: (1000081, 5), 25: (1000151, 5), 49: (1000679, 7)}
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(e=st.sampled_from(sorted(CHAR_CASES)), g=st.integers(2, 10 ** 6),
+       a=st.integers(1, 10 ** 6), j=st.integers(0, 48))
+def test_integer_character_log_matches_fq_dlog(e, g, a, j):
+    q, ell = CHAR_CASES[e]
+    z = pow(g, (q - 1) // e, q)
+    if pow(z, e // ell, q) == 1:
+        return  # z must have exact order e
+    field = FqField(q, [0, 1])
+    zeta = field.element([z])
+    t = pow(z, j, q)  # a random element of the order-e subgroup
+    assert _dlog_mod_q(t, z, e, q) == fq_dlog_order_e(field.element([t]), zeta, e)
+    cp = CharacterPrime(PrimeIdealRep(q, (0, 1), 1), zeta)
+    want = fq_dlog_order_e(field.element([pow(a, (q - 1) // e, q)]), zeta, e)
+    assert chi(Q.element([a]), cp, e) == want
 
 
 # -- character prime selection --------------------------------------------------

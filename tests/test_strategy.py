@@ -2,10 +2,12 @@
 
 import pytest
 
+from ethroot import strategy
 from ethroot.errors import (
     IncompatibleFields,
     NotAnEthPower,
     NotApplicable,
+    SearchExhausted,
     Unsupported,
 )
 from ethroot.numfield import FactoredElement, NumberField, cyclotomic_poly
@@ -151,3 +153,24 @@ def test_stats_report_time_and_counters():
 def test_verify_root_reexport():
     x = K16.element([1, 2, 0, -1, 0, 0, 3, 1])
     assert verify_root(x, planted(K16, x, 3), 3, K16)
+
+
+def test_reconstruct_honours_the_search_budget(monkeypatch):
+    factored = []
+
+    def never_squarefree(f, p, seed=0):
+        factored.append(p)
+        return [([0, 1], len(f) - 1)]  # f = x^n mod p: every candidate refused
+
+    monkeypatch.setattr(strategy, "factor_mod_p", never_squarefree)
+    y = planted(K16, K16.element([1, 1, 0, 0, 0, 0, 0, 0]), 3)
+    for budget in (1, 7, 30):
+        factored.clear()
+        with pytest.raises(SearchExhausted):
+            eth_root(RootRequest(K16, 3, y, method="reconstruct",
+                                 budgets={"search": budget}))
+        assert 0 < len(factored) <= budget
+    factored.clear()
+    with pytest.raises(SearchExhausted):
+        eth_root(RootRequest(K16, 3, y, method="reconstruct"))
+    assert 30 < len(factored) <= 200  # the default candidate budget
