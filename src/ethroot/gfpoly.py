@@ -276,12 +276,9 @@ def is_irreducible(f: list[int], p: int) -> bool:
     from .primes import factorize
 
     x = [0, 1]
-    frob = powmod(x, p, f, p)
-    h = frob
-    powers = {1: frob}
+    powers = {1: powmod(x, p, f, p)}
     for i in range(2, n + 1):
-        h = _compose_mod(frob, h, f, p)
-        powers[i] = h
+        powers[i] = _compose_mod(powers[1], powers[i - 1], f, p)
     if sub(powers[n], x, p):
         return False
     for q in factorize(n):
