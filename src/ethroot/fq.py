@@ -25,7 +25,7 @@ from .errors import (
 )
 from .primes import check_odd_prime_power, is_prime, modinv
 
-_DLOG_BUDGET = 1 << 40
+DLOG_BUDGET = 1 << 40  # largest order a baby-step giant-step log may take
 
 
 class FqField:
@@ -254,6 +254,31 @@ def _bsgs(target: FqElement, base: FqElement, order: int) -> int:
     raise NotInGroup("element outside the cyclic group")
 
 
+def dlog_mod_p(t: int, z: int, e: int, p: int) -> int:
+    """log_z t mod e in F_p*, z of exact order e: integer baby-step giant-step.
+
+    The prime-field counterpart of fq_dlog_order_e, with the same budget and
+    membership checks, for callers that hold residues as integers mod p.
+    """
+    if e > DLOG_BUDGET:
+        raise BudgetExceeded(f"dlog order {e} above 2^40 budget")
+    if pow(t, e, p) != 1:
+        raise NotInGroup("element is not in the order-e subgroup")
+    m = math.isqrt(e - 1) + 1
+    baby: dict[int, int] = {}
+    cur = 1
+    for j in range(m):
+        baby.setdefault(cur, j)
+        cur = cur * z % p
+    giant = pow(z, -m, p)
+    cur = t % p
+    for g in range(m + 1):
+        if cur in baby:
+            return (g * m + baby[cur]) % e
+        cur = cur * giant % p
+    raise NotInGroup("element outside the cyclic group")
+
+
 def _amm_ell_root(y: FqElement, ell: int) -> FqElement:
     """One l-th root in F_q for prime l with l | q - 1; y must be an l-th power."""
     field = y.field
@@ -388,7 +413,7 @@ def fq_norm_to_subfield(x: FqElement, emb: FqElement, sub: FqField) -> FqElement
 
 def fq_dlog_order_e(z: FqElement, zeta: FqElement, e: int) -> int:
     """Discrete log of z in <zeta> where zeta has exact order e (BSGS)."""
-    if e > _DLOG_BUDGET:
+    if e > DLOG_BUDGET:
         raise BudgetExceeded(f"dlog order {e} above 2^40 budget")
     if z.field != zeta.field:
         raise IncompatibleFields("dlog operands in different fields")

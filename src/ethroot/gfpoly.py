@@ -78,30 +78,13 @@ def divmod_(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
             continue
         base = i - db
         q[base] = f = c * inv_lead % p
-        for j, y in enumerate(low):
-            r[base + j] -= f * y
+        for j, y in enumerate(low, base):
+            r[j] -= f * y
     return trim(q), trim([c % p for c in r[:db]])
 
 
-def _reduce(r: list[int], b: list[int], p: int) -> list[int]:
-    """r mod b, reducing r in place: no quotient, one final pass mod p."""
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    db = len(b) - 1
-    inv_lead = 1 if b[-1] % p == 1 else pow(b[-1], p - 2, p)
-    low = b[:-1]
-    for i in range(len(r) - 1, db - 1, -1):
-        c = r[i] % p
-        if c:
-            base = i - db
-            f = c * inv_lead % p
-            for j, y in enumerate(low, base):
-                r[j] -= f * y
-    return trim([c % p for c in r[:db]])
-
-
 def rem(a: list[int], b: list[int], p: int) -> list[int]:
-    return _reduce(a[:], b, p)
+    return divmod_(a, b, p)[1]
 
 
 def monic(a: list[int], p: int) -> list[int]:
@@ -118,7 +101,7 @@ def gcd(a: list[int], b: list[int], p: int) -> list[int]:
 
 def mulmod(a: list[int], b: list[int], mod: list[int], p: int) -> list[int]:
     """a * b mod (mod, p): the product is neither reduced nor trimmed first."""
-    return _reduce(_product(a, b), mod, p)
+    return divmod_(_product(a, b), mod, p)[1]
 
 
 def powmod(a: list[int], n: int, mod: list[int], p: int) -> list[int]:
@@ -265,8 +248,10 @@ def _compose_mod(g: list[int], h: list[int], mod: list[int], p: int) -> list[int
 def is_irreducible(f: list[int], p: int) -> bool:
     """Rabin test: x^(p^n) = x mod f and gcd conditions at maximal subdegrees.
 
-    x^(p^i) is x^p composed with x^(p^(i-1)) (von zur Gathen-Shoup), so each
-    Frobenius step costs deg f - 1 products instead of a p-th power.
+    x^(p^i) is either a p-th power of x^(p^(i-1)) or, by von zur Gathen-Shoup,
+    x^p composed with it. Both work on reduced operands mod f; the composition
+    costs deg f - 1 products and the power about log2 p squarings plus one
+    product per set bit of p, so each call takes the cheaper one.
     """
     n = deg(f)
     if n < 1:
@@ -276,9 +261,12 @@ def is_irreducible(f: list[int], p: int) -> bool:
     from .primes import factorize
 
     x = [0, 1]
-    powers = {1: powmod(x, p, f, p)}
+    frob = powmod(x, p, f, p)
+    compose = n - 1 < p.bit_length() + bin(p).count("1")
+    powers = {1: frob}
     for i in range(2, n + 1):
-        powers[i] = _compose_mod(powers[1], powers[i - 1], f, p)
+        prev = powers[i - 1]
+        powers[i] = _compose_mod(frob, prev, f, p) if compose else powmod(prev, p, f, p)
     if sub(powers[n], x, p):
         return False
     for q in factorize(n):

@@ -16,16 +16,8 @@ import math
 from dataclasses import dataclass
 
 from . import gfpoly
-from .errors import (
-    BudgetExceeded,
-    IncompatibleFields,
-    NotInGroup,
-    NotUnit,
-    RamifiedE,
-    SearchExhausted,
-    ZeroInput,
-)
-from .fq import FqElement, FqField, factor_mod_p
+from .errors import IncompatibleFields, NotUnit, RamifiedE, SearchExhausted, ZeroInput
+from .fq import DLOG_BUDGET, FqElement, FqField, dlog_mod_p, factor_mod_p
 from .numfield import (
     FactoredElement,
     FieldElement,
@@ -39,7 +31,7 @@ from .strategy import RootRequest, eth_root
 
 CHAR_BITS = 29
 SELECT_BUDGET = 100000
-DLOG_LIMIT = 1 << 40  # matches the BSGS budget of fq.fq_dlog_order_e
+DLOG_LIMIT = DLOG_BUDGET
 EXTRA_CHARACTERS = 20  # failure probability <= e^-20
 
 
@@ -100,27 +92,6 @@ def _order_e_element(q: int, e: int, ell: int, rng) -> int:
             return z
 
 
-def _dlog_mod_q(t: int, z: int, e: int, q: int) -> int:
-    """log_z t mod e in F_q*, z of exact order e: integer baby-step giant-step."""
-    if e > DLOG_LIMIT:
-        raise BudgetExceeded(f"dlog order {e} above 2^40 budget")
-    if pow(t, e, q) != 1:
-        raise NotInGroup("element is not in the order-e subgroup")
-    m = math.isqrt(e - 1) + 1
-    baby: dict[int, int] = {}
-    cur = 1
-    for j in range(m):
-        baby.setdefault(cur, j)
-        cur = cur * z % q
-    giant = pow(z, -m, q)
-    cur = t % q
-    for g in range(m + 1):
-        if cur in baby:
-            return (g * m + baby[cur]) % e
-        cur = cur * giant % q
-    raise NotInGroup("element outside the cyclic group")
-
-
 def select_character_primes(K: NumberField, e: int, count: int, U,
                             seed: int = 0, budget: int = SELECT_BUDGET) -> list:
     """Degree-1 primes Q with N(Q) = 1 mod e, units at every u_j, chi tables.
@@ -168,7 +139,7 @@ def select_character_primes(K: NumberField, e: int, count: int, U,
             r = (-ideal.g[0]) % q
             try:
                 table = tuple(
-                    _dlog_mod_q(pow(_unit_residue(u, r, q), (q - 1) // e, q), z, e, q)
+                    dlog_mod_p(pow(_unit_residue(u, r, q), (q - 1) // e, q), z, e, q)
                     for u in U)
             except ValueError:
                 continue  # some u_j vanishes mod this ideal; its siblings may do
@@ -189,7 +160,7 @@ def chi(u: FieldElement, cp: CharacterPrime, e: int) -> int:
     if cp.zeta.field.q != q:
         raise IncompatibleFields("zeta does not live in the residue field")
     val = _unit_residue(u, r, q)
-    return _dlog_mod_q(pow(val, (q - 1) // e, q), cp.zeta.coeffs[0], e, q)
+    return dlog_mod_p(pow(val, (q - 1) // e, q), cp.zeta.coeffs[0], e, q)
 
 
 def schirokauer_map(u: FieldElement, e: int, K: NumberField) -> list:

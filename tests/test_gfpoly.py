@@ -119,3 +119,18 @@ def test_is_irreducible_large_prime_products():
     for _ in range(30):
         f = rand_poly(rng, rng.randrange(2, 7), p, monic=True)
         assert gfpoly.is_irreducible(f, p) == (gfpoly.factor(f, p) == [(f, 1)])
+
+
+@pytest.mark.parametrize("p", [2, 101])
+def test_is_irreducible_both_frobenius_steps(p):
+    # p = 101 composes up to degree 11 and takes p-th powers above it; p = 2
+    # switches above degree 3. Either way the answers must match factor().
+    rng = random.Random(f"irreducible:both:{p}")
+    for n in range(2, 15):
+        g = gfpoly.random_irreducible(n, p, rng)
+        assert gfpoly.factor(g, p) == [(g, 1)]
+        h = gfpoly.random_irreducible(rng.randrange(1, n), p, rng)
+        assert not gfpoly.is_irreducible(gfpoly.mul(g, h, p), p)
+        for _ in range(4):
+            f = rand_poly(rng, n, p, monic=True)
+            assert gfpoly.is_irreducible(f, p) == (gfpoly.factor(f, p) == [(f, 1)])

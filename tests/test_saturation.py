@@ -8,18 +8,18 @@ from hypothesis import strategies as st
 
 from ethroot.errors import (
     BudgetExceeded,
+    IncompatibleFields,
     NotInGroup,
     NotUnit,
     RamifiedE,
     SearchExhausted,
     ZeroInput,
 )
-from ethroot.fq import FqField, fq_dlog_order_e
+from ethroot.fq import FqField, dlog_mod_p, fq_dlog_order_e
 from ethroot.numfield import NumberField, PrimeIdealRep
 from ethroot.saturation import (
     CharacterPrime,
     GeneratingSet,
-    _dlog_mod_q,
     build_character_matrix,
     chi,
     detect_eth_powers,
@@ -100,6 +100,13 @@ def test_chi_budget_and_group_checks():
         chi(Q.element([3]), CP31, 3 ** 26)  # above the 2^40 BSGS budget
     with pytest.raises(NotInGroup):
         chi(Q.element([3]), CP31, 7)  # 7 does not divide 30: 3^28 != 1
+    ideal = CP31.Q_ideal
+    other_prime = CharacterPrime(ideal, FqField(41, [0, 1]).element([10]))  # order 5
+    with pytest.raises(IncompatibleFields):
+        chi(Q.element([3]), other_prime, 5)
+    f961 = FqField(31, [1, 0, 1])  # x^2 + 1 is irreducible mod 31
+    with pytest.raises(IncompatibleFields):
+        chi(Q.element([3]), CharacterPrime(ideal, f961.element([2])), 5)
 
 
 # e -> (prime q = 1 mod e, the prime dividing e)
@@ -117,7 +124,7 @@ def test_integer_character_log_matches_fq_dlog(e, g, a, j):
     field = FqField(q, [0, 1])
     zeta = field.element([z])
     t = pow(z, j, q)  # a random element of the order-e subgroup
-    assert _dlog_mod_q(t, z, e, q) == fq_dlog_order_e(field.element([t]), zeta, e)
+    assert dlog_mod_p(t, z, e, q) == fq_dlog_order_e(field.element([t]), zeta, e)
     cp = CharacterPrime(PrimeIdealRep(q, (0, 1), 1), zeta)
     want = fq_dlog_order_e(field.element([pow(a, (q - 1) // e, q)]), zeta, e)
     assert chi(Q.element([a]), cp, e) == want
