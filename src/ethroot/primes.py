@@ -11,14 +11,20 @@ import random
 
 from .errors import Unsupported
 
-# Deterministic Miller-Rabin witness set, valid for all n < 3.3 * 10^24
-# (covers every modulus this package samples, which stay under 2^64).
+# Miller-Rabin with the first 12 prime bases is exact below
+# psi_12 = 318665857834031151167461 (about 3.2 * 10^24), and adding 41 makes
+# it exact below psi_13 = 3317044064679887385961981 (Sorenson and Webster,
+# Math. Comp. 2017). Every modulus this package samples stays under 2^64.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_PSI_12 = 318665857834031151167461
+_PSI_13 = 3317044064679887385961981
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
 
 
 def is_prime(n: int) -> bool:
+    """Exact below psi_13 (strong tests at the first 12 or 13 prime bases);
+    above it Baillie-PSW, which has no known counterexample."""
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
@@ -29,7 +35,13 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         r += 1
-    for a in _MR_BASES:
+    if n < _PSI_12:
+        bases = _MR_BASES
+    elif n < _PSI_13:
+        bases = _MR_BASES + (41,)
+    else:
+        bases = (2,)  # Baillie-PSW: the strong base-2 test, then Lucas
+    for a in bases:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -39,7 +51,58 @@ def is_prime(n: int) -> bool:
                 break
         else:
             return False
-    return True
+    return n < _PSI_13 or _strong_lucas(n)
+
+
+def _jacobi(a: int, n: int) -> int:
+    """Jacobi symbol (a/n) for odd n > 0."""
+    a %= n
+    sign = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                sign = -sign
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            sign = -sign
+        a %= n
+    return sign if n == 1 else 0
+
+
+def _strong_lucas(n: int) -> bool:
+    """Strong Lucas probable-prime test of odd n > 53 with Selfridge's
+    parameters: D the first of 5, -7, 9, -11, ... with (D/n) = -1, P = 1,
+    Q = (1 - D)/4."""
+    if math.isqrt(n) ** 2 == n:
+        return False  # no such D exists
+    D = 5
+    while True:
+        j = _jacobi(D, n)
+        if j == -1:
+            break
+        if j == 0 and abs(D) != n:
+            return False
+        D = -D - 2 if D > 0 else -D + 2
+    Q = (1 - D) // 4
+    d, s = n + 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    half = (n + 1) // 2  # 1/2 mod n
+    # U_k, V_k, Q^k mod n, from k = 1 up to k = d by doubling and k -> k + 1
+    U, V, Qk = 1, 1, Q % n
+    for bit in bin(d)[3:]:
+        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
+        if bit == "1":
+            U, V, Qk = (U + V) * half % n, (D * U + V) * half % n, Qk * Q % n
+    if U == 0 or V == 0:
+        return True
+    for _ in range(s - 1):
+        V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
+        if V == 0:
+            return True
+    return False
 
 
 def random_prime(rng: random.Random, bits: int) -> int:

@@ -77,6 +77,110 @@ def test_mulmod_powmod_match_schoolbook(p, monic):
         assert gfpoly.powmod(a, n, mod, p) == ref_powmod(a, n, mod, p)
 
 
+# -- packed powers and compositions ------------------------------------------
+
+PRIMES = [2, 3, 65521, (1 << 61) - 1, (1 << 62) - 57]
+# prime powers in padic's shape (M = l^kappa): monic divisors only
+PRIME_POWERS = [5 ** 7, 3 ** 250]
+PACKED = pytest.mark.parametrize("p", PRIMES + PRIME_POWERS, ids=[
+    "2", "3", "65521", "2^61-1", "2^62-57", "5^7", "3^250"])
+
+
+def ref_mulmod(a, b, mod, p):
+    return ref_divmod(ref_mul(a, b, p), mod, p)[1]
+
+
+def ref_square_multiply(a, n, mod, p):
+    """Right-to-left square-and-multiply on the schoolbook references."""
+    result = [1]
+    a = ref_divmod(a, mod, p)[1]
+    while n:
+        if n & 1:
+            result = ref_mulmod(result, a, mod, p)
+        a = ref_mulmod(a, a, mod, p)
+        n >>= 1
+    return result
+
+
+def ref_horner(g, h, mod, p):
+    acc = []
+    for c in reversed(g):
+        acc = ref_mulmod(acc, h, mod, p) + [0]
+        acc[0] = (acc[0] + c) % p
+        acc = ref_trim(acc)
+    return acc
+
+
+def modulus(rng, d, p):
+    """A random divisor of degree d, monic for prime powers and otherwise
+    monic about half the time."""
+    return rand_poly(rng, d, p, monic=p not in PRIMES or rng.random() < 0.5)
+
+
+def bases(rng, d, p):
+    return [
+        [],  # zero
+        [rng.randrange(p) for _ in range(2 * d + 3)] + [1],  # longer than mod
+        [p - 1] * d,  # largest reduced operand
+        # near p - 1, but squares to pseudo-random high slots: with p just
+        # below a power of two, its square's low slots come close to
+        # (2d - 1)(p - 1)^2, the bound the slot width is chosen for
+        [p - 1 - rng.randrange(1 + (p >> 20)) for _ in range(d)],
+        ref_trim([rng.randrange(p) for _ in range(d)]),
+    ]
+
+
+@PACKED
+def test_powmod_small_exponents_every_degree(p):
+    rng = random.Random(f"powmod:small:{p}")
+    for d in range(41):
+        mod = modulus(rng, d, p)
+        for a in bases(rng, d, p):
+            for n in (0, 1, 2, 3):
+                assert gfpoly.powmod(a, n, mod, p) == ref_square_multiply(a, n, mod, p), (d, n)
+
+
+@PACKED
+def test_powmod_large_exponents(p):
+    rng = random.Random(f"powmod:large:{p}")
+    # reference cost grows with d^2 * bits(n); keep the list short at large d
+    for d in (1, 2, 3, 4, 5, 6, 7, 8, 12, 36):
+        mod = modulus(rng, d, p)
+        exps = [rng.getrandbits(192) | 1 << 191]
+        if d <= 8:
+            exps.append(rng.getrandbits(rng.randrange(1, 192)))
+            if p.bit_length() <= 64:
+                exps.append(p)
+        if d * p.bit_length() <= 192:
+            exps.append(p ** d - 1)
+        for n in exps:
+            for a in bases(rng, d, p)[1:] if d <= 8 else bases(rng, d, p)[3:4]:
+                assert gfpoly.powmod(a, n, mod, p) == ref_square_multiply(a, n, mod, p), (d, n)
+
+
+@pytest.mark.parametrize("p,d", [(65521, 36), ((1 << 61) - 1, 6), (3, 40)])
+def test_powmod_multiplicative_group_order(p, d):
+    # beyond the reference's reach: a^(p^d - 1) = 1 and a^(p^d) = a in F_{p^d}
+    rng = random.Random(f"powmod:order:{p}:{d}")
+    f = gfpoly.random_irreducible(d, p, rng)
+    assert gfpoly.factor(f, p) == [(f, 1)]
+    for a in ([p - 1] * d, ref_trim([rng.randrange(p) for _ in range(d)])):
+        assert gfpoly.powmod(a, p ** d - 1, f, p) == [1]
+        assert gfpoly.powmod(a, p ** d, f, p) == a
+
+
+@PACKED
+def test_packed_compose_matches_horner(p):
+    rng = random.Random(f"compose:{p}")
+    for d in range(1, 41, 1 if p.bit_length() <= 64 else 3):
+        mod = modulus(rng, d, p)
+        packed = gfpoly._Packed(mod, p)
+        top = [p - 1] * d  # largest reduced operands
+        g, h = (ref_trim([rng.randrange(p) for _ in range(d)]) for _ in range(2))
+        for g, h in ((top, top), (g, h), ([], h), (g, [])):
+            assert packed.compose(g, h) == ref_horner(g, h, mod, p), d
+
+
 # -- irreducibility -----------------------------------------------------------
 
 
@@ -123,8 +227,8 @@ def test_is_irreducible_large_prime_products():
 
 @pytest.mark.parametrize("p", [2, 101])
 def test_is_irreducible_both_frobenius_steps(p):
-    # p = 101 composes up to degree 11 and takes p-th powers above it; p = 2
-    # switches above degree 3. Either way the answers must match factor().
+    # p = 101 composes up to degree 9 and takes p-th powers above it; p = 2
+    # always squares. Either way the answers must match factor().
     rng = random.Random(f"irreducible:both:{p}")
     for n in range(2, 15):
         g = gfpoly.random_irreducible(n, p, rng)
