@@ -134,15 +134,15 @@ def select_couveignes_primes(K: NumberField, emb: SubfieldEmbedding, e: int,
                              budget: int = PRIME_BUDGET) -> list:
     """Distinct admissible primes with prod p > 2B, pairings precomputed.
 
-    Candidates are sampled at CRT_BITS bits. When both fields carry a
-    conductor the order test ord_m(p) = [K:L] * ord_{m'}(p) prescreens
-    before any factoring. avoid lists integers whose prime factors must be
-    skipped (denominators, numerator contents of the eventual reductions).
+    Candidates are sampled at CRT_BITS bits. The order test
+    ord_m(p) = [K:L] * ord_{m'}(p) prescreens before any factoring. avoid
+    lists integers whose prime factors must be skipped (denominators,
+    numerator contents of the eventual reductions).
     """
     if math.gcd(emb.degree, e) != 1:
         raise ValueError("[K:L] must be prime to e")
     rng = derive_rng(seed, "couveignes")
-    mk, ml = K.conductor, emb.L.conductor
+    mk, ml = emb.K.conductor, emb.L.conductor
     chosen: list[CouveignesPrime] = []
     seen: set[int] = set()
     product = 1
@@ -156,11 +156,10 @@ def select_couveignes_primes(K: NumberField, emb: SubfieldEmbedding, e: int,
         tested += 1
         if p in seen or any(a and math.gcd(p, a) != 1 for a in avoid):
             continue
-        if mk is not None and ml is not None:
-            if mk % p == 0:
-                continue
-            if multiplicative_order(p, mk) != emb.degree * multiplicative_order(p, ml):
-                continue
+        if mk % p == 0:
+            continue
+        if multiplicative_order(p, mk) != emb.degree * multiplicative_order(p, ml):
+            continue
         cp = make_couveignes_prime(K, emb, p)
         if cp is None:
             continue
@@ -242,7 +241,7 @@ def eth_root_couveignes(y: FactoredElement, e: int, K: NumberField,
         raise IncompatibleFields("y and emb must both live over K")
     if math.gcd(emb.degree, e) != 1:
         raise ValueError("[K:L] must be prime to e")
-    if emb.L.conductor is not None and emb.L.conductor % e != 0:
+    if emb.L.conductor % e != 0:
         raise ValueError("L does not contain the e-th roots of unity")
     terms = [(u, a) for u, a in y.terms if a != 0]
     if not terms:

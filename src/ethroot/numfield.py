@@ -718,121 +718,53 @@ def crt_integers_symmetric(vectors: list[list[int]], moduli: list[int],
 
 
 # -- subfields and relative norms --------------------------------------------------
-
-
-def _lpoly_trim(a):
-    while a and a[-1].is_zero():
-        a.pop()
-    return a
-
-
-def _lpoly_mul(a, b, L: NumberField):
-    if not a or not b:
-        return []
-    out = [L.zero] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if not x.is_zero():
-            for j, y in enumerate(b):
-                out[i + j] = out[i + j] + x * y
-    return _lpoly_trim(out)
-
-
-def _lpoly_divmod(a, b, L: NumberField):
-    r = list(a)
-    db = len(b) - 1
-    q = [L.zero] * max(0, len(r) - db)
-    inv = b[-1].inverse()
-    for i in range(len(r) - 1, db - 1, -1):
-        if r[i].is_zero():
-            continue
-        fct = r[i] * inv
-        q[i - db] = fct
-        for j, y in enumerate(b):
-            r[i - db + j] = r[i - db + j] - fct * y
-    return q, _lpoly_trim(r)
-
-
-def _lpoly_resultant(a, b, L: NumberField) -> FieldElement:
-    """Resultant of two polynomials over L (Euclidean algorithm)."""
-    a, b = _lpoly_trim(list(a)), _lpoly_trim(list(b))
-    if not a or not b:
-        return L.zero
-    res = L.one
-    sign = 1
-    while len(b) > 1:
-        da, db = len(a) - 1, len(b) - 1
-        _, r = _lpoly_divmod(a, b, L)
-        dr = len(r) - 1  # -1 when r = 0
-        if (da * db) % 2:
-            sign = -sign
-        res = res * b[-1] ** (da - (dr if r else 0))
-        if not r:
-            return L.zero if da > 0 else res
-        a, b = b, r
-    res = res * b[0] ** (len(a) - 1)
-    return res * sign if sign < 0 else res
+# Every subfield here is cyclotomic, L = Q(zeta_{m'}) inside K = Q(zeta_m), so
+# Gal(K/L) acts by reindexing exponents mod m and N_{K/L}(u) is the product of
+# the conjugates sigma_t(u), t = 1 mod m'.
 
 
 class SubfieldEmbedding:
-    """L -> K given by the image h(alpha) of L's generator, plus the
-    minimal polynomial rel_poly of alpha over L (degree [K:L])."""
+    """Q(zeta_{m'}) -> Q(zeta_m) for m' | m: L's generator goes to
+    h(alpha) = alpha^(m/m').
 
-    def __init__(self, K: NumberField, L: NumberField, h: list[int],
-                 rel_poly: list[FieldElement]):
-        self.K = K
-        self.L = L
-        self.h = tuple(int(c) for c in h)
-        self.rel_poly = list(rel_poly)
-        self.degree = len(rel_poly) - 1
-        if self.degree * L.n != K.n:
-            raise IncompatibleFields("relative degree does not match")
-        self._solver = None
+    orbit holds the t of Gal(K/L) = {sigma_t : alpha -> alpha^t}, the units
+    t = 1 mod m', and degree = [K:L] counts them; relative_norm multiplies
+    the conjugates sigma_t(u).
+    """
 
     @classmethod
     def cyclotomic(cls, K: NumberField, m_sub: int) -> "SubfieldEmbedding":
-        """Embedding Q(zeta_{m'}) -> Q(zeta_m) for m' | m."""
+        """The only constructor: L = Q(zeta_{m_sub}) for m_sub dividing m."""
         m = K.conductor
         if m is None:
             raise IncompatibleFields("cyclotomic embedding needs a conductor field")
         if m_sub < 3 or m % m_sub != 0:
             raise BadConductor(f"{m_sub} is not a valid subconductor of {m}")
-        L = NumberField.cyclotomic(m_sub)
-        d0 = m // m_sub
-        h = [0] * d0 + [1]  # beta = alpha^{d0}
-        # Galois orbit of alpha over L: t = 1 mod m_sub, t unit mod m
-        orbit = [t for t in range(1, m) if math.gcd(t, m) == 1 and t % m_sub == 1]
-        gen = K.gen
-        poly = [K.one]
-        for t in orbit:
-            root = gen ** t
-            poly = [
-                (poly[i - 1] if i > 0 else K.zero)
-                - (poly[i] * root if i < len(poly) else K.zero)
-                for i in range(len(poly) + 1)
-            ]
         emb = cls.__new__(cls)
-        emb.K, emb.L = K, L
-        emb.h = tuple(h)
-        emb.degree = len(orbit)
+        emb.K, emb.L = K, NumberField.cyclotomic(m_sub)
+        emb.h = (0,) * (m // m_sub) + (1,)
+        emb.orbit = tuple(t for t in range(1, m)
+                          if math.gcd(t, m) == 1 and t % m_sub == 1)
+        emb.degree = len(emb.orbit)
         emb._solver = None
-        emb.rel_poly = [emb.to_subfield(c) for c in poly]
-        if emb.degree * L.n != K.n:
+        if emb.degree * emb.L.n != K.n:
             raise IncompatibleFields("relative degree does not match")
         return emb
 
+    def _power_map(self, x: FieldElement, k: int) -> FieldElement:
+        """x(alpha^k) in K; x's exponents i * k must stay distinct mod m
+        (k a unit, or x in L and k = m/m')."""
+        m = self.K.conductor
+        num = [0] * m
+        for i, c in enumerate(x.num):
+            num[i * k % m] = c
+        return self.K.element(num, x.den)
+
     def from_subfield(self, b: FieldElement) -> FieldElement:
-        """Image of an L-element in K (evaluate at beta = h(alpha))."""
+        """Image of an L-element in K (substitute beta = alpha^(m/m'))."""
         if b.field != self.L:
             raise IncompatibleFields("element not in L")
-        K = self.K
-        beta = K.element(list(self.h))
-        out = K.zero
-        acc = K.one
-        for c in b.num:
-            if c:
-                out = out + acc * c
-            acc = acc * beta
-        return FieldElement(K, out.num, out.den * b.den)._normalize()
+        return self._power_map(b, self.K.conductor // self.L.conductor)
 
     def to_subfield(self, x: FieldElement) -> FieldElement:
         """Express a K-element lying in L as an L-element (NotInSubfield else)."""
@@ -890,26 +822,14 @@ def _frac_solver(columns: list[list[Fraction]], dim: int):
 
 
 def relative_norm(y: FactoredElement, emb: SubfieldEmbedding) -> FactoredElement:
-    """Termwise relative norm N_{K/L}: factored over K -> factored over L."""
+    """Termwise relative norm N_{K/L}: factored over K -> factored over L.
+
+    N_{K/L}(u) is the product of the conjugates sigma_t(u), t in emb.orbit.
+    """
     if y.field != emb.K:
         raise IncompatibleFields("factored element not over K")
-    L = emb.L
     out = []
     for u, a in y.terms:
-        urel = _rewrite_over_L(u, emb)
-        n = _lpoly_resultant(emb.rel_poly, urel, L)
-        if n.is_zero():
-            raise ZeroInput("factor has zero relative norm")
-        out.append((n, a))
-    return FactoredElement(L, out)
-
-
-def _rewrite_over_L(u: FieldElement, emb: SubfieldEmbedding):
-    """K-element as a polynomial in alpha over L, reduced mod rel_poly."""
-    L = emb.L
-    poly = [L.from_fractions([c] + [Fraction(0)] * (L.n - 1))
-            for c in u.power_basis_fractions()]
-    poly = _lpoly_trim(poly)
-    if len(poly) >= len(emb.rel_poly):
-        _, poly = _lpoly_divmod(poly, emb.rel_poly, L)
-    return poly
+        n = math.prod((emb._power_map(u, t) for t in emb.orbit), start=emb.K.one)
+        out.append((emb.to_subfield(n), a))
+    return FactoredElement(emb.L, out)

@@ -425,10 +425,6 @@ def build_ideal_lattice(pil: PrimeIdealRep, a: int, K: NumberField,
     return IdealLattice(tuple(tuple(r) for r in basis), a, pil)
 
 
-def _round_frac(x: Fraction) -> int:
-    return round(x)
-
-
 def lll_reduce(basis, delta=LLL_DELTA) -> list[list[int]]:
     """Exact integral LLL (de Weger variant): same lattice, reduced basis."""
     delta = Fraction(delta)
@@ -459,7 +455,7 @@ def lll_reduce(basis, delta=LLL_DELTA) -> list[list[int]]:
     def red(k, l):
         if abs(2 * lam[k][l]) <= d[l + 1]:
             return
-        q = _round_frac(Fraction(lam[k][l], d[l + 1]))
+        q = round(Fraction(lam[k][l], d[l + 1]))
         b[k] = [x - q * y for x, y in zip(b[k], b[l])]
         lam[k][l] -= q * d[l + 1]
         for i in range(l):
@@ -509,7 +505,7 @@ def babai_nearest_plane(basis, target: list[int]) -> list[int]:
     bs, norm = _gso_fractions(basis)
     res = [Fraction(c) for c in target]
     for i in range(n - 1, -1, -1):
-        c = _round_frac(sum(a * b for a, b in zip(res, bs[i])) / norm[i])
+        c = round(sum(a * b for a, b in zip(res, bs[i])) / norm[i])
         if c:
             res = [x - c * y for x, y in zip(res, basis[i])]
     return [int(t - r) for t, r in zip(target, res)]

@@ -27,7 +27,8 @@ from ethroot.numfield import (
     relative_norm,
     split_prime_ideals,
 )
-from ethroot.fq import factor_mod_p
+from ethroot.couveignes import make_couveignes_prime
+from ethroot.fq import FqElement, FqField, factor_mod_p, fq_norm_to_subfield
 from ethroot.primes import is_prime
 
 
@@ -380,16 +381,30 @@ def test_embedding_detects_outside():
         emb.to_subfield(K.gen)
 
 
-def test_embedding_rel_poly_kills_generator():
-    emb = SubfieldEmbedding.cyclotomic(NumberField.cyclotomic(15), 5)
-    K = emb.K
-    # rel_poly(alpha) = 0 over K when coefficients are lifted
-    acc = K.zero
-    cur = K.one
-    for c in emb.rel_poly:
-        acc = acc + cur * emb.from_subfield(c)
-        cur = cur * K.gen
-    assert acc == K.zero
+def _sigma(u, t):
+    """u(alpha^t) by Horner over K, independent of the embedding's code."""
+    K = u.field
+    gen_t = K.gen ** t
+    out, cur = K.zero, K.one
+    for c in u.num:
+        out = out + cur * c
+        cur = cur * gen_t
+    return out / K.element([u.den])
+
+
+@pytest.mark.parametrize("m,m_sub", [(15, 3), (15, 5), (12, 3), (35, 5)])
+def test_embedding_orbit_is_relative_galois_group(m, m_sub):
+    emb = SubfieldEmbedding.cyclotomic(NumberField.cyclotomic(m), m_sub)
+    K, L = emb.K, emb.L
+    assert emb.degree * L.n == K.n and len(emb.orbit) == emb.degree
+    # the alpha^t are distinct roots of f_K, so the sigma_t are distinct
+    assert len({K.gen ** t for t in emb.orbit}) == emb.degree
+    rng = random.Random(59)
+    fixed = [emb.from_subfield(L.gen),
+             emb.from_subfield(L.random_element(rng, bits=10, den=7))]
+    for t in emb.orbit:
+        for x in fixed:
+            assert _sigma(x, t) == x
 
 
 # -- relative norms ------------------------------------------------------------------
@@ -451,6 +466,44 @@ def test_relative_norm_commutes_with_reduction():
         assert nf.coeffs[0] == nc
 
 
+def _fq_residue(u, field):
+    return field.element(u.reduce_mod_prime(field.p))
+
+
+def _fq_fold(y, field):
+    out = field.one
+    for u, a in y.terms:
+        out = out * _fq_residue(u, field) ** a
+    return out
+
+
+@pytest.mark.parametrize("m,m_sub", [(12, 3), (15, 5), (35, 5), (45, 9)])
+def test_relative_norm_matches_finite_field_norms(m, m_sub):
+    # N_{K/L}(y) mod each lower ideal equals the F_q norm of y mod the paired
+    # upper ideal: the identity couveignes_mod_p anchors its roots on
+    emb = SubfieldEmbedding.cyclotomic(NumberField.cyclotomic(m), m_sub)
+    K, L = emb.K, emb.L
+    for p in range(5, 2000):
+        cp = make_couveignes_prime(K, emb, p) if m % p and is_prime(p) else None
+        if cp is not None:
+            break
+    rng = random.Random(61 * m + m_sub)
+    for _ in range(4):
+        terms = []
+        for _ in range(3):
+            den = rng.choice([1, 2, 3, 5, 7, 11])
+            u = K.random_element(rng, bits=6, den=den)
+            if den % p and not u.is_zero():
+                terms.append((u, rng.randint(1, 3)))
+        y = FactoredElement(K, terms)
+        n = relative_norm(y, emb)
+        assert n.field == L and [a for _, a in n.terms] == [a for _, a in y.terms]
+        for low, up, img in zip(cp.lower_ideals, cp.upper_ideals, cp.emb_images):
+            big, sub = FqField(p, list(up.g)), FqField(p, list(low.g))
+            want = fq_norm_to_subfield(_fq_fold(y, big), FqElement(big, img), sub)
+            assert _fq_fold(n, sub) == want
+
+
 def test_relative_norm_conjugate_product():
     m, m_sub = 15, 3
     emb = SubfieldEmbedding.cyclotomic(NumberField.cyclotomic(m), m_sub)
@@ -466,13 +519,7 @@ def test_relative_norm_conjugate_product():
         prod = K.one
         for t in range(m):
             if math.gcd(t, m) == 1 and t % m_sub == 1:
-                conj = K.zero
-                cur = K.one
-                gen_t = K.gen ** t
-                for c in u.num:
-                    conj = conj + cur * c
-                    cur = cur * gen_t
-                prod = prod * conj / K.element([u.den])
+                prod = prod * _sigma(u, t)
         assert emb.from_subfield(n) == prod
 
 
