@@ -22,7 +22,6 @@ from .errors import (
     NotInGroup,
     NotInSubfield,
     NotUnit,
-    PrecisionLoss,
     RamifiedE,
     RootSeedMissing,
     SearchExhausted,

@@ -30,6 +30,7 @@ from .primes import (
     is_prime,
     multiplicative_order,
     prime_power_split,
+    random_prime,
 )
 
 # candidate budget for prime selection before giving up
@@ -259,12 +260,8 @@ def is_bad_field(K: NumberField, e: int, seed: int = 0,
     if K.conductor is not None:
         return K.conductor % l == 0
     rng = derive_rng(seed, "badfield")
-    tested = 0
-    while tested < candidates:
-        q = rng.randrange(1 << (GENERIC_BITS - 1), 1 << GENERIC_BITS) | 1
-        if not is_prime(q):
-            continue
-        tested += 1
+    for _ in range(candidates):
+        q = random_prime(rng, GENERIC_BITS)
         if isinstance(check_good_prime(q, K, e), GoodPrime):
             return False
     return True

@@ -37,10 +37,6 @@ class BadConductor(EthrootError):
     """Conductor m < 3 or m = 2 mod 4 (no primitive cyclotomic field)."""
 
 
-class PrecisionLoss(EthrootError):
-    """Floating point result could not be certified at the working precision."""
-
-
 class DenominatorClash(EthrootError):
     """A denominator shares a factor with a chosen prime."""
 

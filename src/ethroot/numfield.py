@@ -5,15 +5,17 @@ alpha^(n-1) with a single positive denominator. Products of many elements are
 never expanded; a FactoredElement is a list of (element, exponent) terms and
 every algorithm downstream works on residues of the individual terms.
 
-The complex-embedding constant cinf() bounds how coefficient vectors grow
-relative to embedding size: ||C(x)||_inf <= ||Sigma(x)||_inf * cinf. Each
-factor's embedding size is bounded in integers by the triangle inequality,
+The constant cinf() bounds how coefficient vectors grow relative to
+embedding size: ||C(x)||_inf <= ||Sigma(x)||_inf * cinf. Each factor's
+embedding size is bounded in integers by the triangle inequality,
 |sigma(u)| <= sum_i |c_i| R^i / den over u's power-basis coordinates, with
-R >= max |alpha| over the roots of f (R = 1 for cyclotomic f, as |zeta| = 1).
-Together with the factored-form bound in coeff_bound_root (the root's
-embedding norm is at most the product of the factors' norms, independent of
-e) it yields the certified coefficient bound B used by all reconstruction
-paths. mpmath is used only once per field, for the embeddings, cinf and R.
+R >= max |alpha| over the roots of f (R = 1 for cyclotomic f, as |zeta| = 1;
+Fujiwara's bound otherwise). cinf comes from the trace-dual basis of the
+power basis, computed with exact field arithmetic. Together with the
+factored-form bound in coeff_bound_root (the root's embedding norm is at most
+the product of the factors' norms, independent of e) it yields the certified
+coefficient bound B used by all reconstruction paths. No floating point is
+involved: both constants are exact rationals, computed once per field.
 """
 
 from __future__ import annotations
@@ -21,8 +23,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import mpmath as mp
 
 from . import gfpoly
 from .errors import (
@@ -32,10 +32,9 @@ from .errors import (
     IncompatibleFields,
     IncompleteCover,
     NotInSubfield,
-    PrecisionLoss,
     ZeroInput,
 )
-from .primes import euler_phi, factorize, modinv
+from .primes import euler_phi, factorize, iroot, modinv
 
 # -- integer polynomial helpers (index = degree, stripped, [] = 0) ------------
 
@@ -74,6 +73,10 @@ def _zdivexact_monic(a: list[int], b: list[int]) -> list[int]:
     return _ztrim(q)
 
 
+def _zderiv(a) -> list[int]:
+    return [i * c for i, c in enumerate(a)][1:]
+
+
 _cyclo_cache: dict[int, list[int]] = {}
 
 
@@ -93,7 +96,10 @@ def cyclotomic_poly(m: int) -> list[int]:
 
 
 class NumberField:
-    """Q[x]/(f) for monic integral f; elements live on the power basis."""
+    """Q[x]/(f) for monic squarefree integral f; elements live on the power basis.
+
+    Cyclotomic construction skips the squarefree test: Phi_m has distinct roots.
+    """
 
     def __init__(self, f: list[int], conductor: int | None = None):
         f = [int(c) for c in f]
@@ -102,9 +108,13 @@ class NumberField:
         self.f = tuple(f)
         self.n = len(f) - 1
         self.conductor = conductor
-        self._roots: dict[int, list] = {}
         self._cinf = None
         self._radius = None
+        if conductor is None:
+            try:
+                self.element(_zderiv(self.f)).inverse()
+            except ZeroDivisionError:
+                raise ValueError("f must be squarefree (gcd(f, f') != 1)") from None
 
     @classmethod
     def cyclotomic(cls, m: int) -> "NumberField":
@@ -178,48 +188,26 @@ class NumberField:
         del r[n:]
         return r + [0] * (n - len(r))
 
-    # -- complex embeddings ------------------------------------------------------
-
-    def embeddings(self, prec: int = 192) -> list:
-        """Complex roots of f at working precision `prec` bits."""
-        if prec in self._roots:
-            return self._roots[prec]
-        with mp.workprec(prec):
-            if self.conductor:
-                m = self.conductor
-                roots = [
-                    mp.expjpi(mp.mpf(2 * t) / m)
-                    for t in range(1, m)
-                    if math.gcd(t, m) == 1
-                ]
-            else:
-                coeffs = [mp.mpf(c) for c in reversed(self.f)]
-                roots, err = mp.polyroots(
-                    coeffs, maxsteps=200, extraprec=prec, error=True
-                )
-                if err > mp.mpf(2) ** (-prec // 2):
-                    raise PrecisionLoss("polynomial roots did not certify")
-        self._roots[prec] = roots
-        return roots
+    # -- certified constants ------------------------------------------------------
 
     def radius_powers(self) -> tuple[list[int], int]:
         """(t, s) with t[i] / 2^s >= R^i, R >= max |alpha| over the roots of f.
 
         Cyclotomic f has |zeta| = 1, so t is all ones and s = 0. Otherwise R
-        is the largest embedding's modulus plus the root error certified in
-        embeddings(), rounded up once to s fractional bits; the powers follow
-        by integer ceiling products, so no entry is ever rounded down.
+        is Fujiwara's bound 2 max(|f_(n-i)|^(1/i), |f_0 / 2|^(1/n)), taken
+        as an integer root at s fractional bits plus one unit; the powers
+        follow by integer ceiling products, so no entry is ever rounded down.
         """
         if self._radius is None:
             if self.conductor:
                 self._radius = ([1] * self.n, 0)
             else:
-                prec, s = 192, 64
-                with mp.workprec(prec):
-                    r = max(abs(z) for z in self.embeddings(prec))
-                    top = int(mp.ceil(mp.ldexp(r + mp.mpf(2) ** (-prec // 2), s)))
+                s, n, f = 64, self.n, self.f
+                terms = [(abs(f[n - i]) << (s * i), i) for i in range(1, n)]
+                terms.append((abs(f[0]) << (s * n - 1), n))
+                top = 2 * (max(iroot(a, i) for a, i in terms) + 1)
                 t = [1 << s]
-                for _ in range(self.n - 1):
+                for _ in range(n - 1):
                     t.append(-(-t[-1] * top >> s))
                 self._radius = (t, s)
         return self._radius
@@ -234,50 +222,23 @@ class NumberField:
         return sum(abs(c) * r for c, r in zip(x.num, t)), x.den << s
 
     def cinf(self) -> Fraction:
-        """Upper bound for the basis-change norm ||V^-1||_1.
+        """Exact rational cinf with ||C(x)||_inf <= ||Sigma(x)||_inf * cinf.
 
-        The stabilized value times 1.05 is rounded up to 64 fractional bits,
-        so callers combine it exactly in integer arithmetic.
+        With f(x) / (x - alpha) = sum_j b_j(alpha) x^j, the trace-dual basis
+        of the power basis is d_j = b_j(alpha) / f'(alpha) (Euler's lemma), so
+        the coordinates of x are c_j = Tr(x d_j) and |c_j| <= ||Sigma(x)||_inf
+        * n * max_sigma |sigma(d_j)|. Hence cinf = n * max_j sigma_bound(d_j),
+        with d_(n-1) = 1 / f'(alpha) and d_j = alpha d_(j+1) + f_(j+1) / f'(alpha):
+        one inverse and O(n) further field operations, all exact, no slack.
         """
-        if self._cinf is not None:
-            return self._cinf
-        prec = 192
-        prev = None
-        for _ in range(5):
-            val = self._cinf_at(prec)
-            if prev is not None and abs(prev - val) <= abs(val) * mp.mpf(2) ** -16:
-                up = mp.ceil(mp.ldexp(val * mp.mpf("1.05"), 64))
-                self._cinf = Fraction(int(up), 1 << 64)
-                return self._cinf
-            prev = val
-            prec *= 2
-        raise PrecisionLoss("cinf did not stabilize under precision doubling")
-
-    def _cinf_at(self, prec: int):
-        roots = self.embeddings(prec)
-        n = self.n
-        with mp.workprec(prec):
-            # row j of V^-1 = coefficients of the Lagrange basis poly at root j
-            rows = []
-            fc = [mp.mpf(c) for c in self.f]
-            for r in roots:
-                # synthetic division f / (x - r); quotient deg n-1
-                q = [mp.mpc(0)] * n
-                q[n - 1] = fc[n]  # = 1
-                for i in range(n - 1, 0, -1):
-                    q[i - 1] = fc[i] + r * q[i]
-                deriv = mp.mpc(0)
-                for c in reversed(q):
-                    deriv = deriv * r + c  # q(r) = f'(r)
-                if abs(deriv) == 0:
-                    raise PrecisionLoss("repeated root at working precision")
-                rows.append([q[i] / deriv for i in range(n)])
-            best = mp.mpf(0)
-            for i in range(n):
-                s = sum(abs(row[i]) for row in rows)
-                if s > best:
-                    best = s
-            return best
+        if self._cinf is None:
+            d = dinv = self.element(_zderiv(self.f)).inverse()
+            best = Fraction(*self.sigma_bound(d))
+            for j in range(self.n - 2, -1, -1):
+                d = d * self.gen + dinv * self.f[j + 1]
+                best = max(best, Fraction(*self.sigma_bound(d)))
+            self._cinf = self.n * best
+        return self._cinf
 
 
 class FieldElement:
@@ -545,21 +506,21 @@ def normalize_exponents(y: FactoredElement, e: int) -> tuple[FactoredElement, Fa
 def coeff_bound_root(y: FactoredElement, e: int, K: NumberField) -> int:
     """Integer B >= ||C(x)||_inf for any root x^e = y with exponents <= e.
 
-    B = ceil(1.1 * cinf * prod_i max(1, S(u_i))) over the terms with a_i > 0,
+    B = ceil(cinf * prod_i max(1, S(u_i))) over the terms with a_i > 0,
     where S(u) = sum_j |c_j| R^j / den >= ||Sigma(u)||_inf is the integer
     bound of NumberField.sigma_bound: the triangle inequality over u's
     power-basis coordinates c_j / den, with R = 1 for cyclotomic K (|zeta| = 1)
-    and otherwise R >= max |alpha| rounded up once per field from the cached
-    embeddings (radius_powers). |sigma(x)| = prod |sigma(u_i)|^(a_i/e) is at
-    most prod max(1, S(u_i)) because a_i <= e, so the product does not depend
-    on e. Everything is combined as one exact fraction with cinf already
-    rounded up and a final ceiling division: no step rounds down.
+    and otherwise Fujiwara's R >= max |alpha| (radius_powers). |sigma(x)| =
+    prod |sigma(u_i)|^(a_i/e) is at most prod max(1, S(u_i)) because a_i <= e,
+    so the product does not depend on e. cinf is an exact fraction and is
+    combined with the S(u_i) in integers, then one ceiling division: no step
+    rounds down, so no slack factor is needed.
     """
     for _, a in y.terms:
         if not 0 <= a <= e:
             raise ValueError("exponents must lie in [0, e] for the bound")
     c = K.cinf()
-    num, den = 11 * c.numerator, 10 * c.denominator
+    num, den = c.numerator, c.denominator
     for u, a in y.terms:
         if a:
             s, d = K.sigma_bound(u)

@@ -39,6 +39,7 @@ from .primes import (
     modinv,
     multiplicative_order,
     prime_power_split,
+    random_prime,
     xgcd,
 )
 from .verify import verify_root
@@ -92,10 +93,7 @@ def is_inert(K: NumberField, p: int) -> bool:
     if K.conductor is not None:
         m = K.conductor
         return m % p != 0 and multiplicative_order(p % m, m) == K.n
-    fbar = gfpoly.from_int_poly(list(K.f), p)
-    if gfpoly.deg(fbar) != K.n:
-        return False
-    return gfpoly.is_irreducible(fbar, p)
+    return gfpoly.is_irreducible(gfpoly.from_int_poly(list(K.f), p), p)
 
 
 def find_inert_prime(K: NumberField, e: int, budget: int = INERT_BUDGET,
@@ -111,8 +109,8 @@ def find_inert_prime(K: NumberField, e: int, budget: int = INERT_BUDGET,
     tested = 0
     seen = set()
     while tested < budget:
-        p = rng.randrange(1 << (INERT_BITS - 1), 1 << INERT_BITS) | 1
-        if p in seen or not is_prime(p):
+        p = random_prime(rng, INERT_BITS)
+        if p in seen:
             continue
         seen.add(p)
         tested += 1

@@ -65,6 +65,14 @@ def test_root_malformed_field_rejected(capsys):
     assert code == 3
 
 
+def test_root_non_squarefree_field_rejected(capsys):
+    # (1 + x)^3 in Q[x]/(x^2): f = x^2 is refused at parse time
+    code, _ = run(capsys, [
+        "root", "--field", "0,0,1", "--e", "3",
+        "--element", '[{"coeffs": ["1", "1"], "exp": "3"}]'])
+    assert code == 3
+
+
 def test_root_non_power_exits_2(capsys):
     code, _ = run(capsys, [
         "root", "--conductor", "4", "--e", "3",

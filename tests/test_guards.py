@@ -2,6 +2,7 @@
 
 import ast
 import random
+import sys
 from pathlib import Path
 
 import pytest
@@ -43,6 +44,23 @@ def test_library_has_no_unused_module_imports():
                 marked = "# noqa" in lines[node.lineno - 1] + lines[alias.lineno - 1]
                 if name not in used and not marked:
                     found.append(f"{path.name}:{alias.lineno} {name}")
+    assert found == []
+
+
+def test_library_imports_only_stdlib_and_numpy():
+    allowed = set(sys.stdlib_module_names) | {"numpy"}
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue  # relative imports stay inside ethroot
+            found += [f"{path.name}:{node.lineno} {name}" for name in names
+                      if name.split(".")[0] not in allowed]
     assert found == []
 
 

@@ -59,6 +59,12 @@ def test_cyclotomic_product_identity():
         assert prod == expect
 
 
+def test_non_squarefree_f_rejected():
+    for f in ([0, 0, 1], [1, 2, 1], [1, 0, 2, 0, 1]):  # x^2, (x+1)^2, (x^2+1)^2
+        with pytest.raises(ValueError):
+            NumberField(f)
+
+
 def test_bad_conductors():
     with pytest.raises(BadConductor):
         NumberField.cyclotomic(2)
@@ -121,7 +127,8 @@ def test_sigma_bound_gaussian():
 def test_cinf_gaussian():
     K = NumberField.cyclotomic(4)
     c = float(K.cinf())
-    # V = [[1, i], [1, -i]]:||V^-1||_infty-col-sum = 1, times safety 1.05
+    # V = [[1, i], [1, -i]]: ||V^-1|| (largest row sum) = 1, and the dual
+    # basis 1/2, -i/2 gives exactly 2 * 1/2 = 1
     assert 1.0 <= c <= 1.07
 
 
@@ -151,11 +158,42 @@ def test_coeff_bound_dominates_root_coeffs():
     assert cases > 100
 
 
+def _roots(K, prec=192):
+    """The complex roots of f at `prec` bits: the reference for the exact bounds."""
+    with mp.workprec(prec):
+        if K.conductor:
+            m = K.conductor
+            return [mp.expjpi(mp.mpf(2 * t) / m) for t in range(1, m)
+                    if math.gcd(t, m) == 1]
+        return mp.polyroots([mp.mpf(c) for c in reversed(K.f)],
+                            maxsteps=200, extraprec=prec)
+
+
+def _cinf_reference(K, prec=192):
+    """||V^-1||, V the embedding matrix: column j of V^-1 holds the power-basis
+    coordinates of the Lagrange polynomial f(x) / ((x - r_j) f'(r_j)), and the
+    norm is the largest row sum."""
+    roots = _roots(K, prec)
+    n = K.n
+    with mp.workprec(prec):
+        rows = []
+        for r in roots:
+            q = [mp.mpc(0)] * n  # f / (x - r) by synthetic division
+            q[n - 1] = mp.mpf(1)
+            for i in range(n - 1, 0, -1):
+                q[i - 1] = K.f[i] + r * q[i]
+            deriv = mp.mpc(0)
+            for c in reversed(q):
+                deriv = deriv * r + c  # q(r) = f'(r)
+            rows.append([c / deriv for c in q])
+        return max(sum(abs(row[i]) for row in rows) for i in range(n))
+
+
 def _sigma_norm_reference(K, u, prec=192):
     """max_sigma |sigma(u)| by Horner at every complex embedding."""
     with mp.workprec(prec):
         best = mp.mpf(0)
-        for r in K.embeddings(prec):
+        for r in _roots(K, prec):
             acc = mp.mpc(0)
             for c in reversed(u.num):
                 acc = acc * r + c
@@ -174,7 +212,7 @@ BOUND_FIELDS = [NumberField.cyclotomic(m) for m in (3, 4, 5, 8, 9, 12, 15, 31)] 
 def test_coeff_bound_property_planted_roots(K):
     rng = random.Random(f"bound:{K.f}")
     cinf = mp.mpf(K.cinf().numerator) / K.cinf().denominator
-    R = max(abs(z) for z in K.embeddings())
+    R = max(abs(z) for z in _roots(K))
     # ||c||_1 <= n * cinf * ||Sigma||_inf, and R^i <= R^(n-1): the most the
     # integer per-term bound may lose against the embedding norm
     loss_bits = int(mp.ceil(mp.log(K.n * cinf * R ** (K.n - 1), 2))) + 1
@@ -207,6 +245,28 @@ def test_coeff_bound_property_planted_roots(K):
                 ref *= max(1, _sigma_norm_reference(K, u))
                 live += 1
         assert B.bit_length() <= int(mp.ceil(ref)).bit_length() + live * loss_bits
+
+
+CINF_FIELDS = BOUND_FIELDS + [NumberField.cyclotomic(m) for m in (35, 45, 113)] + [
+    NumberField([2, 0, 1]),
+]
+
+
+@pytest.mark.parametrize("K", CINF_FIELDS, ids=repr)
+def test_cinf_dominates_reference(K):
+    # the exact cinf bounds ||V^-1|| (up to the reference's rounding) and
+    # loses at most 8 bits against it
+    ref = _cinf_reference(K)
+    with mp.workprec(192):
+        c = mp.mpf(K.cinf().numerator) / K.cinf().denominator
+        assert ref * (1 - mp.mpf(2) ** -100) <= c <= ref * 2 ** 8
+
+
+@pytest.mark.parametrize("K", [f for f in CINF_FIELDS if not f.conductor], ids=repr)
+def test_radius_dominates_roots(K):
+    t, s = K.radius_powers()
+    for i, ti in enumerate(t):
+        assert all(abs(z) ** i <= mp.mpf(ti) / 2 ** s for z in _roots(K))
 
 
 def test_coeff_bound_rejects_bad_exponents():
