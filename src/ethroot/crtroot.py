@@ -7,6 +7,7 @@ residue field, the local root is unique and costs one exponentiation, and the
 global root is assembled by CRT over ideals and over primes.
 """
 
+import math
 from dataclasses import dataclass
 
 from . import gfpoly
@@ -66,22 +67,27 @@ class GoodPrime:
         return [(-g[0]) % self.q for g in (i.g for i in self.ideals)]
 
 
+def _sees_mu(q: int, d: int, e: int) -> bool:
+    """Whether F_{q^d} holds a primitive l-th root of 1, e = l^k."""
+    return math.gcd(e, pow(q, d, e) - 1) > 1
+
+
 def check_good_prime(q: int, K: NumberField, e: int):
     """GoodPrime if q is unramified and no residue field sees mu_l.
 
-    Returns a Rejection (never raises) when q fails. The decision only needs
-    l = rad(e): gcd(e, q^d - 1) = 1 iff q^d != 1 mod l. An unramified q = 1
-    mod l is refused without factoring f: F_q, and so every residue field,
-    already holds mu_l. Rejection.degree is then 1, the degree of F_q, not
-    that of a residue field; otherwise it is the residue degree d that failed.
+    Returns a Rejection (never raises) when q fails. For e = l^k a residue
+    field F_{q^d} holds mu_l iff q^d = 1 mod l iff gcd(e, q^d - 1) > 1, which
+    needs no factoring of e. An unramified q = 1 mod l is refused without
+    factoring f: F_q, and so every residue field, already holds mu_l.
+    Rejection.degree is then 1, the degree of F_q, not that of a residue
+    field; otherwise it is the residue degree d that failed.
     """
-    l, _ = prime_power_split(e)
     m = K.conductor
     if m is not None:
         if m % q == 0:
             return Rejection("ramified")
-        d = multiplicative_order(q % m, m)
-        if pow(q, d, l) == 1:
+        d = 1 if q % m == 1 else multiplicative_order(q % m, m)
+        if _sees_mu(q, d, e):
             return Rejection("root-of-unity", d)
         if d == 1:
             return GoodPrime(q, split_prime_ideals(q, m), True)
@@ -91,12 +97,12 @@ def check_good_prime(q: int, K: NumberField, e: int):
     fbar = gfpoly.from_int_poly(list(K.f), q)
     if gfpoly.deg(gfpoly.gcd(fbar, gfpoly.derivative(fbar, q), q)) > 0:
         return Rejection("ramified")
-    if q % l == 1:
+    if _sees_mu(q, 1, e):
         return Rejection("root-of-unity", 1)
     fac = factor_mod_p(list(K.f), q, seed=1)
     for g, _ in fac:
         d = len(g) - 1
-        if pow(q, d, l) == 1:
+        if _sees_mu(q, d, e):
             return Rejection("root-of-unity", d)
     ideals = tuple(PrimeIdealRep(q, tuple(g), len(g) - 1) for g, _ in fac)
     all_split = all(i.f_deg == 1 for i in ideals)
@@ -116,6 +122,9 @@ def good_prime_stream(K: NumberField, e: int, seed: int = 0,
     rng = derive_rng(seed, "crt-primes")
     m = K.conductor
     split_mode = prefer_split and m is not None
+    if split_mode:
+        lo = ((1 << (SPLIT_BITS - 1)) - 1) // m + 1
+        hi = ((1 << SPLIT_BITS) - 1) // m
     seen = set()
     tried = 0
     avoid = [d for d in avoid_divisors_of if d > 1]
@@ -123,8 +132,6 @@ def good_prime_stream(K: NumberField, e: int, seed: int = 0,
         tried += 1
         stats["candidates"] += 1
         if split_mode:
-            lo = ((1 << (SPLIT_BITS - 1)) - 1) // m + 1
-            hi = ((1 << SPLIT_BITS) - 1) // m
             q = rng.randrange(lo, hi) * m + 1
             if not is_prime(q):
                 continue
@@ -143,19 +150,23 @@ def good_prime_stream(K: NumberField, e: int, seed: int = 0,
     raise SearchExhausted(f"no good prime after {budget} candidates")
 
 
-def select_crt_primes(K: NumberField, e: int, B: int,
-                      prefer_split: bool = True, seed: int = 0,
-                      avoid_divisors_of=(),
-                      budget: int = SEARCH_BUDGET) -> list[GoodPrime]:
-    """Good primes whose product exceeds 2B."""
+def _cover(stream, B: int) -> list[GoodPrime]:
+    """Primes from stream, in order, until their product exceeds 2B."""
     out, prod = [], 1
-    stream = good_prime_stream(K, e, seed, prefer_split, avoid_divisors_of,
-                               budget)
     while prod <= 2 * B:
         gp = next(stream)
         out.append(gp)
         prod *= gp.q
     return out
+
+
+def select_crt_primes(K: NumberField, e: int, B: int,
+                      prefer_split: bool = True, seed: int = 0,
+                      avoid_divisors_of=(),
+                      budget: int = SEARCH_BUDGET) -> list[GoodPrime]:
+    """Good primes whose product exceeds 2B."""
+    return _cover(good_prime_stream(K, e, seed, prefer_split,
+                                    avoid_divisors_of, budget), B)
 
 
 def eth_root_mod_q(terms, e: int, gp: GoodPrime, K: NumberField) -> list[int]:
@@ -207,11 +218,7 @@ def eth_root_double_crt(y: FactoredElement, e: int, K: NumberField,
     dens = sorted({u.den for u, _ in terms if u.den != 1})
     stream = good_prime_stream(K, e, seed=seed, prefer_split=True,
                                avoid_divisors_of=dens)
-    primes, prod = [], 1
-    while prod <= 2 * B:
-        gp = next(stream)
-        primes.append(gp)
-        prod *= gp.q
+    primes = _cover(stream, B)
     fresh = [next(stream) for _ in range(3)]
     allp = primes + fresh
 

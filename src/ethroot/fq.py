@@ -48,6 +48,7 @@ class FqField:
         self.modulus = tuple(modulus)
         self._mod_list = modulus
         self._norm_cache: dict = {}
+        self._packed = None  # gfpoly._Packed for powers, built on first use
 
     def __eq__(self, other):
         return (
@@ -173,7 +174,11 @@ class FqElement:
         if self.is_zero():
             return f.one if n == 0 else f.zero
         n %= f.q - 1
-        return self._wrap(gfpoly.powmod(self._poly(), n, f._mod_list, f.p))
+        if n == 0 or f.d == 1:
+            return self._wrap(gfpoly.powmod(self._poly(), n, f._mod_list, f.p))
+        if f._packed is None:
+            f._packed = gfpoly._Packed(f._mod_list, f.p)
+        return self._wrap(f._packed.power(self._poly(), n))
 
     def __eq__(self, other):
         if isinstance(other, int):

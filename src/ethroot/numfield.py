@@ -21,8 +21,8 @@ involved: both constants are exact rationals, computed once per field.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import gfpoly
 from .errors import (
@@ -34,7 +34,7 @@ from .errors import (
     NotInSubfield,
     ZeroInput,
 )
-from .primes import euler_phi, factorize, iroot, modinv
+from .primes import factorize, iroot, modinv
 
 # -- integer polynomial helpers (index = degree, stripped, [] = 0) ------------
 
@@ -110,6 +110,7 @@ class NumberField:
         self.conductor = conductor
         self._cinf = None
         self._radius = None
+        self._subfields = {}  # m' -> SubfieldEmbedding, see cyclotomic()
         if conductor is None:
             try:
                 self.element(_zderiv(self.f)).inverse()
@@ -586,8 +587,7 @@ def multi_reduce(us: list[FieldElement], moduli: list[int]):
     return out
 
 
-@dataclass(frozen=True)
-class PrimeIdealRep:
+class PrimeIdealRep(NamedTuple):
     """Degree-f_deg prime (p, g(alpha)) above p, g a monic factor of f mod p."""
 
     p: int
@@ -602,16 +602,17 @@ def split_prime_ideals(q: int, m: int) -> tuple:
     """
     if (q - 1) % m:
         raise ValueError(f"{q} is not 1 mod {m}")
+    ps = list(factorize(m))
     w = next(w for w in (pow(c, (q - 1) // m, q) for c in range(2, q))
-             if all(pow(w, m // p, q) != 1 for p in factorize(m)))
+             if all(pow(w, m // p, q) != 1 for p in ps))
+    # w has order m, so the w^t with gcd(t, m) = 1 are the phi(m) roots
     gs, acc = [], 1
     for t in range(1, m):
         acc = acc * w % q  # w^t, so g = -w^t mod q
         if math.gcd(t, m) == 1:
             gs.append(q - acc)
-    if len(set(gs)) != euler_phi(m):
-        raise ValueError(f"Phi_{m} does not split into {euler_phi(m)} roots mod {q}")
-    return tuple(PrimeIdealRep(q, (g, 1), 1) for g in sorted(gs))
+    gs.sort()
+    return tuple(PrimeIdealRep(q, (g, 1), 1) for g in gs)
 
 
 def reduce_mod_ideal(coeffs_mod_p: list[int], ideal: PrimeIdealRep) -> list[int]:
@@ -695,12 +696,18 @@ class SubfieldEmbedding:
 
     @classmethod
     def cyclotomic(cls, K: NumberField, m_sub: int) -> "SubfieldEmbedding":
-        """The only constructor: L = Q(zeta_{m_sub}) for m_sub dividing m."""
+        """The only constructor: L = Q(zeta_{m_sub}) for m_sub dividing m.
+
+        One embedding is kept per (K, m_sub), so its to_subfield solve is
+        paid once per field.
+        """
         m = K.conductor
         if m is None:
             raise IncompatibleFields("cyclotomic embedding needs a conductor field")
         if m_sub < 3 or m % m_sub != 0:
             raise BadConductor(f"{m_sub} is not a valid subconductor of {m}")
+        if m_sub in K._subfields:
+            return K._subfields[m_sub]
         emb = cls.__new__(cls)
         emb.K, emb.L = K, NumberField.cyclotomic(m_sub)
         emb.h = (0,) * (m // m_sub) + (1,)
@@ -710,6 +717,7 @@ class SubfieldEmbedding:
         emb._solver = None
         if emb.degree * emb.L.n != K.n:
             raise IncompatibleFields("relative degree does not match")
+        K._subfields[m_sub] = emb
         return emb
 
     def _power_map(self, x: FieldElement, k: int) -> FieldElement:

@@ -11,20 +11,28 @@ import random
 
 from .errors import Unsupported
 
-# Miller-Rabin with the first 12 prime bases is exact below
-# psi_12 = 318665857834031151167461 (about 3.2 * 10^24), and adding 41 makes
-# it exact below psi_13 = 3317044064679887385961981 (Sorenson and Webster,
-# Math. Comp. 2017). Every modulus this package samples stays under 2^64.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-_PSI_12 = 318665857834031151167461
-_PSI_13 = 3317044064679887385961981
+# Miller-Rabin with the first k prime bases is exact below psi_k, the least
+# strong pseudoprime to all of them (OEIS A014233; Jaeschke, Math. Comp. 1993;
+# Sorenson and Webster, Math. Comp. 2017):
+#   psi_4  = 3215031751                  (~3.2e9)
+#   psi_7  = 341550071728321             (~3.4e14, also psi_8)
+#   psi_9  = 3825123056546413051         (~3.8e18, also psi_10, psi_11)
+#   psi_12 = 318665857834031151167461    (~3.2e23)
+#   psi_13 = 3317044064679887385961981   (~3.3e24)
+# is_prime takes the first tier whose bound exceeds n. Every modulus this
+# package samples stays under 2^64.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_TIERS = ((3215031751, 4), (341550071728321, 7), (3825123056546413051, 9),
+             (318665857834031151167461, 12), (3317044064679887385961981, 13))
+_PSI_13 = _MR_TIERS[-1][0]
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
 
 
 def is_prime(n: int) -> bool:
-    """Exact below psi_13 (strong tests at the first 12 or 13 prime bases);
-    above it Baillie-PSW, which has no known counterexample."""
+    """Exact below psi_13 (strong tests at the first 4 to 13 prime bases,
+    by the table above); above it Baillie-PSW, which has no known
+    counterexample."""
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
@@ -35,13 +43,9 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         r += 1
-    if n < _PSI_12:
-        bases = _MR_BASES
-    elif n < _PSI_13:
-        bases = _MR_BASES + (41,)
-    else:
-        bases = (2,)  # Baillie-PSW: the strong base-2 test, then Lucas
-    for a in bases:
+    # above psi_13, Baillie-PSW: the strong base-2 test, then Lucas
+    k = next((k for bound, k in _MR_TIERS if n < bound), 1)
+    for a in _MR_BASES[:k]:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -160,10 +164,10 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
 
 
 def modinv(a: int, m: int) -> int:
-    g, x, _ = xgcd(a % m, m)
-    if g != 1:
-        raise ValueError(f"{a} not invertible mod {m}")
-    return x % m
+    try:
+        return pow(a, -1, m)
+    except ValueError:
+        raise ValueError(f"{a} not invertible mod {m}") from None
 
 
 def factorize(n: int) -> dict[int, int]:

@@ -2,10 +2,24 @@
 
 When every selected prime is totally split in a cyclotomic field, each prime
 contributes phi(m) linear ideals whose residues are plain evaluations at the
-primitive m-th roots of unity mod q. Everything then vectorizes across
-(primes x roots) int64 grids: Horner evaluation, exponent folding, the unique
-e-th root, and Lagrange interpolation back to coordinates. Primes stay below
-29 bits so a product of two residues fits comfortably in int64.
+primitive m-th roots of unity w mod q. Everything then vectorizes across
+(bases x primes x nodes) int64 grids:
+
+- one Horner pass evaluates every base, and f', at every node;
+- the unique e-th root at w is prod_i u_i(w)^(a_i e^-1 mod q-1), and the
+  Lagrange basis at w carries 1/f'(w) = f'(w)^(q-2), so one
+  multi-exponentiation gives root(w)/f'(w) with e^-1 folded into each
+  exponent and f'(w) as one more base. It is Straus's shared squaring chain:
+  per exponent bit, one squaring and one masked product per base;
+- synthetic division by x - w gives the Lagrange numerators, and one
+  broadcast sum interpolates the coordinates.
+
+The primes run in blocks whose largest array has at most _GRID entries, one
+chain per block, so memory stays bounded however many terms and primes a
+root has; a small field takes all its primes in one block. Primes stay below
+SPLIT_BITS = 29 bits, so a product of two residues is below 2^58 and fits
+in int64 with room for the sums below (tests/test_guards.py checks the
+constants).
 """
 
 import numpy as np
@@ -16,6 +30,8 @@ from .primes import modinv
 _LIMB = 29
 _LIMB_MASK = (1 << _LIMB) - 1
 _CHUNK = 16
+# entries of the largest (bases or coefficients) x primes x nodes array
+_GRID = 1 << 18
 
 
 def _to_limbs(values: list[int]) -> tuple[np.ndarray, np.ndarray]:
@@ -24,24 +40,21 @@ def _to_limbs(values: list[int]) -> tuple[np.ndarray, np.ndarray]:
     mags = [-v if v < 0 else v for v in values]
     width = max(1, max((v.bit_length() + _LIMB - 1) // _LIMB for v in mags)
                 if any(mags) else 1)
-    rows = np.empty((len(values), width), dtype=np.int64)
-    for i, v in enumerate(mags):
-        for l in range(width):
-            rows[i, l] = v & _LIMB_MASK
-            v >>= _LIMB
-    return rows, neg
+    shifts = range(0, width * _LIMB, _LIMB)
+    rows = [[(v >> s) & _LIMB_MASK for s in shifts] for v in mags]
+    return np.array(rows, dtype=np.int64).reshape(len(values), width), neg
 
 
-def _reduce_coeffs(coeffs: list[int], qs: np.ndarray) -> np.ndarray:
-    """coeffs[c] mod qs[j] for every pair, shape (len(coeffs), J)."""
-    limbs, neg = _to_limbs(coeffs)
+def _reduce_limbs(limbs: np.ndarray, neg: np.ndarray,
+                  qs: np.ndarray) -> np.ndarray:
+    """values[c] mod qs[j] for every pair from _to_limbs(values), shape (C, J)."""
     width = limbs.shape[1]
     powers = np.empty((len(qs), width), dtype=np.int64)
     powers[:, 0] = 1 % qs
     base = (1 << _LIMB) % qs
     for l in range(1, width):
         powers[:, l] = powers[:, l - 1] * base % qs
-    out = np.zeros((len(coeffs), len(qs)), dtype=np.int64)
+    out = np.zeros((len(limbs), len(qs)), dtype=np.int64)
     for start in range(0, width, _CHUNK):
         block = limbs[:, start:start + _CHUNK]
         pb = powers[:, start:start + _CHUNK]
@@ -50,26 +63,27 @@ def _reduce_coeffs(coeffs: list[int], qs: np.ndarray) -> np.ndarray:
     return out
 
 
-def _pow_rows(base: np.ndarray, exps: np.ndarray, qs2: np.ndarray) -> np.ndarray:
-    """base[j,t] ** exps[j] mod qs[j], square-and-multiply on shared bits."""
-    acc = np.ones_like(base)
-    b = base % qs2
-    ex = exps.copy()
-    while ex.any():
-        mask = (ex & 1).astype(bool)
-        if mask.any():
-            acc[mask] = acc[mask] * b[mask] % qs2[mask]
-        ex >>= 1
-        if ex.any():
-            b = b * b % qs2
+def _horner_eval(rows: np.ndarray, W: np.ndarray, qs2: np.ndarray) -> np.ndarray:
+    """Evaluate sum_c rows[c, i, j] x^c at x = W[j, t], shape (I, J, T)."""
+    acc = np.zeros((rows.shape[1],) + W.shape, dtype=np.int64)
+    for row in rows[::-1]:
+        acc *= W
+        acc += row[:, :, None]
+        acc %= qs2
     return acc
 
 
-def _horner_eval(rows: np.ndarray, W: np.ndarray, qs2: np.ndarray) -> np.ndarray:
-    """Evaluate sum_c rows[c, j] x^c at x = W[j, t], shape (J, T)."""
-    acc = np.zeros_like(W)
-    for c in range(rows.shape[0] - 1, -1, -1):
-        acc = (acc * W + rows[c][:, None]) % qs2
+def _multi_pow(bases: np.ndarray, exps: np.ndarray, qs2: np.ndarray) -> np.ndarray:
+    """prod_i bases[i, j, t] ** exps[i, j] mod qs[j], for exps >= 0.
+
+    Straus's shared squaring chain: the bits from the top, one squaring per
+    bit, then each base multiplies in at the primes whose exponent has the bit.
+    """
+    acc = np.ones_like(bases[0])
+    for bit in range(int(exps.max()).bit_length() - 1, -1, -1):
+        acc = acc * acc % qs2
+        for base, on in zip(bases, ((exps >> bit) & 1).astype(bool)):
+            acc = np.where(on[:, None], acc * base % qs2, acc)
     return acc
 
 
@@ -81,59 +95,62 @@ def split_roots_kernel(bases, exps, good_primes, e, K) -> list[list[int]]:
     prime, each the root mod (q, f).
     """
     n = K.n
+    terms = [(u, a) for u, a in zip(bases, exps) if a]
+    # the terms' numerators, then f: split into limbs once for every block
+    limbs, neg = _to_limbs([c for u, _ in terms for c in u.num] + list(K.f))
+    step = max(1, _GRID // (n * max(n, len(terms) + 1)))
+    out = []
+    for s in range(0, len(good_primes), step):
+        out += _split_block(terms, limbs, neg, good_primes[s:s + step], e, n)
+    return out
+
+
+def _split_block(terms, limbs, neg, good_primes, e: int, n: int) -> list[list[int]]:
+    """split_roots_kernel on one block of primes."""
     qs = np.array([gp.q for gp in good_primes], dtype=np.int64)
     qs2 = qs[:, None]
     W = np.array([gp.split_roots() for gp in good_primes], dtype=np.int64)
     if W.shape[1] != n:
         raise ValueError("each prime must supply deg f split roots")
-    ords = qs - 1
+    k = len(terms)
+    R = _reduce_limbs(limbs, neg, qs)
+    F = R[k * n:]  # f's coefficients
+    # rows[c, i]: coefficient c of base i, the terms and then f'
+    deriv = np.arange(1, n + 1)[:, None] * F[1:] % qs
+    rows = np.concatenate([R[:k * n].reshape(k, n, len(qs)).transpose(1, 0, 2),
+                           deriv[:, None]], axis=1)
+    vals = _horner_eval(rows, W, qs2)
 
-    prod = np.ones_like(W)
-    zero_mask = np.zeros(W.shape, dtype=bool)
-    for u, a in zip(bases, exps):
-        if a == 0:
-            continue
-        rows = _reduce_coeffs(list(u.num), qs)
-        vals = _horner_eval(rows, W, qs2)
+    ql = qs.tolist()
+    for i, (u, _) in enumerate(terms):
         if u.den != 1:
-            dinv = np.array([modinv(u.den % int(q), int(q)) for q in qs],
-                            dtype=np.int64)
-            vals = vals * dinv[:, None] % qs2
-        hit = vals == 0
-        zero_mask |= hit
-        vals[hit] = 1
-        ared = np.array([a % int(o) for o in ords], dtype=np.int64)
-        prod = prod * _pow_rows(vals, ared, qs2) % qs2
-    prod[zero_mask] = 0
-
-    roots = _pow_rows(prod, np.array([modinv(e, int(o)) for o in ords],
-                                     dtype=np.int64), qs2)
-    return _interpolate(roots, W, qs, K)
+            dinv = np.array([modinv(u.den, q) for q in ql], dtype=np.int64)
+            vals[i] = vals[i] * dinv[:, None] % qs2
+    einv = [modinv(e, q - 1) for q in ql]
+    pows = [[a * r % (q - 1) for q, r in zip(ql, einv)] for _, a in terms]
+    scale = _multi_pow(vals, np.array(pows + [[q - 2 for q in ql]],
+                                      dtype=np.int64), qs2)
+    # a base vanishing at a node puts y, and so its root, in that ideal
+    scale[(vals[:k] == 0).any(axis=0)] = 0
+    return _interpolate(scale, W, F, qs2)
 
 
-def _interpolate(vals: np.ndarray, W: np.ndarray, qs: np.ndarray,
-                 K) -> list[list[int]]:
-    """Coefficients of the degree < n polynomial through (W[j,t], vals[j,t]).
+def _interpolate(scale: np.ndarray, W: np.ndarray, F: np.ndarray,
+                 qs2: np.ndarray) -> list[list[int]]:
+    """Coefficients of sum_t scale[j, t] f(x) / (x - W[j, t]) mod qs[j].
 
-    Uses the Lagrange form with f = the field polynomial: the basis numerator
-    at node w is f(x)/(x - w), computed by synthetic division and accumulated
-    row by row, scaled by vals / f'(w).
+    With scale = root / f'(w) this is the Lagrange form of the degree < n
+    polynomial through (w, root(w)). The quotient f(x) / (x - w) has
+    coefficients c_(n-1) = lc(f) = 1, c_k = c_(k+1) w + f_(k+1) by synthetic
+    division; the rows are stacked and reduced in one broadcast sum.
     """
-    J, T = W.shape
-    qs2 = qs[:, None]
-    F = _reduce_coeffs(list(K.f), qs)
-
-    # f'(w) by Horner on the derivative
-    dacc = np.zeros_like(W)
-    for k in range(F.shape[0] - 1, 0, -1):
-        dacc = (dacc * W + (k * F[k] % qs)[:, None]) % qs2
-
-    scale = vals * _pow_rows(dacc, qs - 2, qs2) % qs2
-
-    out = np.zeros((J, T), dtype=np.int64)
-    C = np.ones_like(W)  # quotient coefficient c_{n-1} = lc(f) = 1
-    out[:, T - 1] = (scale * C % qs2).sum(axis=1) % qs
-    for k in range(T - 2, -1, -1):
-        C = (C * W + F[k + 1][:, None]) % qs2
-        out[:, k] = (scale * C % qs2).sum(axis=1) % qs
-    return out.tolist()
+    n = W.shape[1]
+    C = np.empty((n,) + W.shape, dtype=np.int64)
+    C[n - 1] = 1
+    for k in range(n - 2, -1, -1):
+        np.multiply(C[k + 1], W, out=C[k])
+        C[k] += F[k + 1][:, None]
+        C[k] %= qs2
+    C *= scale
+    C %= qs2
+    return (C.sum(axis=2) % qs2.T).T.tolist()

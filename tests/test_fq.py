@@ -83,6 +83,26 @@ def test_reducible_modulus_rejected():
         FqField(5, [4, 0, 1])  # x^2 - 1 = (x-1)(x+1)
 
 
+# -- powers ---------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("p,d", [(5, 1), (7, 3), (101, 6), (2 ** 61 - 1, 4)])
+def test_pow_matches_powmod_and_keeps_one_table(p, d):
+    F = make_field(p, d, seed=d)
+    rng = random.Random(p + d)
+    for _ in range(10):
+        x = F.random_element(rng)
+        n = rng.choice([0, 1, 2, F.q - 1, F.q + 5, rng.randrange(1, 10 ** 30)])
+        if not x.is_zero():
+            want = gfpoly.powmod(x._poly(), n % (F.q - 1), F._mod_list, p)
+            assert x ** n == F.element(want)
+    F.gen ** 12345
+    assert (F._packed is None) == (d == 1)
+    table = F._packed
+    F.gen ** 12345
+    assert F._packed is table
+
+
 # -- fq_eth_root ---------------------------------------------------------------
 
 

@@ -8,10 +8,10 @@ from pathlib import Path
 import pytest
 
 from ethroot import gfpoly
-from ethroot.crtroot import GoodPrime, check_good_prime
+from ethroot.crtroot import SPLIT_BITS, GoodPrime, check_good_prime
 from ethroot.numfield import NumberField, crt_integers_symmetric
 from ethroot.primes import factorize, random_prime
-from ethroot.splitkernel import split_roots_kernel
+from ethroot.splitkernel import _CHUNK, _GRID, _LIMB, split_roots_kernel
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "ethroot"
 
@@ -93,6 +93,14 @@ def test_split_kernel_rejects_primes_of_another_field():
     assert isinstance(gp, GoodPrime) and gp.all_split
     with pytest.raises(ValueError):
         split_roots_kernel([K4.element([1, 1])], [3], [gp], 3, K4)
+
+
+def test_split_kernel_int64_headroom():
+    # residues lie below q < 2^SPLIT_BITS, limbs below 2^_LIMB
+    q, limb, top = 1 << SPLIT_BITS, 1 << _LIMB, 1 << 63
+    assert q * q + q < top  # a product of residues plus a residue (Horner steps)
+    assert _CHUNK * limb * q + q < top  # one einsum block of limb * power, plus the carry
+    assert _GRID * q < top  # a sum over the nodes of one prime, and n * f_k
 
 
 def test_crt_integers_rejects_ragged_vectors():

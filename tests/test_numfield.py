@@ -434,6 +434,15 @@ def test_embedding_round_trip():
         assert emb.to_subfield(lifted) == a
 
 
+def test_embedding_kept_per_field():
+    K = NumberField.cyclotomic(15)
+    emb = SubfieldEmbedding.cyclotomic(K, 3)
+    assert SubfieldEmbedding.cyclotomic(K, 3) is emb
+    assert SubfieldEmbedding.cyclotomic(K, 5) is not emb
+    other = SubfieldEmbedding.cyclotomic(NumberField.cyclotomic(15), 3)
+    assert other is not emb and other.orbit == emb.orbit
+
+
 def test_embedding_detects_outside():
     emb = SubfieldEmbedding.cyclotomic(NumberField.cyclotomic(15), 3)
     K = emb.K
