@@ -257,9 +257,7 @@ def eth_root_couveignes(y: FactoredElement, e: int, K: NumberField,
     cps = select_couveignes_primes(K, emb, e, B, seed=seed, avoid=avoid)
     vectors = [couveignes_mod_p(work, e, emb, a, cp) for cp in cps]
     coords = crt_integers_symmetric(vectors, [cp.p for cp in cps], B)
-    x = K.element(coords)
-    if T != 1:
-        x = x / K.element([T])
+    x = K.element(coords, T)
     if not verify_root(x, y, e, K, trials=2, seed=seed + 1):
         raise VerificationFailed("couveignes root failed the modular check")
     return x

@@ -110,19 +110,16 @@ def check_good_prime(q: int, K: NumberField, e: int):
 
 
 def good_prime_stream(K: NumberField, e: int, seed: int = 0,
-                      prefer_split: bool = True, avoid_divisors_of=(),
-                      budget: int = SEARCH_BUDGET):
+                      avoid_divisors_of=(), budget: int = SEARCH_BUDGET):
     """Yield distinct good primes, deterministic under seed.
 
-    Cyclotomic K with prefer_split samples q = 1 mod m just under SPLIT_BITS
-    (residue fields are all F_q, the kernel-friendly shape); otherwise samples
-    GENERIC_BITS primes. Raises SearchExhausted once the candidate budget runs
-    out.
+    Cyclotomic K samples q = 1 mod m just under SPLIT_BITS (residue fields
+    are all F_q, the kernel-friendly shape); other fields sample GENERIC_BITS
+    primes. Raises SearchExhausted once the candidate budget runs out.
     """
     rng = derive_rng(seed, "crt-primes")
     m = K.conductor
-    split_mode = prefer_split and m is not None
-    if split_mode:
+    if m is not None:
         lo = ((1 << (SPLIT_BITS - 1)) - 1) // m + 1
         hi = ((1 << SPLIT_BITS) - 1) // m
     seen = set()
@@ -131,14 +128,12 @@ def good_prime_stream(K: NumberField, e: int, seed: int = 0,
     while tried < budget:
         tried += 1
         stats["candidates"] += 1
-        if split_mode:
+        if m is not None:
             q = rng.randrange(lo, hi) * m + 1
-            if not is_prime(q):
-                continue
         else:
             q = rng.randrange(1 << (GENERIC_BITS - 1), 1 << GENERIC_BITS) | 1
-            if not is_prime(q):
-                continue
+        if not is_prime(q):
+            continue
         if q in seen or any(d % q == 0 for d in avoid):
             continue
         gp = check_good_prime(q, K, e)
@@ -160,13 +155,11 @@ def _cover(stream, B: int) -> list[GoodPrime]:
     return out
 
 
-def select_crt_primes(K: NumberField, e: int, B: int,
-                      prefer_split: bool = True, seed: int = 0,
+def select_crt_primes(K: NumberField, e: int, B: int, seed: int = 0,
                       avoid_divisors_of=(),
                       budget: int = SEARCH_BUDGET) -> list[GoodPrime]:
     """Good primes whose product exceeds 2B."""
-    return _cover(good_prime_stream(K, e, seed, prefer_split,
-                                    avoid_divisors_of, budget), B)
+    return _cover(good_prime_stream(K, e, seed, avoid_divisors_of, budget), B)
 
 
 def eth_root_mod_q(terms, e: int, gp: GoodPrime, K: NumberField) -> list[int]:
@@ -216,8 +209,7 @@ def eth_root_double_crt(y: FactoredElement, e: int, K: NumberField,
     work, T = clear_denominators(FactoredElement(K, terms), e)
     B = coeff_bound_root(work, e, K)
     dens = sorted({u.den for u, _ in terms if u.den != 1})
-    stream = good_prime_stream(K, e, seed=seed, prefer_split=True,
-                               avoid_divisors_of=dens)
+    stream = good_prime_stream(K, e, seed=seed, avoid_divisors_of=dens)
     primes = _cover(stream, B)
     fresh = [next(stream) for _ in range(3)]
     allp = primes + fresh
@@ -249,9 +241,7 @@ def eth_root_double_crt(y: FactoredElement, e: int, K: NumberField,
         if [c % gp.q for c in coords] != vectors[len(primes) + j]:
             raise VerificationFailed(
                 f"root mismatch at spot-check prime {gp.q}")
-    x = K.element(coords)
-    if T != 1:
-        x = x / K.element([T])
+    x = K.element(coords, T)
     return x
 
 

@@ -1,10 +1,12 @@
-"""p-adic e-th roots: inverse-free lifting and prime-ideal lattice reconstruction.
+"""p-adic e-th roots: inverse-free lifting at one prime ideal, then recognition.
 
-The inert case runs a Newton iteration for the inverse root in Z[x]/(p^{2^i}, f),
-doubling the precision each step; the only division is the one mod-p inverse in
-the seed. When K has no inert prime the same iteration runs in the completion
-Z[x]/(p^a, g_a), g_a the Hensel lift of a single factor g of f mod p, and the
-global root is recovered by Babai rounding in the lattice of the ideal power.
+The root is lifted by a Newton iteration for the inverse root in the completion
+Z[x]/(p^a, g_a), g_a the Hensel lift of a single factor g of f mod p, doubling
+the precision each step; the only division is the one mod-p inverse in the
+seed. The global root is the residual of the lift under nearest-plane rounding
+in the lattice of the ideal power (p, g)^a. An inert p is the case g = f: the
+completion is Z[x]/(p^a, f), the lattice is p^a Z^n and the rounding is plain
+symmetric rounding of each coordinate mod p^a.
 
 gfpoly is reused with a composite modulus: divmod_/rem/mulmod/powmod stay exact
 there as long as every divisor is monic (the leading-coefficient inverse is 1).
@@ -66,24 +68,7 @@ class PadicContext:
 
     p: int
     kappa: int
-    target_modulus: int  # p ** (2 ** kappa)
-    B: int
     f: tuple  # monic modulus polynomial of the completion
-
-
-def make_context(p: int, e: int, B: int, modpoly) -> PadicContext:
-    """Smallest kappa with p^{2^kappa} > 2B (so symmetric lifts are unique)."""
-    if e % p == 0:
-        raise ValueError("p divides e")
-    need = 2 * B + 1
-    t, pw = 1, p
-    while pw < need:
-        pw *= p
-        t += 1
-    kappa = (t - 1).bit_length()
-    while p ** (1 << kappa) < need:
-        kappa += 1
-    return PadicContext(p, kappa, p ** (1 << kappa), B, tuple(int(c) for c in modpoly))
 
 
 def is_inert(K: NumberField, p: int) -> bool:
@@ -217,90 +202,28 @@ def _twist_candidates(x0: FqElement, field: FqField, l: int, k: int, seed: int):
         yield x0 * w
 
 
-def eth_root_padic(y: FactoredElement, e: int, K: NumberField, p: int,
-                   seed: int = 0) -> FieldElement:
-    """e-th root of y by inert-prime Hensel lifting.
-
-    Pipeline: clear denominators, bound the integral root, fold
-    a = Y^{e-1} mod (p^{2^kappa}, f), seed with the residue-field root,
-    lift, multiply back by Y, lift symmetrically, verify. When K contains
-    e-th roots of unity the local seed is ambiguous; wrong seeds are retried
-    twisted by a root of unity until the verified global root appears.
-    """
-    check_odd_prime_power(e)
-    l, k = prime_power_split(e)
-    terms = [(u, a) for u, a in y.terms if a != 0]
-    if not terms:
-        return K.one
-    if any(a < 0 for _, a in terms):
-        raise ValueError("exponents must lie in [0, e]")
-    if e % p == 0:
-        raise ValueError("p divides e")
-    if not is_inert(K, p):
-        raise ValueError(f"p={p} is not inert in K")
-    work, T = clear_denominators(FactoredElement(K, terms), e)
-    B = coeff_bound_root(work, e, K)
-    ctx = make_context(p, e, B, K.f)
-    M = ctx.target_modulus
-    mp = [c % M for c in ctx.f]
-    Y = _fold_mod(work.terms, M, list(K.f), p)
-    a_poly = gfpoly.powmod(Y, e - 1, mp, M)
-    field = FqField(p, gfpoly.from_int_poly(list(K.f), p))
-    abar = field.element(gfpoly.from_int_poly(a_poly, p))
-    try:
-        x0 = fq_eth_root(abar.inverse(), e)
-    except NotAPower as exc:
-        raise RootSeedMissing("y mod p is not an e-th power residue") from exc
-    for cand in _twist_candidates(x0, field, l, k, seed):
-        xk = hensel_lift(a_poly, cand, e, ctx)
-        root_poly = gfpoly.mulmod(Y, xk, mp, M)
-        coords = [_symmetric(c, M) for c in root_poly]
-        coords += [0] * (K.n - len(coords))
-        if any(abs(c) > B for c in coords):
-            stats["twists"] += 1
-            continue
-        x = K.element(coords)
-        if T != 1:
-            x = x / K.element([T])
-        if verify_root(x, y, e, K, trials=2, seed=seed + 1):
-            return x
-        stats["twists"] += 1
-    raise VerificationFailed("no twist of the local seed gives a global root")
-
-
 # -- prime-ideal reconstruction ------------------------------------------------
 
 
 def precision_estimate(n: int, f_deg: int, p: int, Bprime: int) -> int:
-    """Smallest power of two a exceeding n/(f_deg ln p) (ln 2B' + (n(n-1)/4 - 1) ln GAMMA)."""
+    """Smallest power of two a > n/(f_deg ln p) (ln 2B' + max(0, n(n-1)/4 - 1) ln GAMMA).
+
+    The lattice term is clamped at 0 (it is negative for n <= 2), and
+    p^a > 2B' is then checked exactly rather than trusted to the float
+    estimate: symmetric lifts mod p^a are unique only past 2B'.
+    """
     if Bprime < 1:
         raise ValueError("B' must be >= 1")
     if Bprime.bit_length() <= 512:
         ln2b = math.log(2 * Bprime)
     else:
         ln2b = (Bprime.bit_length() + 1) * math.log(2)
-    rhs = (n / (f_deg * math.log(p))) * (ln2b + (n * (n - 1) / 4 - 1) * math.log(GAMMA))
+    lattice = max(0.0, n * (n - 1) / 4 - 1) * math.log(GAMMA)
+    rhs = (n / (f_deg * math.log(p))) * (ln2b + lattice)
     a = 1
-    while a <= rhs:
+    while a <= rhs or p ** a <= 2 * Bprime:
         a *= 2
     return a
-
-
-def _poly_xgcd(a: list[int], b: list[int], p: int):
-    """(g, s, t) over F_p with s a + t b = g, g monic (or zero)."""
-    r0, r1 = gfpoly.from_int_poly(a, p), gfpoly.from_int_poly(b, p)
-    s0, s1 = [1], []
-    t0, t1 = [], [1]
-    while r1:
-        q, r = gfpoly.divmod_(r0, r1, p)
-        r0, r1 = r1, r
-        s0, s1 = s1, gfpoly.sub(s0, gfpoly.mul(q, s1, p), p)
-        t0, t1 = t1, gfpoly.sub(t0, gfpoly.mul(q, t1, p), p)
-    if not r0:
-        return [], s0, t0
-    inv = modinv(r0[-1], p)
-    return (gfpoly.scale(r0, inv, p), gfpoly.scale(s0, inv, p),
-            gfpoly.scale(t0, inv, p))
 
 
 def _exact_div(poly: list[int], m: int, newmod: int) -> list[int]:
@@ -324,9 +247,12 @@ def hensel_factor_lift(g: list[int], f: list[int], p: int, a: int) -> list[int]:
     h, r = gfpoly.divmod_(fbar, gbar, p)
     if gfpoly.trim(r):
         raise ValueError("g does not divide f mod p")
-    d, s, t = _poly_xgcd(gbar, h, p)
-    if gfpoly.deg(d) != 0:
-        raise ValueError("f mod p is not squarefree at g")
+    # Bezout pair s g + t h = 1 over F_p: t = h^-1 mod g, s = (1 - t h) / g
+    try:
+        t = gfpoly.invmod(h, gbar, p)
+    except ZeroDivisionError:
+        raise ValueError("f mod p is not squarefree at g") from None
+    s, _ = gfpoly.divmod_(gfpoly.sub([1], gfpoly.mul(t, h, p), p), gbar, p)
     G, H, S, T = gbar[:], h[:], s[:], t[:]
     m = p
     while m < target:
@@ -514,10 +440,19 @@ def eth_root_padic_reconstruct(y: FactoredElement, e: int, K: NumberField,
                                max_doublings: int = MAX_DOUBLINGS) -> FieldElement:
     """e-th root via a single prime ideal: lift in the completion, then Babai.
 
-    The approximation X_hat = Y * x_lift lives in O/pil^a; the true integral
-    root X differs from it by a lattice vector of pil^a, so X is the residual
-    of X_hat under nearest-plane once a is past precision_estimate. On verify
-    failure a doubles (default 4 times) before giving up.
+    Pipeline: clear denominators, bound the integral root, fold
+    a = Y^{e-1} mod (p^a, g_a), seed with the residue-field root, lift, and
+    multiply back by Y. The approximation X_hat = Y * x_lift lives in
+    O/pil^a; the true integral root X differs from it by a lattice vector of
+    pil^a, so X is the residual of X_hat under nearest-plane once a is past
+    precision_estimate. When K contains e-th roots of unity the local seed is
+    ambiguous; wrong seeds are retried twisted by a root of unity until the
+    verified global root appears. On failure a doubles (default 4 times)
+    before giving up.
+
+    An inert pil (f_deg == n) takes two exact shortcuts: the Hensel lift of
+    f mod p is f itself, and pil^a = p^a O is the lattice p^a Z^n, whose
+    nearest-plane residual is the symmetric residue of each coordinate.
     """
     check_odd_prime_power(e)
     l, k = prime_power_split(e)
@@ -532,35 +467,55 @@ def eth_root_padic_reconstruct(y: FactoredElement, e: int, K: NumberField,
     work, T = clear_denominators(FactoredElement(K, terms), e)
     Bp = coeff_bound_root(work, e, K)
     a = precision_estimate(K.n, pil.f_deg, p, Bp)
+    inert = pil.f_deg == K.n
     field = FqField(p, gfpoly.from_int_poly(list(pil.g), p))
-    for _ in range(max_doublings + 1):
-        ga = hensel_factor_lift(list(pil.g), list(K.f), p, a)
+    for attempt in range(max_doublings + 1):
+        if attempt:
+            a *= 2
+            stats["doublings"] += 1
         M = p ** a
-        ctx = PadicContext(p, a.bit_length() - 1, M, Bp, tuple(ga))
+        ga = list(K.f) if inert else hensel_factor_lift(list(pil.g), list(K.f), p, a)
+        mp = [c % M for c in ga]
+        ctx = PadicContext(p, a.bit_length() - 1, tuple(ga))
         Y = _fold_mod(work.terms, M, ga, p)
-        a_poly = gfpoly.powmod(Y, e - 1, [c % M for c in ga], M)
+        a_poly = gfpoly.powmod(Y, e - 1, mp, M)
         abar = field.element(gfpoly.from_int_poly(a_poly, p))
         try:
             x0 = fq_eth_root(abar.inverse(), e)
         except NotAPower as exc:
             raise RootSeedMissing("y mod pil is not an e-th power residue") from exc
-        lat = build_ideal_lattice(pil, a, K, ga=ga)
-        red = lll_reduce([list(r) for r in lat.basis])
+        if not inert:
+            red = lll_reduce([list(r) for r in build_ideal_lattice(pil, a, K, ga=ga).basis])
         for cand in _twist_candidates(x0, field, l, k, seed):
             xk = hensel_lift(a_poly, cand, e, ctx)
-            approx = gfpoly.mulmod(Y, xk, [c % M for c in ga], M)
+            approx = gfpoly.mulmod(Y, xk, mp, M)
             xhat = list(approx) + [0] * (K.n - len(approx))
-            w = babai_nearest_plane(red, xhat)
-            coords = [h - wi for h, wi in zip(xhat, w)]
+            if inert:
+                coords = [_symmetric(c, M) for c in xhat]
+            else:
+                w = babai_nearest_plane(red, xhat)
+                coords = [h - wi for h, wi in zip(xhat, w)]
             if any(abs(c) > Bp for c in coords):
                 stats["twists"] += 1
                 continue
-            x = K.element(coords)
-            if T != 1:
-                x = x / K.element([T])
+            x = K.element(coords, T)
             if verify_root(x, y, e, K, trials=2, seed=seed + 1):
                 return x
             stats["twists"] += 1
-        a *= 2
-        stats["doublings"] += 1
-    raise VerificationFailed("reconstruction failed after precision doublings")
+    raise VerificationFailed(
+        "no twist of the local seed gives a global root at any precision tried")
+
+
+def eth_root_padic(y: FactoredElement, e: int, K: NumberField, p: int,
+                   seed: int = 0) -> FieldElement:
+    """e-th root of y by Hensel lifting at the inert prime p.
+
+    This is reconstruction at the inert ideal (p, f) of degree n: its a-th
+    power is p^a O, so recognizing the root is symmetric rounding mod p^a.
+    Once p^a > 2B that rounding is unique, so doubling the precision cannot
+    help and none is tried.
+    """
+    if not is_inert(K, p):
+        raise ValueError(f"p={p} is not inert in K")
+    pil = PrimeIdealRep(p, tuple(gfpoly.from_int_poly(list(K.f), p)), K.n)
+    return eth_root_padic_reconstruct(y, e, K, pil, seed=seed, max_doublings=0)

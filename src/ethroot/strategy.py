@@ -36,7 +36,6 @@ from .numfield import (
 )
 from .padic import eth_root_padic, eth_root_padic_reconstruct, find_inert_prime
 from .primes import check_odd_prime_power, derive_rng, random_prime
-from .verify import verify_root  # noqa: F401  (part of this module's surface)
 
 METHODS = ("auto", "double_crt", "padic", "reconstruct", "couveignes")
 

@@ -108,7 +108,7 @@ def test_check_good_prime_q_one_mod_l_needs_no_factoring(monkeypatch):
 
 def test_select_primes_congruences():
     K = NumberField.cyclotomic(16)
-    primes = select_crt_primes(K, 3, 10 ** 40, prefer_split=True, seed=7)
+    primes = select_crt_primes(K, 3, 10 ** 40, seed=7)
     prod = 1
     for gp in primes:
         assert gp.q % 16 == 1 and gp.q % 3 == 2
@@ -290,7 +290,7 @@ def test_split_kernel_matches_generic():
     rng = random.Random(21)
     bases = [K.random_element(rng, bits=25) for _ in range(3)]
     exps = [3, 6, 9]
-    stream = good_prime_stream(K, 3, seed=2, prefer_split=True)
+    stream = good_prime_stream(K, 3, seed=2)
     primes = [next(stream) for _ in range(4)]
     from ethroot.splitkernel import split_roots_kernel
 
@@ -305,7 +305,7 @@ def test_split_kernel_matches_generic():
 def test_split_kernel_zero_residue():
     # a base can vanish at one node: plant q | norm by using alpha - r mod q
     K = NumberField.cyclotomic(4)
-    stream = good_prime_stream(K, 3, seed=12, prefer_split=True)
+    stream = good_prime_stream(K, 3, seed=12)
     gp = next(stream)
     r = gp.split_roots()[0]
     base = K.element([-r, 1])  # vanishes at the node r

@@ -17,7 +17,9 @@ from ethroot.fq import FqField, factor_mod_p
 from ethroot.numfield import FactoredElement, NumberField, PrimeIdealRep
 from ethroot.padic import (
     GAMMA,
+    PadicContext,
     _hnf,
+    _symmetric,
     babai_nearest_plane,
     build_ideal_lattice,
     eth_root_padic,
@@ -27,7 +29,6 @@ from ethroot.padic import (
     hensel_lift,
     is_inert,
     lll_reduce,
-    make_context,
     precision_estimate,
     stats,
 )
@@ -39,26 +40,29 @@ def factored(K, pairs):
     return FactoredElement(K, pairs)
 
 
-# -- context and prime selection --------------------------------------------
+# -- inert precision and prime selection ------------------------------------
 
 
-def test_make_context_small():
-    ctx = make_context(7, 3, 10, [1, 0, 1])
-    assert ctx.kappa == 1 and ctx.target_modulus == 49
-    assert ctx.target_modulus > 2 * ctx.B
+def test_inert_precision_small():
+    # the inert ideal of Q(i) at 7: f_deg = n = 2
+    a = precision_estimate(2, 2, 7, 10)
+    assert a == 2 and 7 ** a == 49 > 2 * 10
 
 
-def test_make_context_minimal_kappa():
+def test_inert_precision_minimal_power_of_two():
     B = 3 ** 40
-    ctx = make_context(3, 5, B, [1, 1, 1])
-    assert ctx.target_modulus == 3 ** (1 << ctx.kappa)
-    assert ctx.target_modulus > 2 * B
-    assert 3 ** (1 << (ctx.kappa - 1)) <= 2 * B
+    for n in (1, 2, 3):
+        a = precision_estimate(n, n, 3, B)
+        assert a & (a - 1) == 0
+        assert 3 ** a > 2 * B
+        assert 3 ** (a // 2) <= 2 * B
 
 
-def test_make_context_rejects_p_dividing_e():
-    with pytest.raises(ValueError):
-        make_context(3, 9, 100, [1, 1, 1])
+def test_inert_route_rejects_p_dividing_e():
+    K = NumberField.cyclotomic(4)
+    assert is_inert(K, 3)
+    with pytest.raises(ValueError, match="p divides e"):
+        eth_root_padic(factored(K, [(K.gen, 1)]), 9, K, 3)
 
 
 def test_is_inert_examples():
@@ -102,13 +106,13 @@ def test_find_inert_prime_avoid_and_determinism():
 
 
 def test_hensel_lift_fixed_point():
-    ctx = make_context(7, 3, 10 ** 6, [1, 0, 1])
+    ctx = PadicContext(7, 3, (1, 0, 1))  # 7^8 > 2 * 10^6
     field = FqField(7, [1, 0, 1])
     assert hensel_lift([1], field.one, 3, ctx) == [1]
 
 
 def test_hensel_lift_seed_invalid():
-    ctx = make_context(7, 3, 100, [1, 0, 1])
+    ctx = PadicContext(7, 2, (1, 0, 1))
     field = FqField(7, [1, 0, 1])
     with pytest.raises(SeedInvalid):
         hensel_lift([3], field.one, 3, ctx)
@@ -116,14 +120,11 @@ def test_hensel_lift_seed_invalid():
 
 def test_hensel_lift_convergence_checked_every_step():
     before = stats["lift_checks"]
-    ctx = make_context(7, 3, 10 ** 30, [1, 0, 1])
-    field = FqField(7, [1, 0, 1])
-    # a = (y^{e-1}) for y = -2 + 2i, e = 3; seed from the residue field
+    # y = -2 + 2i, e = 3: the root lifts to 7^a, a = 2^kappa with kappa >= 1
     K = NumberField.cyclotomic(4)
     x = eth_root_padic(factored(K, [(K.element([-2, 2]), 1)]), 3, K, 7)
     assert x == K.element([1, 1])  # (1+i)^3 = -2+2i
     assert stats["lift_checks"] > before
-    assert ctx.kappa >= 2  # the context above really has steps to run
 
 
 def test_eth_root_padic_trivial_and_errors():
@@ -193,8 +194,11 @@ def test_eth_root_padic_global_non_power():
     # (1+i)^3 (1+7i) is a cube residue mod 7 but not a cube in Q(i)
     K = NumberField.cyclotomic(4)
     u = (K.element([1, 1]) ** 3) * K.element([1, 7])
+    before = stats["doublings"]
     with pytest.raises(VerificationFailed):
         eth_root_padic(factored(K, [(u, 1)]), 3, K, 7)
+    # p^a > 2B already holds on the inert route, so no precision is retried
+    assert stats["doublings"] == before
 
 
 def test_convergence_check_raises_verification_failed():
@@ -248,6 +252,18 @@ def test_precision_estimate_monotone():
     assert precision_estimate(4, 4, 13, 1 << 50) <= precision_estimate(4, 1, 13, 1 << 50)
 
 
+def test_inert_precision_exceeds_twice_the_bound():
+    # symmetric lifts mod p^a are unique only when p^a > 2B; the lattice
+    # term of the estimate is negative for n <= 2 and must not undercut that
+    assert 7 ** precision_estimate(2, 2, 7, 1201) > 2 * 1201
+    for n, p in ((1, 3), (2, 7), (2, 65519), (4, 5), (6, 2), (6, 65497)):
+        for k in (1, 2, 3, 5, 8, 13):
+            edge = p ** k // 2
+            for B in (edge - 1, edge, edge + 1, edge + 2):
+                if B >= 1:
+                    assert p ** precision_estimate(n, n, p, B) > 2 * B
+
+
 def test_precision_estimate_rejects_tiny_bound():
     with pytest.raises(ValueError):
         precision_estimate(4, 2, 13, 0)
@@ -299,6 +315,24 @@ def test_ideal_lattice_inert_degenerates_to_scalar():
     pil = PrimeIdealRep(7, tuple(int(c) for c in K.f), 2)
     lat = build_ideal_lattice(pil, 3, K)
     assert [list(r) for r in lat.basis] == [[343, 0], [0, 343]]
+
+
+def test_inert_lattice_rounding_is_nearest_plane():
+    # pil^a = p^a Z^n for the inert ideal: symmetric rounding mod p^a is
+    # exactly the nearest-plane residual in the LLL-reduced ideal lattice
+    rng = random.Random(53)
+    for m in (3, 4, 7, 9):
+        K = NumberField.cyclotomic(m)
+        p = find_inert_prime(K, 5, seed=m)
+        pil = PrimeIdealRep(p, tuple(gfpoly.from_int_poly(list(K.f), p)), K.n)
+        for a in (1, 2):
+            M = p ** a
+            red = lll_reduce([list(r) for r in build_ideal_lattice(pil, a, K).basis])
+            for _ in range(4):
+                target = [rng.randrange(-M * M, M * M) for _ in range(K.n)]
+                w = babai_nearest_plane(red, target)
+                assert [t - wi for t, wi in zip(target, w)] == [
+                    _symmetric(t, M) for t in target]
 
 
 def test_hnf_unimodular_and_rank():

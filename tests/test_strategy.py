@@ -2,6 +2,7 @@
 
 import pytest
 
+import ethroot
 from ethroot import strategy
 from ethroot.errors import (
     IncompatibleFields,
@@ -11,7 +12,8 @@ from ethroot.errors import (
     Unsupported,
 )
 from ethroot.numfield import FactoredElement, NumberField, cyclotomic_poly
-from ethroot.strategy import RootRequest, eth_root, verify_root
+from ethroot.strategy import RootRequest, eth_root
+from ethroot.verify import verify_root
 
 K16 = NumberField.cyclotomic(16)
 K9 = NumberField.cyclotomic(9)
@@ -151,6 +153,8 @@ def test_stats_report_time_and_counters():
 
 
 def test_verify_root_reexport():
+    # the package re-exports the one verifier
+    assert ethroot.verify_root is verify_root
     x = K16.element([1, 2, 0, -1, 0, 0, 3, 1])
     assert verify_root(x, planted(K16, x, 3), 3, K16)
 
