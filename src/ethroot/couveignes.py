@@ -20,16 +20,15 @@ from .errors import (
     IncompatibleFields,
     NormMismatch,
     NotApplicable,
-    SearchExhausted,
     VerificationFailed,
     ZeroInput,
 )
-from .fq import FqElement, FqField, factor_mod_p, fq_eth_root, fq_norm_to_subfield
+from .fq import FqElement, FqField, fq_eth_root, fq_norm_to_subfield
+from .fq import factor_mod_p  # noqa: F401, wrapped at this module by layerbench
 from .numfield import (
     FactoredElement,
     FieldElement,
     NumberField,
-    PrimeIdealRep,
     SubfieldEmbedding,
     avoid_integers,
     clear_denominators,
@@ -46,7 +45,7 @@ from .primes import (
     is_cyclic_unit_group,
     modinv,
     multiplicative_order,
-    random_prime,
+    prime_stream,
 )
 from .verify import verify_root
 
@@ -95,38 +94,26 @@ def _poly_at(poly, t: FqElement) -> FqElement:
 def make_couveignes_prime(K: NumberField, emb: SubfieldEmbedding, p: int):
     """Pairing data for p, or None when p does not split the right way.
 
-    Pairs each irreducible factor G of f_K mod p with the factor g of f_L
-    mod p that the image of L's generator is a root of. p qualifies iff it
-    is unramified in both fields and deg G = deg g * [K:L] for every pair.
+    Pairs each prime G of K above p with the prime g of L below it: the one
+    whose polynomial has the image of L's generator as a root in the residue
+    field of G. p qualifies iff it is unramified in both fields and
+    deg G = deg g * [K:L] for every pair.
     """
-    L = emb.L
-    facts_k = factor_mod_p(list(K.f), p)
-    if any(mult > 1 for _, mult in facts_k):
+    uppers_k = K.prime_ideals(p)
+    lowers_l = emb.L.prime_ideals(p)
+    if uppers_k is None or lowers_l is None:
         return None
-    facts_l = factor_mod_p(list(L.f), p)
-    if any(mult > 1 for _, mult in facts_l):
-        return None
-    lowers, uppers, images = [], [], []
-    matched = set()
-    for big, _ in facts_k:
-        field = FqField(p, big)
-        hbar = field.element(list(emb.h))
-        low = next(
-            (i for i, (g, _) in enumerate(facts_l) if _poly_at(g, hbar).is_zero()),
-            None,
-        )
-        if low is None:
+    lowers, images = [], []
+    for big in uppers_k:
+        hbar = FqField(p, list(big.g)).element(list(emb.h))
+        low = next((g for g in lowers_l if _poly_at(g.g, hbar).is_zero()), None)
+        if low is None or big.f_deg != low.f_deg * emb.degree:
             return None
-        g = facts_l[low][0]
-        if len(big) - 1 != (len(g) - 1) * emb.degree:
-            return None
-        matched.add(low)
-        lowers.append(PrimeIdealRep(p, tuple(g), len(g) - 1))
-        uppers.append(PrimeIdealRep(p, tuple(big), len(big) - 1))
+        lowers.append(low)
         images.append(tuple(hbar.coeffs))
-    if len(matched) != len(facts_l):
+    if len(set(lowers)) != len(lowers_l):
         return None
-    return CouveignesPrime(p, tuple(lowers), tuple(uppers), tuple(images))
+    return CouveignesPrime(p, tuple(lowers), tuple(uppers_k), tuple(images))
 
 
 def select_couveignes_primes(K: NumberField, emb: SubfieldEmbedding, e: int,
@@ -134,37 +121,27 @@ def select_couveignes_primes(K: NumberField, emb: SubfieldEmbedding, e: int,
                              budget: int = PRIME_BUDGET) -> list:
     """Distinct admissible primes with prod p > 2B, pairings precomputed.
 
-    Candidates are sampled at CRT_BITS bits. The order test
-    ord_m(p) = [K:L] * ord_{m'}(p) prescreens before any factoring. avoid
-    lists integers whose prime factors must be skipped (denominators,
-    numerator contents of the eventual reductions).
+    Candidates are CRT_BITS-bit primes prime to m and to avoid, which lists
+    integers whose prime factors must be skipped (denominators, numerator
+    contents of the eventual reductions). The order test
+    ord_m(p) = [K:L] * ord_{m'}(p) prescreens before any factoring.
+    SearchExhausted after `budget` prime draws.
     """
     if math.gcd(emb.degree, e) != 1:
         raise ValueError("[K:L] must be prime to e")
     rng = derive_rng(seed, "couveignes")
     mk, ml = emb.K.conductor, emb.L.conductor
+    stream = prime_stream(rng, CRT_BITS, avoid=(*avoid, mk), budget=budget)
     chosen: list[CouveignesPrime] = []
-    seen: set[int] = set()
     product = 1
-    tested = 0
     while product <= 2 * B:
-        if tested >= budget:
-            raise SearchExhausted(
-                f"no admissible prime set within {budget} candidates"
-            )
-        p = random_prime(rng, CRT_BITS)
-        tested += 1
-        if p in seen or any(a and math.gcd(p, a) != 1 for a in avoid):
-            continue
-        if mk % p == 0:
-            continue
+        p = next(stream)
         if multiplicative_order(p, mk) != emb.degree * multiplicative_order(p, ml):
             continue
         cp = make_couveignes_prime(K, emb, p)
         if cp is None:
             continue
         chosen.append(cp)
-        seen.add(p)
         product *= p
     stats["primes"] += len(chosen)
     return chosen

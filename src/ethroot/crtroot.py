@@ -12,29 +12,22 @@ from dataclasses import dataclass
 
 from . import gfpoly
 from .errors import BoundViolation, SearchExhausted, VerificationFailed
-from .fq import FqField, factor_mod_p, fq_eth_root
+from .fq import FqField, fq_eth_root
+from .fq import factor_mod_p  # noqa: F401, wrapped at this module by layerbench
 from .numfield import (
     FactoredElement,
     FieldElement,
     NumberField,
-    PrimeIdealRep,
+    avoid_integers,
     clear_denominators,
     coeff_bound_root,
     crt_ideals,
     crt_integers_symmetric,
     multi_reduce,
-    split_prime_ideals,
 )
-from .primes import (
-    check_odd_prime_power,
-    derive_rng,
-    is_prime,
-    multiplicative_order,
-    prime_power_split,
-    random_prime,
-)
+from .primes import check_odd_prime_power, derive_rng, prime_power_split, prime_stream
 
-# candidate budget for prime selection before giving up
+# prime draws for prime selection before giving up
 SEARCH_BUDGET = 10 ** 6
 
 # split primes stay below 29 bits so the vectorized kernel can keep products
@@ -42,7 +35,8 @@ SEARCH_BUDGET = 10 ** 6
 SPLIT_BITS = 29
 GENERIC_BITS = 62
 
-# running tallies, handy when tuning prime selection
+# running tallies, handy when tuning prime selection: primes handed to
+# check_good_prime, and those it accepted
 stats = {"candidates": 0, "accepted": 0}
 
 
@@ -77,36 +71,22 @@ def check_good_prime(q: int, K: NumberField, e: int):
 
     Returns a Rejection (never raises) when q fails. For e = l^k a residue
     field F_{q^d} holds mu_l iff q^d = 1 mod l iff gcd(e, q^d - 1) > 1, which
-    needs no factoring of e. An unramified q = 1 mod l is refused without
-    factoring f: F_q, and so every residue field, already holds mu_l.
-    Rejection.degree is then 1, the degree of F_q, not that of a residue
-    field; otherwise it is the residue degree d that failed.
+    needs no factoring of e. A q = 1 mod l is refused first, without
+    looking at the ideals above it: F_q, and so every residue field, already
+    holds mu_l. Rejection.degree is then 1, the degree of F_q, not that of a
+    residue field. Otherwise the ideals come from K.prime_ideals (None means
+    "ramified"), each distinct residue degree d is tested once, smallest
+    first, and the Rejection names the d that failed.
     """
-    m = K.conductor
-    if m is not None:
-        if m % q == 0:
-            return Rejection("ramified")
-        d = 1 if q % m == 1 else multiplicative_order(q % m, m)
-        if _sees_mu(q, d, e):
-            return Rejection("root-of-unity", d)
-        if d == 1:
-            return GoodPrime(q, split_prime_ideals(q, m), True)
-        fac = factor_mod_p(list(K.f), q, seed=1)
-        ideals = tuple(PrimeIdealRep(q, tuple(g), len(g) - 1) for g, _ in fac)
-        return GoodPrime(q, ideals, False)
-    fbar = gfpoly.from_int_poly(list(K.f), q)
-    if gfpoly.deg(gfpoly.gcd(fbar, gfpoly.derivative(fbar, q), q)) > 0:
-        return Rejection("ramified")
     if _sees_mu(q, 1, e):
         return Rejection("root-of-unity", 1)
-    fac = factor_mod_p(list(K.f), q, seed=1)
-    for g, _ in fac:
-        d = len(g) - 1
+    ideals = K.prime_ideals(q)
+    if ideals is None:
+        return Rejection("ramified")
+    for d in sorted({i.f_deg for i in ideals}):
         if _sees_mu(q, d, e):
             return Rejection("root-of-unity", d)
-    ideals = tuple(PrimeIdealRep(q, tuple(g), len(g) - 1) for g, _ in fac)
-    all_split = all(i.f_deg == 1 for i in ideals)
-    return GoodPrime(q, ideals, all_split)
+    return GoodPrime(q, ideals, all(i.f_deg == 1 for i in ideals))
 
 
 def good_prime_stream(K: NumberField, e: int, seed: int = 0,
@@ -115,34 +95,17 @@ def good_prime_stream(K: NumberField, e: int, seed: int = 0,
 
     Cyclotomic K samples q = 1 mod m just under SPLIT_BITS (residue fields
     are all F_q, the kernel-friendly shape); other fields sample GENERIC_BITS
-    primes. Raises SearchExhausted once the candidate budget runs out.
+    primes. Primes dividing an integer of avoid_divisors_of are skipped.
+    Raises SearchExhausted after budget prime draws.
     """
     rng = derive_rng(seed, "crt-primes")
-    m = K.conductor
-    if m is not None:
-        lo = ((1 << (SPLIT_BITS - 1)) - 1) // m + 1
-        hi = ((1 << SPLIT_BITS) - 1) // m
-    seen = set()
-    tried = 0
-    avoid = [d for d in avoid_divisors_of if d > 1]
-    while tried < budget:
-        tried += 1
+    bits = GENERIC_BITS if K.conductor is None else SPLIT_BITS
+    for q in prime_stream(rng, bits, K.conductor or 1, avoid_divisors_of, budget):
         stats["candidates"] += 1
-        if m is not None:
-            q = rng.randrange(lo, hi) * m + 1
-        else:
-            q = rng.randrange(1 << (GENERIC_BITS - 1), 1 << GENERIC_BITS) | 1
-        if not is_prime(q):
-            continue
-        if q in seen or any(d % q == 0 for d in avoid):
-            continue
         gp = check_good_prime(q, K, e)
-        if isinstance(gp, Rejection):
-            continue
-        seen.add(q)
-        stats["accepted"] += 1
-        yield gp
-    raise SearchExhausted(f"no good prime after {budget} candidates")
+        if isinstance(gp, GoodPrime):
+            stats["accepted"] += 1
+            yield gp
 
 
 def _cover(stream, B: int) -> list[GoodPrime]:
@@ -208,8 +171,8 @@ def eth_root_double_crt(y: FactoredElement, e: int, K: NumberField,
         return K.one
     work, T = clear_denominators(FactoredElement(K, terms), e)
     B = coeff_bound_root(work, e, K)
-    dens = sorted({u.den for u, _ in terms if u.den != 1})
-    stream = good_prime_stream(K, e, seed=seed, avoid_divisors_of=dens)
+    avoid = avoid_integers([u for u, _ in terms])
+    stream = good_prime_stream(K, e, seed=seed, avoid_divisors_of=avoid)
     primes = _cover(stream, B)
     fresh = [next(stream) for _ in range(3)]
     allp = primes + fresh
@@ -251,14 +214,14 @@ def is_bad_field(K: NumberField, e: int, seed: int = 0,
 
     Cyclotomic fields are decided exactly: bad iff rad(e) divides m, since
     that puts a primitive l-th root of unity in K and hence in every residue
-    field. Generic fields fall back to scanning candidate primes.
+    field. Generic fields fall back to scanning `candidates` random primes.
     """
     l, _ = prime_power_split(e)
     if K.conductor is not None:
         return K.conductor % l == 0
     rng = derive_rng(seed, "badfield")
-    for _ in range(candidates):
-        q = random_prime(rng, GENERIC_BITS)
-        if isinstance(check_good_prime(q, K, e), GoodPrime):
-            return False
-    return True
+    try:
+        return not any(isinstance(check_good_prime(q, K, e), GoodPrime)
+                       for q in prime_stream(rng, GENERIC_BITS, budget=candidates))
+    except SearchExhausted:
+        return True

@@ -172,6 +172,24 @@ class NumberField:
         lo, hi = -(1 << bits), 1 << bits
         return self.element([rng.randrange(lo, hi) for _ in range(self.n)], den)
 
+    def prime_ideals(self, q: int) -> tuple | None:
+        """The prime ideals above the prime q, or None when q ramifies.
+
+        Listed as factor_mod_p lists the factors of f mod q: by residue
+        degree, then by coefficients. On Q(zeta_m) a q dividing m ramifies,
+        and a q = 1 mod m splits into the known linear ideals unfactored.
+        """
+        m = self.conductor
+        if m is not None:
+            if m % q == 0:
+                return None
+            if q % m == 1:
+                return split_prime_ideals(q, m)
+        fac = gfpoly.factor(gfpoly.from_int_poly(list(self.f), q), q)
+        if any(mult > 1 for _, mult in fac):
+            return None
+        return tuple(PrimeIdealRep(q, tuple(g), len(g) - 1) for g, _ in fac)
+
     # -- power-basis arithmetic -------------------------------------------------
 
     def reduce_int_poly(self, poly: list[int]) -> list[int]:

@@ -21,6 +21,7 @@ from .errors import (
     DenominatorClash,
     NotAPower,
     RootSeedMissing,
+    SearchExhausted,
     SeedInvalid,
     VerificationFailed,
 )
@@ -41,7 +42,7 @@ from .primes import (
     modinv,
     multiplicative_order,
     prime_power_split,
-    random_prime,
+    prime_stream,
     xgcd,
 )
 from .verify import verify_root
@@ -83,27 +84,21 @@ def is_inert(K: NumberField, p: int) -> bool:
 
 def find_inert_prime(K: NumberField, e: int, budget: int = INERT_BUDGET,
                      seed: int = 0, avoid=()) -> int | None:
-    """Random 16-bit prime p with f irreducible mod p and p coprime to e.
+    """Random 16-bit prime p with f irreducible mod p, p prime to e and avoid.
 
     Returns None when none exists (non-cyclic Galois group, e.g. Q(zeta_8))
-    or the budget of tested primes runs out.
+    or after `budget` prime draws, repeats included: there are only 3,030
+    primes of 16 bits.
     """
     if K.conductor is not None and not is_cyclic_unit_group(K.conductor):
         return None
     rng = derive_rng(seed, "inert")
-    tested = 0
-    seen = set()
-    while tested < budget:
-        p = random_prime(rng, INERT_BITS)
-        if p in seen:
-            continue
-        seen.add(p)
-        tested += 1
-        if e % p == 0 or any(d % p == 0 for d in avoid):
-            continue
-        if is_inert(K, p):
-            return p
-    return None
+    try:
+        return next(p for p in prime_stream(rng, INERT_BITS, avoid=(*avoid, e),
+                                             budget=budget)
+                    if is_inert(K, p))
+    except SearchExhausted:
+        return None
 
 
 # -- completion arithmetic -----------------------------------------------------
@@ -140,23 +135,23 @@ def _check_converged(a_mod, x, e, modpoly, M):
         raise VerificationFailed(f"Newton convergence check failed at modulus {M}")
 
 
-def hensel_lift(a_poly: list[int], x0, e: int, ctx: PadicContext) -> list[int]:
+def hensel_lift(a_poly: list[int], x0: FqElement, e: int,
+                ctx: PadicContext) -> list[int]:
     """Lift the inverse e-th root of a_poly to precision p^{2^kappa}.
 
-    a_poly lives in Z[x]/(target_modulus, ctx.f); x0 is a residue-field seed
-    with a * x0^e = 1. One update
+    a_poly lives in Z[x]/(target_modulus, ctx.f); x0 is the seed, an element
+    of the residue field F_p[x]/(ctx.f mod p) with a * x0^e = 1. One update
         x <- x - (1/e) x (a x^e - 1)
     per doubling, 1/e recomputed mod each p^{2^i}; no other inversions.
     """
     p = ctx.p
-    fbar = gfpoly.from_int_poly(list(ctx.f), p)
-    field = FqField(p, fbar)
-    coeffs = list(x0.coeffs) if isinstance(x0, FqElement) else list(x0)
-    seed = field.element(coeffs)
+    field = x0.field
+    if field.p != p or list(field.modulus) != gfpoly.from_int_poly(list(ctx.f), p):
+        raise SeedInvalid("x0 does not live in F_p[x]/(f mod p)")
     abar = field.element(gfpoly.from_int_poly(list(a_poly), p))
-    if abar * seed ** e != field.one:
+    if abar * x0 ** e != field.one:
         raise SeedInvalid("a * x0^e != 1 in the residue field")
-    x = gfpoly.trim([int(c) for c in seed.coeffs])
+    x = gfpoly.trim(list(x0.coeffs))
     for i in range(1, ctx.kappa + 1):
         M = p ** (1 << i)
         mp = [c % M for c in ctx.f]

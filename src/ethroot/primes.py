@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 import random
 
-from .errors import Unsupported
+from .errors import SearchExhausted, Unsupported
 
 # Miller-Rabin with the first k prime bases is exact below psi_k, the least
 # strong pseudoprime to all of them (OEIS A014233; Jaeschke, Math. Comp. 1993;
@@ -109,14 +109,51 @@ def _strong_lucas(n: int) -> bool:
     return False
 
 
+def prime_stream(rng: random.Random, bits: int, modulus: int = 1, avoid=(),
+                 budget: int | None = None):
+    """Yield distinct random primes q in [2^(bits-1), 2^bits), q = 1 mod modulus.
+
+    The one candidate loop of the package. With modulus 1 a candidate is an
+    odd number of the range; otherwise it is modulus * t + 1 with t drawn so
+    that q stays in the range. Primes dividing a nonzero integer of avoid
+    are skipped. After budget primes have been drawn (repeats and skipped
+    ones included; composites are not counted) SearchExhausted is raised;
+    None means no limit. The draws stay on rng, so a caller may draw from
+    it between two yields and the stream still replays under a seed.
+    """
+    if bits < 2:
+        raise ValueError("prime_stream needs bits >= 2")
+    if modulus == 1:
+        lo, hi = 1 << (bits - 1), 1 << bits
+
+        def draw():
+            return rng.randrange(lo, hi) | 1
+    else:
+        lo = ((1 << (bits - 1)) - 1) // modulus + 1
+        hi = ((1 << bits) - 1) // modulus
+        if hi <= lo:
+            raise ValueError(f"no {bits}-bit range of q = 1 mod {modulus}")
+
+        def draw():
+            return rng.randrange(lo, hi) * modulus + 1
+    avoid = [a for a in avoid if a]
+    seen = set()
+    drawn = 0
+    while budget is None or drawn < budget:
+        q = draw()
+        if not is_prime(q):
+            continue
+        drawn += 1
+        if q in seen or any(a % q == 0 for a in avoid):
+            continue
+        seen.add(q)
+        yield q
+    raise SearchExhausted(f"no usable prime in {budget} prime draws")
+
+
 def random_prime(rng: random.Random, bits: int) -> int:
     """Random prime in [2^(bits-1), 2^bits)."""
-    if bits < 2:
-        raise ValueError("random_prime needs bits >= 2")
-    while True:
-        n = rng.randrange(1 << (bits - 1), 1 << bits) | 1
-        if is_prime(n):
-            return n
+    return next(prime_stream(rng, bits))
 
 
 def iroot(n: int, k: int) -> int:

@@ -16,17 +16,23 @@ import math
 from dataclasses import dataclass
 
 from . import gfpoly
-from .errors import IncompatibleFields, NotUnit, RamifiedE, SearchExhausted, ZeroInput
-from .fq import DLOG_BUDGET, FqElement, FqField, dlog_mod_p, factor_mod_p
+from .errors import IncompatibleFields, NotUnit, RamifiedE, ZeroInput
+from .fq import DLOG_BUDGET, FqElement, FqField, dlog_mod_p
+from .fq import factor_mod_p  # noqa: F401, wrapped at this module by layerbench
 from .numfield import (
     FactoredElement,
     FieldElement,
     NumberField,
     PrimeIdealRep,
     avoid_integers,
-    split_prime_ideals,
 )
-from .primes import check_odd_prime_power, derive_rng, is_prime, modinv, prime_power_split
+from .primes import (
+    check_odd_prime_power,
+    derive_rng,
+    modinv,
+    prime_power_split,
+    prime_stream,
+)
 from .strategy import RootRequest, eth_root
 
 CHAR_BITS = 29
@@ -99,36 +105,19 @@ def select_character_primes(K: NumberField, e: int, count: int, U,
     Cyclotomic fields sample q = 1 mod lcm(e, m), so f splits completely
     into the known linear ideals and nothing is factored; otherwise q = 1
     mod e and whatever linear factors of f mod q show up are used.
+    SearchExhausted after `budget` prime draws.
     """
     ell, _ = check_odd_prime_power(e)
     if count < 1:
         raise ValueError("count must be at least 1")
     M = e if K.conductor is None else math.lcm(e, K.conductor)
-    avoid = avoid_integers(U)
     rng = derive_rng(seed, "characters")
     bits = max(CHAR_BITS, M.bit_length() + 8)
-    t_lo = max(1, (1 << (bits - 1)) // M)
-    t_hi = max(t_lo + 1, (1 << bits) // M)
+    stream = prime_stream(rng, bits, M, avoid_integers(U), budget)
     out: list = []
-    seen = set()
-    tested = 0
     while len(out) < count:
-        if tested >= budget:
-            raise SearchExhausted(f"no {count} character primes in {budget} candidates")
-        tested += 1
-        q = M * rng.randrange(t_lo, t_hi) + 1
-        if q in seen or not is_prime(q):
-            continue
-        seen.add(q)
-        if any(a % q == 0 for a in avoid):
-            continue
-        if K.conductor is not None:
-            linears = split_prime_ideals(q, K.conductor)
-        else:
-            fac = factor_mod_p(list(K.f), q)
-            if any(mult > 1 for _, mult in fac):
-                continue
-            linears = [PrimeIdealRep(q, tuple(g), 1) for g, _ in fac if len(g) == 2]
+        q = next(stream)
+        linears = [i for i in K.prime_ideals(q) or () if i.f_deg == 1]
         if not linears:
             continue
         z = _order_e_element(q, e, ell, rng)
@@ -170,14 +159,14 @@ def schirokauer_map(u: FieldElement, e: int, K: NumberField) -> list:
     to e and the division is exact; e-th powers land on the zero vector.
     """
     ell, k = check_odd_prime_power(e)
-    fac = factor_mod_p(list(K.f), ell)
-    if any(mult > 1 for _, mult in fac):
+    ideals = K.prime_ideals(ell)
+    if ideals is None:
         raise RamifiedE(f"{ell} ramifies in K (f not squarefree mod {ell})")
     # exponent of (O/eO)*: the ell-part ell^(k-1) times lcm of the residue
     # field orders ell^deg(g) - 1
     rho = ell ** (k - 1)
-    for g, _ in fac:
-        rho = math.lcm(rho, ell ** (len(g) - 1) - 1)
+    for ideal in ideals:
+        rho = math.lcm(rho, ell ** ideal.f_deg - 1)
     e2 = e * e
     if u.den % ell == 0:
         raise NotUnit("denominator is divisible by e's prime")

@@ -22,9 +22,8 @@ from .errors import (
     IncompatibleFields,
     NotAnEthPower,
     NotApplicable,
-    SearchExhausted,
 )
-from .fq import factor_mod_p
+from .fq import factor_mod_p  # noqa: F401, wrapped at this module by layerbench
 from .numfield import (
     FactoredElement,
     FieldElement,
@@ -35,7 +34,7 @@ from .numfield import (
     normalize_exponents,
 )
 from .padic import eth_root_padic, eth_root_padic_reconstruct, find_inert_prime
-from .primes import check_odd_prime_power, derive_rng, random_prime
+from .primes import check_odd_prime_power, derive_rng, prime_stream
 
 METHODS = ("auto", "double_crt", "padic", "reconstruct", "couveignes")
 
@@ -97,22 +96,16 @@ def pick_reconstruct_ideal(K: NumberField, e: int, seed: int = 0,
                            avoid=(), budget: int = 200) -> PrimeIdealRep:
     """An unramified prime ideal for the lattice backend.
 
-    Samples small primes and returns the largest-degree factor of f: larger
-    residue degree means lower p-adic precision for the same lattice volume.
+    Samples small primes prime to e and avoid, and returns the last (largest
+    degree) ideal above the first unramified one: larger residue degree means
+    lower p-adic precision for the same lattice volume. SearchExhausted after
+    `budget` prime draws.
     """
     rng = derive_rng(seed, "reconstruct-ideal")
-    tested = 0
-    while tested < budget:
-        p = random_prime(rng, RECONSTRUCT_PRIME_BITS)
-        tested += 1
-        if e % p == 0 or any(a and a % p == 0 for a in avoid):
-            continue
-        fac = factor_mod_p(list(K.f), p)
-        if any(mult > 1 for _, mult in fac):
-            continue
-        g = fac[-1][0]
-        return PrimeIdealRep(p, tuple(g), len(g) - 1)
-    raise SearchExhausted(f"no usable reconstruction prime in {budget} candidates")
+    for p in prime_stream(rng, RECONSTRUCT_PRIME_BITS, avoid=(*avoid, e), budget=budget):
+        ideals = K.prime_ideals(p)
+        if ideals is not None:
+            return ideals[-1]
 
 
 def _tower_root(y_level: FactoredElement, plan, level: int, e: int,

@@ -1,17 +1,26 @@
 """Root verification: modular spot-checks plus an exact check when cheap.
 
-Q(zeta_m) is checked at primes q = 1 mod m by evaluation at the primitive
-m-th roots of unity mod q; other fields factor f mod q, compare in F_{q^d}.
+Each trial takes a fresh unramified prime q from the shared prime stream and
+compares x^e with y at every prime ideal above q (NumberField.prime_ideals).
+A degree-1 ideal (alpha - r) is a value at r, in integers mod q; a larger one
+is a residue in F_{q^d}. Q(zeta_m) draws q = 1 mod m, where every ideal has
+degree 1 and nothing is factored.
 """
 
+import operator
+
 from . import gfpoly
-from .fq import factor_mod_p
-from .numfield import FactoredElement, FieldElement, NumberField, split_prime_ideals
-from .primes import derive_rng, is_prime
+from .fq import FqField
+from .fq import factor_mod_p  # noqa: F401, wrapped at this module by layerbench
+from .numfield import FactoredElement, FieldElement, NumberField, avoid_integers
+from .primes import derive_rng, prime_stream
 
 # exact expansion allowed below this estimated bit volume
 EXACT_BITS = 1 << 16
 _VERIFY_BITS = 62
+# prime draws per call; only a field ramified at nearly every prime, which
+# does not exist, could exhaust it
+_VERIFY_BUDGET = 1000
 
 
 def _element_bits(u: FieldElement) -> int:
@@ -31,17 +40,6 @@ def _exact_affordable(x: FieldElement, y: FactoredElement, e: int,
     return cost < EXACT_BITS
 
 
-def _usable_prime(q: int, x: FieldElement, y: FactoredElement,
-                  K: NumberField) -> bool:
-    if x.den % q == 0 or any(u.den % q == 0 for u, _ in y.terms):
-        return False
-    if K.conductor is not None:
-        # Phi_m divides x^m - 1, which is squarefree mod every q not dividing m
-        return K.conductor % q != 0
-    fbar = gfpoly.from_int_poly(list(K.f), q)
-    return gfpoly.deg(gfpoly.gcd(fbar, gfpoly.derivative(fbar, q), q)) == 0
-
-
 def verify_root(x: FieldElement, y: FactoredElement, e: int, K: NumberField,
                 trials: int = 3, seed: int = 0) -> bool:
     """True iff x^e = prod u_i^{a_i} mod `trials` fresh unramified primes.
@@ -50,9 +48,12 @@ def verify_root(x: FieldElement, y: FactoredElement, e: int, K: NumberField,
     expansion is estimated under 2^16 bits. Negative exponents are allowed
     (both sides fold with modular inverses via nonzero residues).
 
-    Cyclotomic K draws q = 1 mod m in [2^61, 2^62). A wrong x passes only if q
-    divides the content of x^e - y, as at any prime; at most log_q(content) of
-    the ~2^61 / (42 phi(m)) split primes there do, so a split trial is as strong.
+    The primes are _VERIFY_BITS-bit draws of prime_stream that skip the
+    divisors of avoid_integers(x, u_i); a ramified draw is passed over, and
+    SearchExhausted is raised after _VERIFY_BUDGET draws.
+    Cyclotomic K draws q = 1 mod m. A wrong x passes only if q divides the
+    content of x^e - y, as at any prime; at most log_q(content) of the
+    ~2^61 / (42 phi(m)) split primes there do, so a split trial is as strong.
     """
     if _exact_affordable(x, y, e, K):
         if x == K.zero:
@@ -60,74 +61,57 @@ def verify_root(x: FieldElement, y: FactoredElement, e: int, K: NumberField,
         if x ** e != y.value():
             return False
     rng = derive_rng(seed, "verify")
-    m = K.conductor
-    check = _check_mod_q if m is None else _check_split
+    avoid = avoid_integers([x] + [u for u, _ in y.terms])
+    stream = prime_stream(rng, _VERIFY_BITS, K.conductor or 1, avoid,
+                          _VERIFY_BUDGET)
     passed = 0
     while passed < trials:
-        if m is None:
-            q = rng.randrange(1 << (_VERIFY_BITS - 1), 1 << _VERIFY_BITS) | 1
-        else:
-            q = m * rng.randrange(((1 << (_VERIFY_BITS - 1)) - 2) // m + 1,
-                                  ((1 << _VERIFY_BITS) - 2) // m + 1) + 1
-        if not is_prime(q) or not _usable_prime(q, x, y, K):
-            continue
-        if not check(x, y, e, K, q):
+        q = next(stream)
+        ideals = K.prime_ideals(q)
+        if ideals is None:
+            continue  # ramified
+        if not _check_at(x, y, e, q, ideals):
             return False
         passed += 1
     return True
 
 
-def _check_split(x: FieldElement, y: FactoredElement, e: int, K: NumberField, q: int) -> bool:
-    """_check_mod_q at a split q: residues are values at the roots r."""
-    xvec = x.reduce_mod_prime(q)
-    uvecs = [(u.reduce_mod_prime(q), a) for u, a in y.terms if a != 0]
-    for ideal in split_prime_ideals(q, K.conductor):
-        r = (-ideal.g[0]) % q
-        xr = gfpoly.evaluate(xvec, r, q)
-        rhs = 1
-        for uvec, a in uvecs:
-            ur = gfpoly.evaluate(uvec, r, q)
-            if ur == 0:
-                if a < 0:
-                    return False  # pole mod q: treat as failed trial
-                rhs = 0
-                break
-            rhs = rhs * pow(ur, a % (q - 1), q) % q
-        # a zero rhs matches only a zero x: pow(0, e, q) = 0 for e >= 1
-        if pow(xr, e, q) != rhs:
-            return False
-    return True
+def _check_at(x: FieldElement, y: FactoredElement, e: int, q: int,
+              ideals) -> bool:
+    """x^e = y at every ideal above q, with x and y nonzero there or both 0.
 
-
-def _check_mod_q(x: FieldElement, y: FactoredElement, e: int, K: NumberField,
-                 q: int) -> bool:
-    from .fq import FqField
-
-    xvec = x.reduce_mod_prime(q)
-    fac = factor_mod_p(list(K.f), q, seed=1)
-    for g, _ in fac:
-        field = FqField(q, g)
-        order = field.q - 1
-        xbar = field.element(gfpoly.rem(gfpoly.trim(list(xvec)), g, q))
-        lhs = field.one if xbar.is_zero() else xbar ** (e % order)
-        rhs = field.one
-        zero = xbar.is_zero()
-        rhs_zero = False
-        for u, a in y.terms:
-            if a == 0:
-                continue
-            uvec = u.reduce_mod_prime(q)
-            ubar = field.element(gfpoly.rem(gfpoly.trim(list(uvec)), g, q))
-            if ubar.is_zero():
-                rhs_zero = a > 0
-                if a < 0:
-                    return False  # pole mod q: treat as failed trial
-                break
-            rhs = rhs * ubar ** (a % order)
-        if zero or rhs_zero:
-            if not (zero and rhs_zero):
+    A vanishing factor of y with a negative exponent is a pole of y mod q:
+    the trial fails.
+    """
+    vecs = [x.reduce_mod_prime(q)]
+    exps = []
+    for u, a in y.terms:
+        if a != 0:
+            vecs.append(u.reduce_mod_prime(q))
+            exps.append(a)
+    for ideal in ideals:
+        if ideal.f_deg == 1:
+            r = (-ideal.g[0]) % q
+            xr, *urs = [gfpoly.evaluate(v, r, q) for v in vecs]
+            one, mul, power = 1, (lambda s, t: s * t % q), (lambda b, k: pow(b, k, q))
+        else:
+            g = list(ideal.g)
+            field = FqField(q, g)
+            xr, *urs = [field.element(gfpoly.rem(gfpoly.trim(list(v)), g, q))
+                        for v in vecs]
+            one, mul, power = field.one, operator.mul, pow
+        zero = next((a for ur, a in zip(urs, exps) if ur == 0), None)
+        if zero is not None:
+            # y vanishes here: x must vanish too, and y must have no pole
+            if zero < 0 or xr != 0:
                 return False
             continue
-        if lhs != rhs:
+        if xr == 0:
+            return False
+        order = q ** ideal.f_deg - 1
+        rhs = one
+        for ur, a in zip(urs, exps):
+            rhs = mul(rhs, power(ur, a % order))
+        if power(xr, e % order) != rhs:
             return False
     return True

@@ -2,7 +2,6 @@ import random
 
 import pytest
 
-from ethroot import crtroot
 from ethroot.crtroot import (
     GoodPrime,
     Rejection,
@@ -90,17 +89,18 @@ def test_check_good_prime_matches_full_factorization():
 
 
 def test_check_good_prime_q_one_mod_l_needs_no_factoring(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("factor_mod_p called")
-
-    monkeypatch.setattr(crtroot, "factor_mod_p", refuse)
     K = NumberField([-1, -1, 0, 1])  # x^3 - x - 1, discriminant -23
+    assert check_good_prime(23, K, 3).kind == "ramified"  # 23 = 2 mod 3
+
+    def refuse(q):
+        raise AssertionError("prime_ideals called")
+
+    monkeypatch.setattr(K, "prime_ideals", refuse)
     for q in (7, 13, 31, 2 ** 61 - 1):  # all 1 mod 3
         assert check_good_prime(q, K, 3) == Rejection("root-of-unity", 1)
         assert check_good_prime(q, K, 9) == Rejection("root-of-unity", 1)
-    assert check_good_prime(23, K, 3).kind == "ramified"  # 23 = 2 mod 3
     with pytest.raises(AssertionError):
-        check_good_prime(11, K, 3)  # 11 = 2 mod 3 must factor
+        check_good_prime(11, K, 3)  # 11 = 2 mod 3 needs the ideals
 
 
 # -- prime selection --------------------------------------------------------------

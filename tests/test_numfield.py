@@ -5,6 +5,7 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
+from ethroot import gfpoly
 from ethroot.errors import (
     BadConductor,
     BoundViolation,
@@ -379,6 +380,42 @@ def test_split_prime_ideals_match_factor_mod_p(m):
         assert all(len(g) == 2 and mult == 1 for g, mult in fac)
         want = tuple(PrimeIdealRep(q, tuple(g), 1) for g, _ in fac)
         assert split_prime_ideals(q, m) == want
+
+
+PRIME_IDEAL_FIELDS = {
+    **{f"Q(zeta_{m})": NumberField.cyclotomic(m) for m in (5, 7, 8, 12, 15)},
+    "x^3 - x - 1": NumberField([-1, -1, 0, 1]),  # ramified at 23
+    "x^2 + 2": NumberField([2, 0, 1]),  # ramified at 2
+    "x^4 - 10x^2 + 1": NumberField([1, 0, -10, 0, 1]),  # ramified at 2, 3
+}
+
+
+@pytest.mark.parametrize("name", sorted(PRIME_IDEAL_FIELDS))
+def test_prime_ideals_match_factor_mod_p(name):
+    K = PRIME_IDEAL_FIELDS[name]
+    kinds = set()
+    for q in [q for q in range(2, 200) if is_prime(q)] + [2 ** 61 - 1]:
+        fac = factor_mod_p(list(K.f), q)
+        got = K.prime_ideals(q)
+        if any(mult > 1 for _, mult in fac):
+            assert got is None, q
+            kinds.add("ramified")
+            continue
+        assert got == tuple(PrimeIdealRep(q, tuple(g), len(g) - 1) for g, _ in fac), q
+        kinds.add("split" if all(i.f_deg == 1 for i in got) else "not split")
+    assert kinds == {"ramified", "split", "not split"}
+
+
+def test_prime_ideals_of_split_cyclotomic_primes_need_no_factoring(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("factored f mod q")
+
+    monkeypatch.setattr(gfpoly, "factor", refuse)
+    K = NumberField.cyclotomic(31)
+    q = 31 * 2 ** 40 + 31 * 4 + 1
+    q = next(t for t in range(q, q + 31 * 10 ** 4, 31) if is_prime(t))
+    assert K.prime_ideals(q) == split_prime_ideals(q, 31)
+    assert K.prime_ideals(31) is None
 
 
 def test_split_prime_ideals_reject_non_split_primes():

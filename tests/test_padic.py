@@ -9,6 +9,7 @@ from ethroot.crtroot import eth_root_double_crt
 from ethroot.errors import (
     DenominatorClash,
     NotAnEthPower,
+    NotApplicable,
     RootSeedMissing,
     SeedInvalid,
     VerificationFailed,
@@ -102,6 +103,16 @@ def test_find_inert_prime_avoid_and_determinism():
     assert p2 is not None and p2 != p1
 
 
+def test_find_inert_prime_stops_when_the_budget_exceeds_the_primes():
+    # Q(sqrt 2 + sqrt 3) has Galois group C2 x C2, so no prime is inert; a
+    # budget above the 3,030 primes of 16 bits must still end the search
+    K = NumberField([1, 0, -10, 0, 1])
+    assert find_inert_prime(K, 3, budget=5000) is None
+    y = factored(K, [(K.element([1, 1, 0, 0]), 3)])
+    with pytest.raises(NotApplicable):
+        eth_root(RootRequest(K, 3, y, method="padic", budgets={"search": 5000}))
+
+
 # -- Hensel lifting -----------------------------------------------------------
 
 
@@ -116,6 +127,13 @@ def test_hensel_lift_seed_invalid():
     field = FqField(7, [1, 0, 1])
     with pytest.raises(SeedInvalid):
         hensel_lift([3], field.one, 3, ctx)
+
+
+def test_hensel_lift_refuses_a_seed_from_another_field():
+    ctx = PadicContext(7, 2, (1, 0, 1))
+    for field in (FqField(7, [3, 1, 1]), FqField(11, [1, 0, 1])):
+        with pytest.raises(SeedInvalid):
+            hensel_lift([1], field.one, 3, ctx)
 
 
 def test_hensel_lift_convergence_checked_every_step():

@@ -1,13 +1,15 @@
-"""primes.is_prime against trial division and past the Miller-Rabin bounds."""
+"""primes.is_prime against trial division and past the Miller-Rabin bounds;
+prime_stream, and the searches that draw from it."""
 
+import itertools
 import math
 import random
 
 import pytest
 
-from ethroot import primes
-from ethroot.errors import Unsupported
-from ethroot.numfield import FactoredElement, NumberField
+from ethroot import couveignes, crtroot, padic, primes, saturation, strategy, verify
+from ethroot.errors import SearchExhausted, Unsupported
+from ethroot.numfield import FactoredElement, NumberField, SubfieldEmbedding
 from ethroot.strategy import RootRequest, eth_root
 
 # smallest strong pseudoprimes to the first 12 and 13 prime bases
@@ -110,3 +112,117 @@ def test_is_prime_agrees_with_twelve_bases(bits):
     for _ in range(20_000):
         n = rng.randrange(1 << (bits - 1), 1 << bits) | 1
         assert primes.is_prime(n) == twelve_base_prime(n), n
+
+
+# -- the shared prime stream ------------------------------------------------------
+
+
+@pytest.mark.parametrize("bits,modulus", [(16, 1), (29, 31), (62, 12), (20, 7)])
+def test_prime_stream_yields_distinct_primes_in_range(bits, modulus):
+    stream = primes.prime_stream(random.Random(f"{bits}:{modulus}"), bits, modulus)
+    qs = list(itertools.islice(stream, 300))
+    assert len(set(qs)) == len(qs)
+    assert all(primes.is_prime(q) and (q - 1) % modulus == 0 for q in qs)
+    assert all(1 << (bits - 1) <= q < 1 << bits for q in qs)
+
+
+def test_prime_stream_never_repeats_when_the_range_runs_dry():
+    eight_bit = [q for q in range(128, 256) if primes.is_prime(q)]
+    stream = primes.prime_stream(random.Random(1), 8)
+    assert sorted(itertools.islice(stream, len(eight_bit))) == eight_bit
+
+
+def test_prime_stream_skips_divisors_of_avoid():
+    first = list(itertools.islice(primes.prime_stream(random.Random(2), 16), 5))
+    avoid = (first[0] * first[1], first[2], 0, 1)
+    rest = list(itertools.islice(
+        primes.prime_stream(random.Random(2), 16, avoid=avoid), 10))
+    assert rest[:2] == first[3:]
+    assert not set(rest) & set(first[:3])
+
+
+@pytest.mark.parametrize("budget", [0, 1, 50])
+def test_prime_stream_gives_up_after_budget_prime_draws(monkeypatch, budget):
+    drawn = []
+    is_prime = primes.is_prime
+
+    def counting(n):
+        drawn.append(is_prime(n))
+        return drawn[-1]
+
+    monkeypatch.setattr(primes, "is_prime", counting)
+    every_prime = math.prod(q for q in range(128, 256) if is_prime(q))
+    stream = primes.prime_stream(random.Random(3), 8, avoid=(every_prime,),
+                                 budget=budget)
+    with pytest.raises(SearchExhausted):
+        next(stream)
+    assert sum(drawn) == budget  # repeats and skipped primes count
+
+
+def test_prime_stream_needs_room_for_its_residue_class():
+    with pytest.raises(ValueError):
+        next(primes.prime_stream(random.Random(0), 8, modulus=1000))
+    with pytest.raises(ValueError):
+        next(primes.prime_stream(random.Random(0), 1))
+
+
+def test_random_prime_values_are_pinned():
+    rng = random.Random("pinned")
+    assert [primes.random_prime(rng, 62) for _ in range(3)] == [
+        3072845651923664101, 4211105896630410727, 4554069632319163709]
+    assert [primes.random_prime(rng, 16) for _ in range(3)] == [56633, 58451, 49943]
+    assert [primes.random_prime(rng, 29) for _ in range(2)] == [383902661, 504510637]
+
+
+# -- every prime search stops within its budget -------------------------------------
+
+BUDGET = 40
+K_GENERIC = NumberField([-1, -1, 0, 1])  # x^3 - x - 1
+K15 = NumberField.cyclotomic(15)
+X = K_GENERIC.element([2, -1, 3], 5)
+
+# name -> (search, what it ends with when every prime is refused)
+SEARCHES = {
+    "good_prime_stream": (
+        lambda: next(crtroot.good_prime_stream(K_GENERIC, 5, budget=BUDGET)),
+        SearchExhausted),
+    "is_bad_field": (
+        lambda: crtroot.is_bad_field(K_GENERIC, 5, candidates=BUDGET), True),
+    "verify_root": (
+        lambda: verify.verify_root(X, FactoredElement(K_GENERIC, [(X, 3)]), 3, K_GENERIC),
+        SearchExhausted),
+    "find_inert_prime": (
+        lambda: padic.find_inert_prime(K_GENERIC, 3, budget=BUDGET), None),
+    "pick_reconstruct_ideal": (
+        lambda: strategy.pick_reconstruct_ideal(K_GENERIC, 3, budget=BUDGET),
+        SearchExhausted),
+    "select_couveignes_primes": (
+        lambda: couveignes.select_couveignes_primes(
+            K15, SubfieldEmbedding.cyclotomic(K15, 3), 3, 10 ** 30, budget=BUDGET),
+        SearchExhausted),
+    "select_character_primes": (
+        lambda: saturation.select_character_primes(
+            K_GENERIC, 3, 4, [K_GENERIC.element([2, 1])], budget=BUDGET),
+        SearchExhausted),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SEARCHES))
+def test_every_search_stops_within_its_budget(monkeypatch, name):
+    search, outcome = SEARCHES[name]
+    refused = []
+
+    def refuse(*args):
+        refused.append(args[-1])  # the prime
+
+    # prime_ideals and is_inert refuse with None
+    monkeypatch.setattr(padic, "is_inert", refuse)
+    for K in (K_GENERIC, K15):
+        monkeypatch.setattr(K, "prime_ideals", refuse)
+    monkeypatch.setattr(verify, "_VERIFY_BUDGET", BUDGET)
+    if outcome is SearchExhausted:
+        with pytest.raises(SearchExhausted):
+            search()
+    else:
+        assert search() == outcome
+    assert 0 < len(refused) <= BUDGET

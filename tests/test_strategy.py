@@ -3,7 +3,6 @@
 import pytest
 
 import ethroot
-from ethroot import strategy
 from ethroot.errors import (
     IncompatibleFields,
     NotAnEthPower,
@@ -162,11 +161,11 @@ def test_verify_root_reexport():
 def test_reconstruct_honours_the_search_budget(monkeypatch):
     factored = []
 
-    def never_squarefree(f, p, seed=0):
-        factored.append(p)
-        return [([0, 1], len(f) - 1)]  # f = x^n mod p: every candidate refused
+    def always_ramified(q):
+        factored.append(q)
+        return None  # every candidate refused
 
-    monkeypatch.setattr(strategy, "factor_mod_p", never_squarefree)
+    monkeypatch.setattr(K16, "prime_ideals", always_ramified)
     y = planted(K16, K16.element([1, 1, 0, 0, 0, 0, 0, 0]), 3)
     for budget in (1, 7, 30):
         factored.clear()

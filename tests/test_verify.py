@@ -3,8 +3,7 @@ import random
 import pytest
 
 from ethroot import gfpoly, verify
-from ethroot.fq import factor_mod_p
-from ethroot.numfield import FactoredElement, NumberField
+from ethroot.numfield import FactoredElement, NumberField, PrimeIdealRep
 from ethroot.verify import verify_root
 
 
@@ -69,7 +68,7 @@ def _no_factoring(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("cyclotomic verification must not factor")
 
-    monkeypatch.setattr(verify, "factor_mod_p", refuse)
+    monkeypatch.setattr(gfpoly, "factor", refuse)
 
 
 @pytest.mark.parametrize("m,e", SPLIT_CASES)
@@ -125,24 +124,33 @@ def test_split_primes_reject_near_misses(monkeypatch, m, e):
 
 def test_generic_field_still_factors(monkeypatch):
     calls = []
-
-    def counting(*args, **kwargs):
-        calls.append(args[1])
-        return factor_mod_p(*args, **kwargs)
-
-    monkeypatch.setattr(verify, "factor_mod_p", counting)
     K = NumberField([-1, -1, 0, 1])  # x^3 - x - 1
+    ideals_above = K.prime_ideals
+
+    def counting(q):
+        calls.append(q)
+        return ideals_above(q)
+
+    monkeypatch.setattr(K, "prime_ideals", counting)
     x = K.element([2, -1, 3], 5)
     assert verify_root(x, FactoredElement(K, [(x, 3)]), 3, K)
     assert len(calls) == 3  # one factorization per trial prime
 
 
-@pytest.mark.parametrize("q", [5, 13, 17])
-def test_split_check_keeps_zero_and_pole_rules(q):
-    # at q = 1 mod 4, i - r vanishes at one of the two ideals above q
+@pytest.mark.parametrize("q", [5, 13, 17, 3, 7, 11])
+def test_check_at_keeps_zero_and_pole_rules(q):
+    # at q = 1 mod 4, i - r vanishes at one of the two degree-1 ideals above
+    # q; at q = 3 mod 4, q(1 + i) vanishes at the one ideal, of degree 2
     K = NumberField.cyclotomic(4)
-    r = next(t for t in range(q) if t * t % q == q - 1)
-    z = K.element([-r, 1])
+    if q % 4 == 1:
+        r = next(t for t in range(q) if t * t % q == q - 1)
+        z = K.element([-r, 1])
+        ideals = K.prime_ideals(q)
+        assert {i.f_deg for i in ideals} == {1}
+    else:
+        z = K.element([q, q])
+        ideals = (PrimeIdealRep(q, (1, 0, 1), 2),)
+        assert K.prime_ideals(q) == ideals
     w = K.element([1, 1])  # norm 2: a unit at every odd q
     cases = [
         (z, [(z, 3)], True),  # zero on both sides at one ideal
@@ -153,5 +161,4 @@ def test_split_check_keeps_zero_and_pole_rules(q):
     ]
     for x, terms, want in cases:
         y = FactoredElement(K, terms)
-        assert verify._check_split(x, y, 3, K, q) is want
-        assert verify._check_mod_q(x, y, 3, K, q) is want
+        assert verify._check_at(x, y, 3, q, ideals) is want
