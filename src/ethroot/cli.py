@@ -8,6 +8,7 @@ not an e-th power, 3 parse/validation problems, 4 search budget exhausted.
 import argparse
 import csv
 import json
+import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -15,7 +16,7 @@ from concurrent.futures import ProcessPoolExecutor
 from .errors import BudgetExceeded, EthrootError, NotAnEthPower, SearchExhausted
 from .crtroot import eth_root_double_crt
 from .numfield import FactoredElement, NumberField
-from .primes import derive_rng
+from .primes import check_odd_prime_power, derive_rng
 from .saturation import GeneratingSet, detect_eth_powers
 from .strategy import METHODS, RootRequest, eth_root
 from .verify import verify_root
@@ -27,8 +28,13 @@ EXIT_BUDGET = 4
 
 DEFAULT_SEED = 0
 
-BENCH_SUITES = ("crt-scaling", "couveignes-scaling", "exponent-insensitivity",
-                "saturation-analog")
+# suite -> (method, default m grid, e grid, bits grid)
+BENCH_SUITES = {
+    "crt-scaling": ("double_crt", (8, 16, 32), (3,), (50,)),
+    "couveignes-scaling": ("couveignes", (15, 45), (3,), (20,)),
+    "exponent-insensitivity": ("double_crt", (16,), (3, 13099), (50,)),
+    "saturation-analog": ("saturate", (4,), (3, 5), (3,)),
+}
 CSV_HEADER = ("method", "m", "n", "e", "bits", "seconds", "verified")
 
 
@@ -208,7 +214,8 @@ def _bench_one(spec) -> dict:
             G = GeneratingSet([u1, u2], [[e, 0], [1, 2]])
             found = detect_eth_powers(G, e, K, seed=seed)
             verified = bool(found) and all(
-                eth_root(RootRequest(K, e, y, seed=seed)) is not None
+                verify_root(eth_root(RootRequest(K, e, y, seed=seed)).root,
+                            y, e, K, seed=seed)
                 for _, y in found)
         elif method == "double_crt":
             # the factored (x, e) form is the protocol: folding must scale
@@ -232,31 +239,17 @@ def _bench_one(spec) -> dict:
 
 
 def _bench_specs(args) -> list:
-    suite = args.suite
-    seed = args.seed
-    reps = args.reps
-    if suite == "crt-scaling":
-        ms = _grid(args.m_grid, (8, 16, 32))
-        es = _grid(args.e_grid, (3,))
-        bits = _grid(args.bits_grid, (50,))
-        method = "double_crt"
-    elif suite == "couveignes-scaling":
-        ms = _grid(args.m_grid, (15, 45))
-        es = _grid(args.e_grid, (3,))
-        bits = _grid(args.bits_grid, (20,))
-        method = "couveignes"
-    elif suite == "exponent-insensitivity":
-        ms = _grid(args.m_grid, (16,))
-        es = _grid(args.e_grid, (3, 13099))
-        bits = _grid(args.bits_grid, (50,))
-        method = "double_crt"
-    else:
-        ms = _grid(args.m_grid, (4,))
-        es = _grid(args.e_grid, (3, 5))
-        bits = _grid(args.bits_grid, (3,))
-        method = "saturate"
-    return [(suite, method, m, e, b, seed + rep)
-            for m in ms for e in es for b in bits for rep in range(reps)]
+    """Every (suite, method, m, e, bits, seed) run; each m and e is checked
+    first, so a bad grid value fails before anything runs."""
+    method, ms, es, bits = BENCH_SUITES[args.suite]
+    ms, es = _grid(args.m_grid, ms), _grid(args.e_grid, es)
+    for m in ms:
+        NumberField.cyclotomic(m)
+    for e in es:
+        check_odd_prime_power(e)
+    return [(args.suite, method, m, e, b, args.seed + rep)
+            for m in ms for e in es for b in _grid(args.bits_grid, bits)
+            for rep in range(args.reps)]
 
 
 def cmd_bench(args) -> int:
@@ -266,10 +259,12 @@ def cmd_bench(args) -> int:
         return _fail(f"unknown suite {args.suite!r}", EXIT_PARSE)
     try:
         specs = _bench_specs(args)
-    except ValueError as exc:
+    except (ValueError, EthrootError) as exc:
         return _fail(f"bad grid: {exc}", EXIT_PARSE)
-    if args.jobs > 1 and specs:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    # a forked pool starts all its workers at the first submit
+    workers = min(args.jobs, len(specs), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_bench_one, specs))
     else:
         rows = [_bench_one(s) for s in specs]

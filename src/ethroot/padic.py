@@ -4,7 +4,8 @@ The root is lifted by a Newton iteration for the inverse root in the completion
 Z[x]/(p^a, g_a), g_a the Hensel lift of a single factor g of f mod p, doubling
 the precision each step; the only division is the one mod-p inverse in the
 seed. The global root is the residual of the lift under nearest-plane rounding
-in the lattice of the ideal power (p, g)^a. An inert p is the case g = f: the
+in the lattice of the ideal power (p, g)^a, walked in exact integers on the
+Gram-Schmidt data that LLL leaves behind. An inert p is the case g = f: the
 completion is Z[x]/(p^a, f), the lattice is p^a Z^n and the rounding is plain
 symmetric rounding of each coordinate mod p^a.
 
@@ -14,7 +15,7 @@ there as long as every divisor is monic (the leading-coefficient inverse is 1).
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
+from typing import NamedTuple
 
 from . import gfpoly
 from .errors import (
@@ -54,7 +55,7 @@ INERT_BUDGET = 2000
 
 # root-Hermite factor LLL achieves at delta = 0.99
 GAMMA = 1.022
-LLL_DELTA = Fraction(99, 100)
+LLL_DELTA = (99, 100)  # delta = 99/100
 
 TWIST_BUDGET = 4096
 MAX_DOUBLINGS = 4
@@ -279,15 +280,6 @@ def hensel_factor_lift(g: list[int], f: list[int], p: int, a: int) -> list[int]:
     return ga
 
 
-@dataclass(frozen=True)
-class IdealLattice:
-    """Row basis (Hermite form) of pil^a inside the coefficient embedding."""
-
-    basis: tuple
-    a: int
-    pil: PrimeIdealRep
-
-
 def _hnf(mat: list[list[int]], n: int) -> list[list[int]]:
     """Upper-triangular row HNF, positive diagonal, reduced above the diagonal."""
     rows = [list(r) for r in mat]
@@ -322,8 +314,8 @@ def _hnf(mat: list[list[int]], n: int) -> list[list[int]]:
 
 
 def build_ideal_lattice(pil: PrimeIdealRep, a: int, K: NumberField,
-                        ga: list[int] | None = None) -> IdealLattice:
-    """Lattice of pil^a = (p^a, g_a(alpha)) as n x n Hermite rows."""
+                        ga: list[int] | None = None) -> list[list[int]]:
+    """Row basis of pil^a = (p^a, g_a(alpha)) in Hermite form, n x n."""
     p, n = pil.p, K.n
     pa = p ** a
     if ga is None:
@@ -336,45 +328,64 @@ def build_ideal_lattice(pil: PrimeIdealRep, a: int, K: NumberField,
             raise ArithmeticError("ideal generator is not integral")
         rows.append(list(el.num))
     basis = _hnf(rows, n)
-    det = 1
-    for i in range(n):
-        det *= basis[i][i]
-    if det != p ** (a * pil.f_deg):
+    if math.prod(basis[i][i] for i in range(n)) != p ** (a * pil.f_deg):
         raise ArithmeticError("ideal lattice determinant mismatch")
-    return IdealLattice(tuple(tuple(r) for r in basis), a, pil)
+    return basis
 
 
-def lll_reduce(basis, delta=LLL_DELTA) -> list[list[int]]:
-    """Exact integral LLL (de Weger variant): same lattice, reduced basis."""
-    delta = Fraction(delta)
-    dn, dd = delta.numerator, delta.denominator
+class GramSchmidt(NamedTuple):
+    """Rows with their integral Gram-Schmidt data (de Weger 1987; Cohen, GTM
+    138, Alg. 2.6.7): d[i] = Gram determinant of rows 0..i-1, and for j < i
+    lam[i][j] = mu_ij d[j+1]. Every entry is an integer."""
+
+    basis: list
+    d: list
+    lam: list
+
+
+def _lambda_row(v, basis, d, lam) -> list[int]:
+    """[mu(v, b*_j) d[j+1] for each row b_j] by fraction-free elimination;
+    a row j past lam is v itself, whose entries are the ones being computed."""
+    row = []
+    for j, bj in enumerate(basis):
+        u = sum(x * y for x, y in zip(v, bj))
+        lj = lam[j] if j < len(lam) else row
+        for k in range(j):
+            u = (d[k + 1] * u - row[k] * lj[k]) // d[k]
+        row.append(u)
+    return row
+
+
+def gram_schmidt(basis) -> GramSchmidt:
+    """Integral Gram-Schmidt data of full-rank integer rows."""
     b = [[int(c) for c in row] for row in basis]
+    d, lam = [1], []
+    for i in range(len(b)):
+        row = _lambda_row(b[i], b[:i + 1], d, lam)
+        if row[i] <= 0:
+            raise ValueError("basis is not full rank")
+        d.append(row.pop())
+        lam.append(row)
+    return GramSchmidt(b, d, lam)
+
+
+def _round_div(a: int, b: int) -> int:
+    """round(a / b) for b > 0, half to even like round(Fraction(a, b))."""
+    q, r = divmod(a, b)
+    return q + (2 * r > b or (2 * r == b and q & 1))
+
+
+def lll_reduce(basis) -> GramSchmidt:
+    """Exact integral LLL (de Weger variant) at LLL_DELTA: a reduced basis of
+    the same lattice, with its Gram-Schmidt data kept through every step."""
+    dn, dd = LLL_DELTA
+    b, d, lam = gram_schmidt(basis)
     n = len(b)
-    if n <= 1:
-        return b
-    # lam[i][j] = mu[i][j] d[j+1]; d[i] = Gram determinant of b_0..b_{i-1}
-    d = [1] + [0] * n
-    lam = [[0] * n for _ in range(n)]
-
-    def dot(u, v):
-        return sum(x * y for x, y in zip(u, v))
-
-    for i in range(n):
-        for j in range(i + 1):
-            u = dot(b[i], b[j])
-            for kk in range(j):
-                u = (d[kk + 1] * u - lam[i][kk] * lam[j][kk]) // d[kk]
-            if j < i:
-                lam[i][j] = u
-            else:
-                if u <= 0:
-                    raise ValueError("basis is not full rank")
-                d[i + 1] = u
 
     def red(k, l):
         if abs(2 * lam[k][l]) <= d[l + 1]:
             return
-        q = round(Fraction(lam[k][l], d[l + 1]))
+        q = _round_div(lam[k][l], d[l + 1])
         b[k] = [x - q * y for x, y in zip(b[k], b[l])]
         lam[k][l] -= q * d[l + 1]
         for i in range(l):
@@ -402,32 +413,25 @@ def lll_reduce(basis, delta=LLL_DELTA) -> list[list[int]]:
             for l in range(k - 2, -1, -1):
                 red(k, l)
             k += 1
-    return b
+    return GramSchmidt(b, d, lam)
 
 
-def _gso_fractions(rows):
-    n = len(rows)
-    bs, norm = [], []
-    for i in range(n):
-        v = [Fraction(c) for c in rows[i]]
-        for j in range(i):
-            mu = sum(Fraction(a) * c for a, c in zip(rows[i], bs[j])) / norm[j]
-            v = [x - mu * y for x, y in zip(v, bs[j])]
-        bs.append(v)
-        norm.append(sum(x * x for x in v))
-    return bs, norm
+def babai_nearest_plane(gs: GramSchmidt, target: list[int]) -> list[int]:
+    """Lattice vector near target: nearest-plane walk in exact integers.
 
-
-def babai_nearest_plane(basis, target: list[int]) -> list[int]:
-    """Lattice vector near target: nearest-plane walk over the given basis."""
-    n = len(basis)
-    bs, norm = _gso_fractions(basis)
-    res = [Fraction(c) for c in target]
-    for i in range(n - 1, -1, -1):
-        c = round(sum(a * b for a, b in zip(res, bs[i])) / norm[i])
+    Step i subtracts c b_i with c = round(mu(t, b*_i)) = round(lt[i] / d[i+1]),
+    then updates the target's lambda row lt by c times row i of lam.
+    """
+    basis, d, lam = gs
+    res = list(target)
+    lt = _lambda_row(res, basis, d, lam)
+    for i in range(len(basis) - 1, -1, -1):
+        c = _round_div(lt[i], d[i + 1])
         if c:
             res = [x - c * y for x, y in zip(res, basis[i])]
-    return [int(t - r) for t, r in zip(target, res)]
+            for j in range(i):
+                lt[j] -= c * lam[i][j]
+    return [t - r for t, r in zip(target, res)]
 
 
 def eth_root_padic_reconstruct(y: FactoredElement, e: int, K: NumberField,
@@ -440,10 +444,11 @@ def eth_root_padic_reconstruct(y: FactoredElement, e: int, K: NumberField,
     multiply back by Y. The approximation X_hat = Y * x_lift lives in
     O/pil^a; the true integral root X differs from it by a lattice vector of
     pil^a, so X is the residual of X_hat under nearest-plane once a is past
-    precision_estimate. When K contains e-th roots of unity the local seed is
-    ambiguous; wrong seeds are retried twisted by a root of unity until the
-    verified global root appears. On failure a doubles (default 4 times)
-    before giving up.
+    precision_estimate. LLL reduces the lattice once per precision, and every
+    twist's nearest-plane walk runs on its integral Gram-Schmidt data. When K
+    contains e-th roots of unity the local seed is ambiguous; wrong seeds are
+    retried twisted by a root of unity until the verified global root appears.
+    On failure a doubles (default 4 times) before giving up.
 
     An inert pil (f_deg == n) takes two exact shortcuts: the Hensel lift of
     f mod p is f itself, and pil^a = p^a O is the lattice p^a Z^n, whose
@@ -480,7 +485,7 @@ def eth_root_padic_reconstruct(y: FactoredElement, e: int, K: NumberField,
         except NotAPower as exc:
             raise RootSeedMissing("y mod pil is not an e-th power residue") from exc
         if not inert:
-            red = lll_reduce([list(r) for r in build_ideal_lattice(pil, a, K, ga=ga).basis])
+            red = lll_reduce(build_ideal_lattice(pil, a, K, ga=ga))
         for cand in _twist_candidates(x0, field, l, k, seed):
             xk = hensel_lift(a_poly, cand, e, ctx)
             approx = gfpoly.mulmod(Y, xk, mp, M)

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+from types import SimpleNamespace
 
 import pytest
 
@@ -206,6 +207,64 @@ def test_bench_jobs_do_not_change_rows(capsys):
                 for row in csv.DictReader(io.StringIO(text))]
 
     assert strip_seconds(serial) == strip_seconds(parallel)
+
+
+def test_bench_saturation_rows_check_the_roots(capsys, monkeypatch):
+    args = ["bench", "saturation-analog", "--seed", "1", "--e-grid", "3"]
+    _, out = run(capsys, args)
+    assert [r["verified"] for r in csv.DictReader(io.StringIO(out))] == ["true"]
+
+    def wrong_root(req):
+        return SimpleNamespace(root=req.K.element([2, 1]))
+
+    monkeypatch.setattr(cli, "eth_root", wrong_root)
+    code, out = run(capsys, args)
+    assert code == 0
+    assert [r["verified"] for r in csv.DictReader(io.StringIO(out))] == ["false"]
+
+
+@pytest.mark.parametrize("flag, value", [("--m-grid", "4,6"), ("--m-grid", "2"),
+                                         ("--e-grid", "4"), ("--e-grid", "3,6")])
+def test_bench_rejects_bad_grid_values_before_running(capsys, monkeypatch, flag, value):
+    ran = []
+    monkeypatch.setattr(cli, "_bench_one", ran.append)
+    code = cli.main(["bench", "crt-scaling", "--seed", "1", flag, value])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_PARSE
+    assert "bad grid" in captured.err
+    assert captured.out == "" and ran == []
+
+
+def test_bench_caps_workers_at_the_grid_size(capsys, monkeypatch):
+    seen = []
+
+    class FakePool:
+        # records the pool size and runs the specs in this process
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, specs):
+            return map(fn, specs)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
+    base = ["bench", "crt-scaling", "--seed", "3", "--bits-grid", "10"]
+    code, out = run(capsys, base + ["--m-grid", "4,8", "--jobs", "64"])
+    assert code == 0 and seen == [2]
+    assert len(list(csv.DictReader(io.StringIO(out)))) == 2
+    run(capsys, base + ["--m-grid", "4,8,16", "--jobs", "2"])
+    assert seen == [2, 2]
+    run(capsys, base + ["--m-grid", "4", "--jobs", "64"])
+    assert seen == [2, 2]  # one spec runs in this process, with no pool
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+    run(capsys, base + ["--m-grid", "4,8", "--jobs", "64"])
+    assert seen == [2, 2]
 
 
 def test_selftest_passes(capsys):

@@ -20,12 +20,14 @@ from ethroot.padic import (
     GAMMA,
     PadicContext,
     _hnf,
+    _round_div,
     _symmetric,
     babai_nearest_plane,
     build_ideal_lattice,
     eth_root_padic,
     eth_root_padic_reconstruct,
     find_inert_prime,
+    gram_schmidt,
     hensel_factor_lift,
     hensel_lift,
     is_inert,
@@ -317,11 +319,11 @@ def test_ideal_lattice_membership_and_det():
     K, g = _quartic_factor_mod_13()
     pil = PrimeIdealRep(13, tuple(g), 2)
     a = 4
-    lat = build_ideal_lattice(pil, a, K)
+    basis = build_ideal_lattice(pil, a, K)
     M = 13 ** a
     ga = hensel_factor_lift(g, list(K.f), 13, a)
     det = 1
-    for i, row in enumerate(lat.basis):
+    for i, row in enumerate(basis):
         det *= row[i]
         assert all(row[j] == 0 for j in range(i))  # upper triangular
         assert gfpoly.rem(gfpoly.trim([c % M for c in row]), ga, M) == []
@@ -331,8 +333,7 @@ def test_ideal_lattice_membership_and_det():
 def test_ideal_lattice_inert_degenerates_to_scalar():
     K = NumberField.cyclotomic(4)
     pil = PrimeIdealRep(7, tuple(int(c) for c in K.f), 2)
-    lat = build_ideal_lattice(pil, 3, K)
-    assert [list(r) for r in lat.basis] == [[343, 0], [0, 343]]
+    assert build_ideal_lattice(pil, 3, K) == [[343, 0], [0, 343]]
 
 
 def test_inert_lattice_rounding_is_nearest_plane():
@@ -345,7 +346,7 @@ def test_inert_lattice_rounding_is_nearest_plane():
         pil = PrimeIdealRep(p, tuple(gfpoly.from_int_poly(list(K.f), p)), K.n)
         for a in (1, 2):
             M = p ** a
-            red = lll_reduce([list(r) for r in build_ideal_lattice(pil, a, K).basis])
+            red = lll_reduce(build_ideal_lattice(pil, a, K))
             for _ in range(4):
                 target = [rng.randrange(-M * M, M * M) for _ in range(K.n)]
                 w = babai_nearest_plane(red, target)
@@ -378,13 +379,86 @@ def _gso(rows):
     return bs, norms, mus
 
 
+def _babai_fractions(rows, target):
+    # reference: nearest plane over a Fraction Gram-Schmidt of the rows
+    bs, norms, _ = _gso(rows)
+    res = [Fraction(c) for c in target]
+    for i in range(len(rows) - 1, -1, -1):
+        c = round(sum(a * b for a, b in zip(res, bs[i])) / norms[i])
+        res = [x - c * y for x, y in zip(res, rows[i])]
+    return [int(t - r) for t, r in zip(target, res)]
+
+
+def test_round_div_is_round_half_to_even():
+    for b in (1, 2, 3, 4, 7, 10):
+        for a in range(-25, 26):
+            assert _round_div(a, b) == round(Fraction(a, b))
+
+
+def test_lll_hands_over_its_gram_schmidt():
+    rng = random.Random(61)
+    for n in (2, 3, 5, 8):
+        for _ in range(4):
+            rows = [[rng.randrange(-40, 41) for _ in range(n)] for _ in range(n)]
+            for i in range(n):
+                rows[i][i] += 300
+            gs = lll_reduce(rows)
+            assert gs == gram_schmidt(gs.basis)
+            bs, norms, mus = _gso(gs.basis)
+            for i in range(n):
+                assert Fraction(gs.d[i + 1], gs.d[i]) == norms[i]
+                for j in range(i):
+                    assert Fraction(gs.lam[i][j], gs.d[j + 1]) == mus[i][j]
+
+
+@pytest.mark.parametrize("m, q", [(8, 13), (8, 17), (16, 7), (16, 17)])
+def test_integral_walk_matches_fraction_walk_on_ideal_lattices(m, q):
+    K = NumberField.cyclotomic(m)
+    rng = random.Random(m * 100 + q)
+    for pil in K.prime_ideals(q)[:2]:
+        for a in (1, 2, 4):
+            gs = lll_reduce(build_ideal_lattice(pil, a, K))
+            M = q ** a
+            for _ in range(5):
+                target = [rng.randrange(-M * M, M * M) for _ in range(K.n)]
+                assert babai_nearest_plane(gs, target) == _babai_fractions(gs.basis, target)
+
+
+def test_integral_walk_matches_fraction_walk_on_raw_basis():
+    rng = random.Random(67)
+    for n in (2, 4, 6):
+        rows = [[rng.randrange(-1000, 1001) for _ in range(n)] for _ in range(n)]
+        for i in range(n):
+            rows[i][i] += 5000
+        gs = gram_schmidt(rows)
+        for _ in range(10):
+            target = [rng.randrange(-10 ** 6, 10 ** 6) for _ in range(n)]
+            assert babai_nearest_plane(gs, target) == _babai_fractions(rows, target)
+
+
+def test_integral_walk_rounds_ties_to_even():
+    rows = [[2, 0], [0, 2]]
+    # mu = 3/2 rounds to 2 and mu = 1/2 to 0, as round(Fraction) does
+    assert _babai_fractions(rows, [1, 3]) == [0, 4]
+    assert babai_nearest_plane(gram_schmidt(rows), [1, 3]) == [0, 4]
+    rows = [[2, 0], [1, 2]]
+    for target in ([1, 3], [3, 1], [-1, -3], [5, 2], [0, 1]):
+        assert babai_nearest_plane(gram_schmidt(rows), target) == \
+            _babai_fractions(rows, target)
+
+
+def test_gram_schmidt_rejects_dependent_rows():
+    with pytest.raises(ValueError):
+        gram_schmidt([[1, 2], [2, 4]])
+
+
 def test_lll_identity_fixed():
     eye = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
-    assert lll_reduce(eye) == eye
+    assert lll_reduce(eye).basis == eye
 
 
 def test_lll_skew_basis():
-    red = lll_reduce([[1, 0], [1000, 1]])
+    red = lll_reduce([[1, 0], [1000, 1]]).basis
     assert max(abs(c) for row in red for c in row) <= 1
     assert _hnf(red, 2) == [[1, 0], [0, 1]]  # same lattice
 
@@ -395,7 +469,7 @@ def test_lll_conditions_and_lattice_equality():
         rows = [[rng.randrange(-50, 51) for _ in range(4)] for _ in range(4)]
         for i in range(4):
             rows[i][i] += 500  # keep it nonsingular
-        red = lll_reduce(rows)
+        red = lll_reduce(rows).basis
         assert _hnf(red, 4) == _hnf(rows, 4)
         bs, norms, mus = _gso(red)
         for i in range(4):
@@ -407,13 +481,14 @@ def test_lll_conditions_and_lattice_equality():
 
 def test_babai_scalar_lattice():
     basis = [[5, 0], [0, 5]]
-    assert babai_nearest_plane(basis, [7, -8]) == [5, -10]
+    assert babai_nearest_plane(gram_schmidt(basis), [7, -8]) == [5, -10]
 
 
 def test_babai_membership_and_quality():
-    basis = lll_reduce([[13, 4], [7, 11]])
+    gs = lll_reduce([[13, 4], [7, 11]])
+    basis = gs.basis
     target = [29, -23]
-    w = babai_nearest_plane(basis, target)
+    w = babai_nearest_plane(gs, target)
     assert _hnf(basis + [w], 2) == _hnf(basis, 2)  # w is in the lattice
     best = min(
         sum((t - (i * basis[0][k] + j * basis[1][k])) ** 2 for k, t in enumerate(target))
