@@ -105,7 +105,7 @@ def make_couveignes_prime(K: NumberField, emb: SubfieldEmbedding, p: int):
         return None
     lowers, images = [], []
     for big in uppers_k:
-        hbar = FqField(p, list(big.g)).element(list(emb.h))
+        hbar = FqField.trusted(p, big.g).element(list(emb.h))
         low = next((g for g in lowers_l if _poly_at(g.g, hbar).is_zero()), None)
         if low is None or big.f_deg != low.f_deg * emb.degree:
             return None
@@ -183,8 +183,8 @@ def couveignes_mod_p(y: FactoredElement, e: int, emb: SubfieldEmbedding,
     kinv = modinv(emb.degree % e, e)
     residues = []
     for low, up, img in zip(cp.lower_ideals, cp.upper_ideals, cp.emb_images):
-        big = FqField(p, list(up.g))
-        sub = FqField(p, list(low.g))
+        big = FqField.trusted(p, up.g)
+        sub = FqField.trusted(p, low.g)
         gen_img = FqElement(big, tuple(img))
         ybar = _fold_residue(y, big)
         xbar = fq_eth_root(ybar, e)

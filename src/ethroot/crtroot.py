@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 
 from . import gfpoly
-from .errors import BoundViolation, SearchExhausted, VerificationFailed
+from .errors import BoundViolation, NotApplicable, SearchExhausted, VerificationFailed
 from .fq import FqField, fq_eth_root
 from .fq import factor_mod_p  # noqa: F401, wrapped at this module by layerbench
 from .numfield import (
@@ -135,7 +135,7 @@ def eth_root_mod_q(terms, e: int, gp: GoodPrime, K: NumberField) -> list[int]:
     q = gp.q
     residues = []
     for ideal in gp.ideals:
-        field = FqField(q, list(ideal.g))
+        field = FqField.trusted(q, ideal.g)
         order = field.q - 1
         acc = field.one
         for vec, a in terms:
@@ -162,13 +162,16 @@ def eth_root_double_crt(y: FactoredElement, e: int, K: NumberField,
     """x with x^e = y, via per-prime unique roots and integer CRT.
 
     Requires K good for e, y an e-th power with exponents in [0, e] (the
-    strategy layer normalizes larger ones). A failed spot-check at fresh
-    primes raises VerificationFailed.
+    strategy layer normalizes larger ones). A K that is_bad_field calls bad
+    raises NotApplicable up front; a failed spot-check at fresh primes
+    raises VerificationFailed.
     """
     check_odd_prime_power(e)
     terms = [(u, a) for u, a in y.terms if a != 0]
     if not terms:
         return K.one
+    if is_bad_field(K, e, seed=seed):
+        raise NotApplicable("every prime sees e-th roots of unity")
     work, T = clear_denominators(FactoredElement(K, terms), e)
     B = coeff_bound_root(work, e, K)
     avoid = avoid_integers([u for u, _ in terms])
@@ -212,16 +215,25 @@ def is_bad_field(K: NumberField, e: int, seed: int = 0,
                  candidates: int = 200) -> bool:
     """True when no good primes exist (or none found heuristically).
 
-    Cyclotomic fields are decided exactly: bad iff rad(e) divides m, since
-    that puts a primitive l-th root of unity in K and hence in every residue
-    field. Generic fields fall back to scanning `candidates` random primes.
+    For e = l^k. Cyclotomic fields are decided exactly: bad iff l divides m,
+    i.e. gcd(m, e) > 1, since that puts a primitive l-th root of unity in K
+    and hence in every residue field. Generic fields fall back to scanning
+    `candidates` random primes. Whether q is good depends on l alone, so one
+    good prime certifies "good" for every e = l^k and every seed:
+    K.good_ells keeps that answer. A "bad" verdict is only heuristic and is
+    not kept.
     """
-    l, _ = prime_power_split(e)
     if K.conductor is not None:
-        return K.conductor % l == 0
+        return math.gcd(K.conductor, e) > 1
+    l, _ = prime_power_split(e)
+    if l in K.good_ells:
+        return False
     rng = derive_rng(seed, "badfield")
     try:
-        return not any(isinstance(check_good_prime(q, K, e), GoodPrime)
-                       for q in prime_stream(rng, GENERIC_BITS, budget=candidates))
+        good = any(isinstance(check_good_prime(q, K, e), GoodPrime)
+                   for q in prime_stream(rng, GENERIC_BITS, budget=candidates))
     except SearchExhausted:
-        return True
+        good = False
+    if good:
+        K.good_ells.add(l)
+    return not good

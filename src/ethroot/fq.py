@@ -42,9 +42,21 @@ class FqField:
             raise ValueError("modulus must have degree >= 1")
         if d <= 64 and not gfpoly.is_irreducible(modulus, p):
             raise ValueError("modulus is reducible")
+        self._setup(p, modulus)
+
+    @classmethod
+    def trusted(cls, p: int, modulus) -> "FqField":
+        """F_p[x] / (modulus) for a prime p and a monic modulus already known
+        to be irreducible mod p, such as the g of a PrimeIdealRep: neither is
+        tested again."""
+        field = cls.__new__(cls)
+        field._setup(p, [c % p for c in modulus])
+        return field
+
+    def _setup(self, p: int, modulus: list[int]):
         self.p = p
-        self.d = d
-        self.q = p ** d
+        self.d = len(modulus) - 1
+        self.q = p ** self.d
         self.modulus = tuple(modulus)
         self._mod_list = modulus
         self._norm_cache: dict = {}

@@ -312,18 +312,33 @@ def _edf(f: list[int], d: int, p: int, rng: random.Random) -> list[list[int]]:
             return _edf(g, d, p, rng) + _edf(h, d, p, rng)
 
 
+def _rng(seed: int) -> random.Random:
+    return random.Random(f"gfpoly:{seed}")
+
+
+def split_squarefree(f: list[int], p: int, degree: int = 0,
+                     rng: random.Random | None = None) -> list[list[int]]:
+    """The monic irreducible factors of a monic squarefree f over F_p, unsorted.
+
+    Distinct-degree splitting, then equal-degree splitting of each part. A
+    caller that knows every factor has degree `degree` skips the first stage.
+    The equal-degree draws come from rng, by default that of factor(seed=0).
+    """
+    rng = rng or _rng(0)
+    if degree:
+        return _edf(f, degree, p, rng)
+    return [irr for h, d in _ddf(f, p) for irr in _edf(h, d, p, rng)]
+
+
 def factor(f: list[int], p: int, seed: int = 0) -> list[tuple[list[int], int]]:
     """Full factorization of f over F_p into monic irreducibles.
 
     Returns a list of (factor, multiplicity), sorted for determinism.
     Randomness in the equal-degree stage is driven only by `seed`.
     """
-    rng = random.Random(f"gfpoly:{seed}")
-    out: list[tuple[list[int], int]] = []
-    for g, mult in squarefree_parts(f, p):
-        for h, d in _ddf(g, p):
-            for irr in _edf(h, d, p, rng):
-                out.append((irr, mult))
+    rng = _rng(seed)
+    out = [(irr, mult) for g, mult in squarefree_parts(f, p)
+           for irr in split_squarefree(g, p, rng=rng)]
     out.sort(key=lambda t: (deg(t[0]), t[0]))
     return out
 

@@ -34,7 +34,7 @@ from .errors import (
     NotInSubfield,
     ZeroInput,
 )
-from .primes import factorize, iroot, modinv
+from .primes import factorize, iroot, modinv, multiplicative_order
 
 # -- integer polynomial helpers (index = degree, stripped, [] = 0) ------------
 
@@ -77,6 +77,24 @@ def _zderiv(a) -> list[int]:
     return [i * c for i, c in enumerate(a)][1:]
 
 
+def _zdet(rows) -> int:
+    """Determinant of a square integer matrix, fraction-free (Bareiss)."""
+    a = [list(r) for r in rows]
+    n, sign, prev = len(a), 1, 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if swap is None:
+                return 0
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[-1][-1]
+
+
 _cyclo_cache: dict[int, list[int]] = {}
 
 
@@ -98,7 +116,10 @@ def cyclotomic_poly(m: int) -> list[int]:
 class NumberField:
     """Q[x]/(f) for monic squarefree integral f; elements live on the power basis.
 
-    Cyclotomic construction skips the squarefree test: Phi_m has distinct roots.
+    A generic f is squarefree iff disc(f) != 0, and that discriminant is kept
+    for prime_ideals. Cyclotomic construction skips the test and never
+    computes the discriminant: Phi_m has distinct roots, and its ramified
+    primes are those dividing m.
     """
 
     def __init__(self, f: list[int], conductor: int | None = None):
@@ -109,13 +130,13 @@ class NumberField:
         self.n = len(f) - 1
         self.conductor = conductor
         self._cinf = None
+        self._disc = None
+        # primes l with a good prime seen for e = l^k: crtroot.is_bad_field
+        self.good_ells: set[int] = set()
         self._radius = None
         self._subfields = {}  # m' -> SubfieldEmbedding, see cyclotomic()
-        if conductor is None:
-            try:
-                self.element(_zderiv(self.f)).inverse()
-            except ZeroDivisionError:
-                raise ValueError("f must be squarefree (gcd(f, f') != 1)") from None
+        if conductor is None and self.discriminant() == 0:
+            raise ValueError("f must be squarefree (disc(f) = 0)")
 
     @classmethod
     def cyclotomic(cls, m: int) -> "NumberField":
@@ -173,11 +194,19 @@ class NumberField:
         return self.element([rng.randrange(lo, hi) for _ in range(self.n)], den)
 
     def prime_ideals(self, q: int) -> tuple | None:
-        """The prime ideals above the prime q, or None when q ramifies.
+        """The prime ideals above the prime q, or None when f mod q has a
+        repeated factor (q ramifies, or divides the index of Z[alpha]).
 
         Listed as factor_mod_p lists the factors of f mod q: by residue
-        degree, then by coefficients. On Q(zeta_m) a q dividing m ramifies,
-        and a q = 1 mod m splits into the known linear ideals unfactored.
+        degree, then by coefficients. Each route costs only what the field
+        does not already know:
+        - ramified: q | m on Q(zeta_m), q | discriminant() otherwise -> None;
+        - split cyclotomic, q = 1 mod m: the known linear ideals, unfactored;
+        - other cyclotomic q: every factor of Phi_m mod q has degree
+          d = ord_m(q), so q is inert when d = n and otherwise Phi_m mod q
+          goes straight to equal-degree splitting at d;
+        - generic: q does not divide the discriminant, so f mod q is
+          squarefree and is split with no squarefree stage.
         """
         m = self.conductor
         if m is not None:
@@ -185,10 +214,28 @@ class NumberField:
                 return None
             if q % m == 1:
                 return split_prime_ideals(q, m)
-        fac = gfpoly.factor(gfpoly.from_int_poly(list(self.f), q), q)
-        if any(mult > 1 for _, mult in fac):
+        elif self.discriminant() % q == 0:
             return None
-        return tuple(PrimeIdealRep(q, tuple(g), len(g) - 1) for g, _ in fac)
+        fq = gfpoly.from_int_poly(list(self.f), q)
+        d = 0 if m is None else multiplicative_order(q, m)  # 0: degrees unknown
+        gs = [fq] if d == self.n else gfpoly.split_squarefree(fq, q, degree=d)
+        gs.sort(key=lambda g: (len(g), g))
+        return tuple(PrimeIdealRep(q, tuple(g), len(g) - 1) for g in gs)
+
+    def discriminant(self) -> int:
+        """disc(f) = (-1)^(n(n-1)/2) N(f'(alpha)), exact, computed once.
+
+        The norm is the determinant of multiplication by f'(alpha) on the
+        power basis, whose rows f'(alpha) alpha^j are integral.
+        """
+        if self._disc is None:
+            x, rows = self.element(_zderiv(self.f)), []
+            for _ in range(self.n):
+                rows.append(x.num)
+                x = x * self.gen
+            sign = -1 if self.n * (self.n - 1) // 2 % 2 else 1
+            self._disc = sign * _zdet(rows)
+        return self._disc
 
     # -- power-basis arithmetic -------------------------------------------------
 

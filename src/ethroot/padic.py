@@ -468,7 +468,7 @@ def eth_root_padic_reconstruct(y: FactoredElement, e: int, K: NumberField,
     Bp = coeff_bound_root(work, e, K)
     a = precision_estimate(K.n, pil.f_deg, p, Bp)
     inert = pil.f_deg == K.n
-    field = FqField(p, gfpoly.from_int_poly(list(pil.g), p))
+    field = FqField.trusted(p, pil.g)
     for attempt in range(max_doublings + 1):
         if attempt:
             a *= 2

@@ -121,7 +121,7 @@ def select_character_primes(K: NumberField, e: int, count: int, U,
         if not linears:
             continue
         z = _order_e_element(q, e, ell, rng)
-        zeta = FqField(q, [0, 1]).element([z])
+        zeta = FqField.trusted(q, [0, 1]).element([z])
         for ideal in linears:
             if len(out) >= count:
                 break

@@ -96,7 +96,7 @@ def _check_at(x: FieldElement, y: FactoredElement, e: int, q: int,
             one, mul, power = 1, (lambda s, t: s * t % q), (lambda b, k: pow(b, k, q))
         else:
             g = list(ideal.g)
-            field = FqField(q, g)
+            field = FqField.trusted(q, g)
             xr, *urs = [field.element(gfpoly.rem(gfpoly.trim(list(v)), g, q))
                         for v in vecs]
             one, mul, power = field.one, operator.mul, pow

@@ -1,7 +1,9 @@
 import random
+import time
 
 import pytest
 
+from ethroot import cli, crtroot
 from ethroot.crtroot import (
     GoodPrime,
     Rejection,
@@ -12,7 +14,7 @@ from ethroot.crtroot import (
     is_bad_field,
     select_crt_primes,
 )
-from ethroot.errors import SearchExhausted, VerificationFailed
+from ethroot.errors import NotApplicable, SearchExhausted, VerificationFailed
 from ethroot.fq import factor_mod_p
 from ethroot.numfield import FactoredElement, NumberField, PrimeIdealRep, multi_reduce
 from ethroot.primes import random_prime
@@ -141,6 +143,51 @@ def test_is_bad_field():
     assert not is_bad_field(NumberField.cyclotomic(4), 3)
     # x^2 + 1 generic: mu_3 not in Q(i)
     assert not is_bad_field(NumberField([1, 0, 1]), 3, candidates=40)
+
+
+def _count_checks(monkeypatch):
+    calls = []
+
+    def counted(q, K, e):
+        calls.append(q)
+        return check_good_prime(q, K, e)
+
+    monkeypatch.setattr(crtroot, "check_good_prime", counted)
+    return calls
+
+
+def test_good_generic_field_keeps_its_answer(monkeypatch):
+    calls = _count_checks(monkeypatch)
+    K = NumberField([-1, -1, 0, 1])
+    assert not is_bad_field(K, 5)
+    assert calls
+    calls.clear()
+    # a good prime for 5 is good for every 5^k and every seed: no prime drawn
+    for e, seed in ((5, 0), (5, 3), (25, 0)):
+        assert not is_bad_field(K, e, seed=seed)
+    assert calls == []
+    assert not is_bad_field(K, 3)
+    assert calls
+
+
+def test_bad_generic_verdict_is_not_kept(monkeypatch):
+    calls = _count_checks(monkeypatch)
+    K = NumberField([1, 1, 1])  # Q(zeta_3) given by its polynomial: mu_3 in K
+    for _ in range(2):
+        calls.clear()
+        assert is_bad_field(K, 3, candidates=30)
+        assert len(calls) == 30
+
+
+def test_double_crt_refuses_a_bad_field_up_front():
+    K = NumberField.cyclotomic(12)
+    x = K.element([1, 2, 0, 1])
+    with pytest.raises(NotApplicable):
+        eth_root_double_crt(FactoredElement(K, [(x, 3)]), 3, K)
+    t0 = time.perf_counter()
+    row = cli._bench_one(("crt-scaling", "double_crt", 12, 3, 10, 3))
+    assert row["verified"] == "false"
+    assert time.perf_counter() - t0 < 1.0
 
 
 # -- eth_root_mod_q ----------------------------------------------------------------

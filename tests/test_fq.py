@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from ethroot import fq as fq_module
 from ethroot import gfpoly
 from ethroot.errors import (
     BudgetExceeded,
@@ -18,7 +19,10 @@ from ethroot.fq import (
     fq_eth_root,
     fq_norm_to_subfield,
 )
+from ethroot.crtroot import eth_root_double_crt
+from ethroot.numfield import FactoredElement, NumberField
 from ethroot.primes import is_prime
+from ethroot.verify import verify_root
 
 
 def make_field(p, d, seed=1):
@@ -81,6 +85,51 @@ def test_factor_requires_monic():
 def test_reducible_modulus_rejected():
     with pytest.raises(ValueError):
         FqField(5, [4, 0, 1])  # x^2 - 1 = (x-1)(x+1)
+
+
+def test_public_constructor_keeps_its_checks():
+    with pytest.raises(ValueError, match="reducible"):
+        FqField(7, [1, 0, 0, 1])  # x^3 + 1 has the root -1
+    with pytest.raises(ValueError, match="not prime"):
+        FqField(15, [2, 0, 1])
+    with pytest.raises(ValueError, match="not prime"):
+        FqField(2 ** 62, [0, 1])
+
+
+# -- trusted residue fields -----------------------------------------------------
+
+
+@pytest.mark.parametrize("K", [
+    NumberField([-1, -1, 0, 1]), NumberField([1, 0, -10, 0, 1]),
+    NumberField.cyclotomic(12), NumberField.cyclotomic(35),
+], ids=repr)
+def test_trusted_residue_fields_equal_checked_ones(K):
+    for q in (5, 11, 13, 29, 31, 4099, 65521, 2 ** 61 - 1):
+        for ideal in K.prime_ideals(q) or ():
+            g = list(ideal.g)
+            assert gfpoly.is_irreducible(g, q)
+            trusted, checked = FqField.trusted(q, ideal.g), FqField(q, g)
+            assert trusted == checked
+            assert (trusted.p, trusted.d, trusted.q, trusted.modulus) == (
+                checked.p, checked.d, checked.q, checked.modulus)
+            x = trusted.element([3, 1])
+            assert x ** (q + 2) == checked.element([3, 1]) ** (q + 2)
+
+
+def test_residue_fields_of_prime_ideals_are_not_rechecked(monkeypatch):
+    """double_crt and verify_root on a generic field build their residue
+    fields from prime_ideals output with no primality or Rabin test."""
+    def refuse(*args):
+        raise AssertionError("re-checked a known residue field")
+
+    monkeypatch.setattr(fq_module, "is_prime", refuse)
+    monkeypatch.setattr(gfpoly, "is_irreducible", refuse)
+    K = NumberField([-1, -1, 0, 1])
+    x = K.element([5, -3, 2])
+    y = FactoredElement(K, [(x, 3)])
+    root = eth_root_double_crt(y, 3, K, seed=1)
+    assert root == x
+    assert verify_root(root, y, 3, K, seed=1)
 
 
 # -- powers ---------------------------------------------------------------------

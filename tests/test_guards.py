@@ -1,6 +1,7 @@
 """Input and invariant guards raise explicitly, so `python -O` keeps them."""
 
 import ast
+import json
 import random
 import sys
 from pathlib import Path
@@ -13,7 +14,8 @@ from ethroot.numfield import NumberField, crt_integers_symmetric
 from ethroot.primes import factorize, random_prime
 from ethroot.splitkernel import _CHUNK, _GRID, _LIMB, split_roots_kernel
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "ethroot"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "ethroot"
 
 
 def test_library_has_no_assert_statements():
@@ -106,3 +108,17 @@ def test_split_kernel_int64_headroom():
 def test_crt_integers_rejects_ragged_vectors():
     with pytest.raises(ValueError):
         crt_integers_symmetric([[1, 2], [3]], [10007, 10009], 10)
+
+
+@pytest.mark.parametrize("path", sorted(ROOT.glob("BENCH_*.json")), ids=lambda p: p.name)
+def test_bench_files_pair_like_runs(path):
+    """Each pair holds the harness's result line for the parent and for the
+    change, run at the same seed, seconds and trace setting; both correct."""
+    pairs = json.loads(path.read_text())["pairs"]
+    assert pairs
+    for pair in pairs:
+        parent, change = pair["parent"], pair["change"]
+        for key in ("seed", "seconds", "trace"):
+            assert parent[key] == change[key] == pair[key], (pair["workload"], key)
+        assert parent["result"]["correct"] is True
+        assert change["result"]["correct"] is True

@@ -30,7 +30,7 @@ from ethroot.numfield import (
 )
 from ethroot.couveignes import make_couveignes_prime
 from ethroot.fq import FqElement, FqField, factor_mod_p, fq_norm_to_subfield
-from ethroot.primes import is_prime
+from ethroot.primes import factorize, is_prime
 
 
 # -- cyclotomic polynomials ------------------------------------------------------
@@ -404,6 +404,63 @@ def test_prime_ideals_match_factor_mod_p(name):
         assert got == tuple(PrimeIdealRep(q, tuple(g), len(g) - 1) for g, _ in fac), q
         kinds.add("split" if all(i.f_deg == 1 for i in got) else "not split")
     assert kinds == {"ramified", "split", "not split"}
+
+
+ORACLE_FIELDS = {
+    **{f"Q(zeta_{m})": NumberField.cyclotomic(m)
+       for m in (5, 7, 8, 9, 12, 15, 16, 20, 21, 35)},
+    "x^3 - x - 1": NumberField([-1, -1, 0, 1]),
+    "x^4 - 10x^2 + 1": NumberField([1, 0, -10, 0, 1]),
+    # Dedekind's cubic: 2 divides the index, so f mod 2 = x^2 (x + 1) although
+    # 2 is unramified
+    "x^3 - x^2 - 2x - 8": NumberField([-8, -2, -1, 1]),
+}
+ORACLE_PRIMES = sorted(set(random.Random("oracle").sample(
+    [q for q in range(1 << 13, 1 << 14) if is_prime(q)], 200)))
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_FIELDS))
+def test_prime_ideals_equal_the_factorization_oracle(name):
+    K = ORACLE_FIELDS[name]
+    disc = K.conductor or K.discriminant()
+    for q in sorted({*ORACLE_PRIMES, 2, 3, 5, 7, 23, *factorize(abs(disc))}):
+        fac = gfpoly.factor(gfpoly.from_int_poly(list(K.f), q), q)
+        got = K.prime_ideals(q)
+        if any(mult > 1 for _, mult in fac):
+            assert got is None, q
+        else:
+            assert got == tuple(PrimeIdealRep(q, tuple(g), len(g) - 1)
+                                for g, _ in fac), q
+
+
+@pytest.mark.parametrize("f, disc", [
+    ([-1, -1, 0, 1], -23), ([1, 0, 1], -4), ([2, 0, 1], -8), ([-2, 0, 0, 1], -108),
+    ([1, 0, 0, 0, 1], 256), ([1, 0, -10, 0, 1], 147456), ([-8, -2, -1, 1], -2012),
+    ([3, 1], 1),
+])
+def test_discriminant_known_values(f, disc):
+    assert NumberField(f).discriminant() == disc
+
+
+def test_prime_ideals_take_the_shortest_route(monkeypatch):
+    """Generic fields skip the squarefree stage, cyclotomic fields never run
+    distinct-degree splitting and never compute a discriminant, and an
+    inert cyclotomic q is not factored at all."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("took a stage the route does not need")
+
+    monkeypatch.setattr(gfpoly, "squarefree_parts", refuse)
+    K = NumberField([-1, -1, 0, 1])
+    assert [i.f_deg for i in K.prime_ideals(13)] == [3]
+    assert K.prime_ideals(23) is None
+    monkeypatch.setattr(gfpoly, "_ddf", refuse)
+    monkeypatch.setattr(NumberField, "discriminant", refuse)
+    K35 = NumberField.cyclotomic(35)
+    assert [i.f_deg for i in K35.prime_ideals(29)] == [2] * 12  # 29^2 = 1 mod 35
+    monkeypatch.setattr(gfpoly, "_edf", refuse)
+    K7 = NumberField.cyclotomic(7)
+    assert K7.prime_ideals(3) == (PrimeIdealRep(3, tuple(gfpoly.from_int_poly(
+        list(K7.f), 3)), 6),)
 
 
 def test_prime_ideals_of_split_cyclotomic_primes_need_no_factoring(monkeypatch):

@@ -177,32 +177,34 @@ def test_random_prime_values_are_pinned():
 # -- every prime search stops within its budget -------------------------------------
 
 BUDGET = 40
-K_GENERIC = NumberField([-1, -1, 0, 1])  # x^3 - x - 1
+GENERIC_F = [-1, -1, 0, 1]  # x^3 - x - 1
 K15 = NumberField.cyclotomic(15)
-X = K_GENERIC.element([2, -1, 3], 5)
 
-# name -> (search, what it ends with when every prime is refused)
+# name -> (search on a generic field K, what it ends with when every prime is
+# refused)
 SEARCHES = {
     "good_prime_stream": (
-        lambda: next(crtroot.good_prime_stream(K_GENERIC, 5, budget=BUDGET)),
+        lambda K: next(crtroot.good_prime_stream(K, 5, budget=BUDGET)),
         SearchExhausted),
     "is_bad_field": (
-        lambda: crtroot.is_bad_field(K_GENERIC, 5, candidates=BUDGET), True),
+        lambda K: crtroot.is_bad_field(K, 5, candidates=BUDGET), True),
     "verify_root": (
-        lambda: verify.verify_root(X, FactoredElement(K_GENERIC, [(X, 3)]), 3, K_GENERIC),
+        lambda K: verify.verify_root(
+            K.element([2, -1, 3], 5),
+            FactoredElement(K, [(K.element([2, -1, 3], 5), 3)]), 3, K),
         SearchExhausted),
     "find_inert_prime": (
-        lambda: padic.find_inert_prime(K_GENERIC, 3, budget=BUDGET), None),
+        lambda K: padic.find_inert_prime(K, 3, budget=BUDGET), None),
     "pick_reconstruct_ideal": (
-        lambda: strategy.pick_reconstruct_ideal(K_GENERIC, 3, budget=BUDGET),
+        lambda K: strategy.pick_reconstruct_ideal(K, 3, budget=BUDGET),
         SearchExhausted),
     "select_couveignes_primes": (
-        lambda: couveignes.select_couveignes_primes(
+        lambda K: couveignes.select_couveignes_primes(
             K15, SubfieldEmbedding.cyclotomic(K15, 3), 3, 10 ** 30, budget=BUDGET),
         SearchExhausted),
     "select_character_primes": (
-        lambda: saturation.select_character_primes(
-            K_GENERIC, 3, 4, [K_GENERIC.element([2, 1])], budget=BUDGET),
+        lambda K: saturation.select_character_primes(
+            K, 3, 4, [K.element([2, 1])], budget=BUDGET),
         SearchExhausted),
 }
 
@@ -210,6 +212,8 @@ SEARCHES = {
 @pytest.mark.parametrize("name", sorted(SEARCHES))
 def test_every_search_stops_within_its_budget(monkeypatch, name):
     search, outcome = SEARCHES[name]
+    # a fresh generic field: no is_bad_field answer stored on it by another test
+    K_generic = NumberField(GENERIC_F)
     refused = []
 
     def refuse(*args):
@@ -217,12 +221,12 @@ def test_every_search_stops_within_its_budget(monkeypatch, name):
 
     # prime_ideals and is_inert refuse with None
     monkeypatch.setattr(padic, "is_inert", refuse)
-    for K in (K_GENERIC, K15):
+    for K in (K_generic, K15):
         monkeypatch.setattr(K, "prime_ideals", refuse)
     monkeypatch.setattr(verify, "_VERIFY_BUDGET", BUDGET)
     if outcome is SearchExhausted:
         with pytest.raises(SearchExhausted):
-            search()
+            search(K_generic)
     else:
-        assert search() == outcome
+        assert search(K_generic) == outcome
     assert 0 < len(refused) <= BUDGET
