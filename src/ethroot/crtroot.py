@@ -26,6 +26,7 @@ from .numfield import (
     multi_reduce,
 )
 from .primes import check_odd_prime_power, derive_rng, prime_power_split, prime_stream
+from .verify import verify_root
 
 # prime draws for prime selection before giving up
 SEARCH_BUDGET = 10 ** 6
@@ -163,8 +164,10 @@ def eth_root_double_crt(y: FactoredElement, e: int, K: NumberField,
 
     Requires K good for e, y an e-th power with exponents in [0, e] (the
     strategy layer normalizes larger ones). A K that is_bad_field calls bad
-    raises NotApplicable up front; a failed spot-check at fresh primes
-    raises VerificationFailed.
+    raises NotApplicable up front. A CRT output above the root bound raises
+    VerificationFailed early; so does a root that fails its check. On the
+    split kernel that check is three more good primes, which ride in the
+    kernel's grid; elsewhere it is one verify_root, which needs no factoring.
     """
     check_odd_prime_power(e)
     terms = [(u, a) for u, a in y.terms if a != 0]
@@ -177,23 +180,21 @@ def eth_root_double_crt(y: FactoredElement, e: int, K: NumberField,
     avoid = avoid_integers([u for u, _ in terms])
     stream = good_prime_stream(K, e, seed=seed, avoid_divisors_of=avoid)
     primes = _cover(stream, B)
-    fresh = [next(stream) for _ in range(3)]
-    allp = primes + fresh
-
     bases = [u for u, _ in work.terms]
     exps = [a for _, a in work.terms]
     kernel_ok = K.n > 1 and all(gp.all_split and gp.q < (1 << SPLIT_BITS)
-                                for gp in allp)
+                                for gp in primes)
+    fresh = [next(stream) for _ in range(3)] if kernel_ok else []
     if kernel_ok:
         from .splitkernel import split_roots_kernel
 
-        vectors = split_roots_kernel(bases, exps, allp, e, K)
+        vectors = split_roots_kernel(bases, exps, primes + fresh, e, K)
     else:
-        table = multi_reduce(bases, [gp.q for gp in allp])
+        table = multi_reduce(bases, [gp.q for gp in primes])
         vectors = [
             eth_root_mod_q(
                 [(table[i][j], exps[i]) for i in range(len(bases))], e, gp, K)
-            for j, gp in enumerate(allp)
+            for j, gp in enumerate(primes)
         ]
 
     try:
@@ -208,6 +209,8 @@ def eth_root_double_crt(y: FactoredElement, e: int, K: NumberField,
             raise VerificationFailed(
                 f"root mismatch at spot-check prime {gp.q}")
     x = K.element(coords, T)
+    if not kernel_ok and not verify_root(x, y, e, K, seed=seed):
+        raise VerificationFailed("root fails verify_root")
     return x
 
 

@@ -1,16 +1,14 @@
 """Root verification: modular spot-checks plus an exact check when cheap.
 
 Each trial takes a fresh unramified prime q from the shared prime stream and
-compares x^e with y at every prime ideal above q (NumberField.prime_ideals).
-A degree-1 ideal (alpha - r) is a value at r, in integers mod q; a larger one
-is a residue in F_{q^d}. Q(zeta_m) draws q = 1 mod m, where every ideal has
-degree 1 and nothing is factored.
+compares x^e with y mod q. Q(zeta_m) draws q = 1 mod m, where every ideal
+(alpha - r) above q has degree 1: both sides are values at r mod q. Any other
+field compares once in Z[alpha]/q = F_q[t]/(f mod q). There q does not divide
+disc(f), so the ring is the product of the residue fields above q, and by CRT
+that one comparison is the comparison at every ideal. Nothing is factored.
 """
 
-import operator
-
 from . import gfpoly
-from .fq import FqField
 from .fq import factor_mod_p  # noqa: F401, wrapped at this module by layerbench
 from .numfield import FactoredElement, FieldElement, NumberField, avoid_integers
 from .primes import derive_rng, prime_stream
@@ -30,14 +28,9 @@ def _element_bits(u: FieldElement) -> int:
 
 def _exact_affordable(x: FieldElement, y: FactoredElement, e: int,
                       K: NumberField) -> bool:
-    if K.n > 8:
-        return False
     cost = e * max(1, _element_bits(x))
-    for u, a in y.terms:
-        cost += abs(a) * max(1, _element_bits(u))
-        if cost >= EXACT_BITS:
-            return False
-    return cost < EXACT_BITS
+    cost += sum(abs(a) * max(1, _element_bits(u)) for u, a in y.terms)
+    return K.n <= 8 and cost < EXACT_BITS
 
 
 def verify_root(x: FieldElement, y: FactoredElement, e: int, K: NumberField,
@@ -45,21 +38,19 @@ def verify_root(x: FieldElement, y: FactoredElement, e: int, K: NumberField,
     """True iff x^e = prod u_i^{a_i} mod `trials` fresh unramified primes.
 
     Adds an exact polynomial comparison when the field is small and the
-    expansion is estimated under 2^16 bits. Negative exponents are allowed
-    (both sides fold with modular inverses via nonzero residues).
+    expansion is estimated under 2^16 bits. Negative exponents are allowed;
+    a factor with one that vanishes mod q is a pole of y, and fails the trial.
 
     The primes are _VERIFY_BITS-bit draws of prime_stream that skip the
-    divisors of avoid_integers(x, u_i); a ramified draw is passed over, and
-    SearchExhausted is raised after _VERIFY_BUDGET draws.
+    divisors of avoid_integers(x, u_i); a ramified draw (q | m, or q | disc(f)
+    as in NumberField.prime_ideals) is passed over, and SearchExhausted is
+    raised after _VERIFY_BUDGET draws.
     Cyclotomic K draws q = 1 mod m. A wrong x passes only if q divides the
     content of x^e - y, as at any prime; at most log_q(content) of the
     ~2^61 / (42 phi(m)) split primes there do, so a split trial is as strong.
     """
-    if _exact_affordable(x, y, e, K):
-        if x == K.zero:
-            return False
-        if x ** e != y.value():
-            return False
+    if _exact_affordable(x, y, e, K) and (x == K.zero or x ** e != y.value()):
+        return False
     rng = derive_rng(seed, "verify")
     avoid = avoid_integers([x] + [u for u, _ in y.terms])
     stream = prime_stream(rng, _VERIFY_BITS, K.conductor or 1, avoid,
@@ -67,10 +58,10 @@ def verify_root(x: FieldElement, y: FactoredElement, e: int, K: NumberField,
     passed = 0
     while passed < trials:
         q = next(stream)
-        ideals = K.prime_ideals(q)
-        if ideals is None:
-            continue  # ramified
-        if not _check_at(x, y, e, q, ideals):
+        if K.conductor is None and K.discriminant() % q == 0:
+            continue  # ramified; a q = 1 mod m never is
+        if not (_check_in_ring(x, y, e, q, K) if K.conductor is None
+                else _check_at(x, y, e, q, K.prime_ideals(q))):
             return False
         passed += 1
     return True
@@ -78,40 +69,40 @@ def verify_root(x: FieldElement, y: FactoredElement, e: int, K: NumberField,
 
 def _check_at(x: FieldElement, y: FactoredElement, e: int, q: int,
               ideals) -> bool:
-    """x^e = y at every ideal above q, with x and y nonzero there or both 0.
+    """x^e = y at every degree-1 ideal (alpha - r) above q: values at r mod q.
 
-    A vanishing factor of y with a negative exponent is a pole of y mod q:
-    the trial fails.
+    A factor of y with a negative exponent that vanishes at r is a pole of
+    y mod q, and the trial fails whatever the other factors are.
     """
-    vecs = [x.reduce_mod_prime(q)]
-    exps = []
-    for u, a in y.terms:
-        if a != 0:
-            vecs.append(u.reduce_mod_prime(q))
-            exps.append(a)
+    xv = x.reduce_mod_prime(q)
+    terms = [(u.reduce_mod_prime(q), a) for u, a in y.terms if a]
     for ideal in ideals:
-        if ideal.f_deg == 1:
-            r = (-ideal.g[0]) % q
-            xr, *urs = [gfpoly.evaluate(v, r, q) for v in vecs]
-            one, mul, power = 1, (lambda s, t: s * t % q), (lambda b, k: pow(b, k, q))
-        else:
-            g = list(ideal.g)
-            field = FqField.trusted(q, g)
-            xr, *urs = [field.element(gfpoly.rem(gfpoly.trim(list(v)), g, q))
-                        for v in vecs]
-            one, mul, power = field.one, operator.mul, pow
-        zero = next((a for ur, a in zip(urs, exps) if ur == 0), None)
-        if zero is not None:
-            # y vanishes here: x must vanish too, and y must have no pole
-            if zero < 0 or xr != 0:
+        r = (-ideal.g[0]) % q
+        rhs = 1
+        for v, a in terms:
+            ur = gfpoly.evaluate(v, r, q)
+            if ur == 0 and a < 0:
                 return False
-            continue
-        if xr == 0:
-            return False
-        order = q ** ideal.f_deg - 1
-        rhs = one
-        for ur, a in zip(urs, exps):
-            rhs = mul(rhs, power(ur, a % order))
-        if power(xr, e % order) != rhs:
+            rhs = rhs * pow(ur, a, q) % q
+        if pow(gfpoly.evaluate(xv, r, q), e, q) != rhs:
             return False
     return True
+
+
+def _check_in_ring(x: FieldElement, y: FactoredElement, e: int, q: int,
+                   K: NumberField) -> bool:
+    """x^e = y in F_q[t]/(f mod q), for q not dividing disc(f).
+
+    A factor with a negative exponent is inverted there; one that is not a
+    unit vanishes at some ideal above q, a pole of y: the trial fails.
+    """
+    fq = gfpoly.from_int_poly(list(K.f), q)
+    rhs = [1]
+    for u, a in y.terms:
+        v = u.reduce_mod_prime(q)
+        try:
+            v = gfpoly.invmod(v, fq, q) if a < 0 else v
+        except ZeroDivisionError:
+            return False
+        rhs = gfpoly.mulmod(rhs, gfpoly.powmod(v, abs(a), fq, q), fq, q)
+    return gfpoly.powmod(x.reduce_mod_prime(q), e, fq, q) == rhs

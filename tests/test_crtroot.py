@@ -323,6 +323,58 @@ def test_double_crt_generic_field():
         assert eth_root_double_crt(y, 3, K, seed=trial) == x
 
 
+# x^3 - x - 1, x^4 - 10x^2 + 1 and Q (n = 1): every one off the split kernel
+GENERIC_FIELDS = [[-1, -1, 0, 1], [1, 0, -10, 0, 1], [-7, 1]]
+
+
+@pytest.mark.parametrize("f", GENERIC_FIELDS)
+def test_generic_double_crt_solves_only_at_cover_primes(monkeypatch, f):
+    K = NumberField(f)
+    calls = {"cover": [], "local": 0, "verify": 0}
+    cover, local, verify = crtroot._cover, crtroot.eth_root_mod_q, crtroot.verify_root
+
+    def counting_cover(stream, B):
+        calls["cover"] = cover(stream, B)
+        return calls["cover"]
+
+    def counting_local(*args):
+        calls["local"] += 1
+        return local(*args)
+
+    def counting_verify(*args, **kwargs):
+        calls["verify"] += 1
+        return verify(*args, **kwargs)
+
+    monkeypatch.setattr(crtroot, "_cover", counting_cover)
+    monkeypatch.setattr(crtroot, "eth_root_mod_q", counting_local)
+    monkeypatch.setattr(crtroot, "verify_root", counting_verify)
+    x = K.element([5, -3, 2, 1][: K.n], 7)
+    y = factored(K, [(x * x, 3), (K.element([3, 1][: K.n]), 3)])
+    root = eth_root_double_crt(y, 3, K, seed=4)
+    assert root ** 3 == y.value()
+    assert calls["local"] == len(calls["cover"]) > 0
+    assert calls["verify"] == 1
+
+
+@pytest.mark.parametrize("f", GENERIC_FIELDS)
+def test_generic_double_crt_raises_when_verify_root_fails(monkeypatch, f):
+    K = NumberField(f)
+    monkeypatch.setattr(crtroot, "verify_root", lambda *args, **kwargs: False)
+    x = K.element([5, -3, 2, 1][: K.n], 7)
+    with pytest.raises(VerificationFailed, match="verify_root"):
+        eth_root_double_crt(factored(K, [(x, 3)]), 3, K)
+
+
+def test_split_kernel_path_keeps_its_spot_check_primes(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the kernel checks at three more primes in its grid")
+
+    monkeypatch.setattr(crtroot, "verify_root", refuse)
+    K = NumberField.cyclotomic(7)
+    x = K.random_element(random.Random(8), bits=30)
+    assert eth_root_double_crt(factored(K, [(x, 3)]), 3, K) == x
+
+
 def test_double_crt_not_a_power_detected():
     K = NumberField.cyclotomic(4)
     rng = random.Random(55)

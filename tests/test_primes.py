@@ -219,10 +219,17 @@ def test_every_search_stops_within_its_budget(monkeypatch, name):
     def refuse(*args):
         refused.append(args[-1])  # the prime
 
+    class EveryPrimeDivides:
+        # the discriminant verify_root's generic trials test q against
+        def __mod__(self, q):
+            refused.append(q)
+            return 0
+
     # prime_ideals and is_inert refuse with None
     monkeypatch.setattr(padic, "is_inert", refuse)
     for K in (K_generic, K15):
         monkeypatch.setattr(K, "prime_ideals", refuse)
+    monkeypatch.setattr(K_generic, "discriminant", lambda: EveryPrimeDivides())
     monkeypatch.setattr(verify, "_VERIFY_BUDGET", BUDGET)
     if outcome is SearchExhausted:
         with pytest.raises(SearchExhausted):

@@ -3,7 +3,9 @@ import random
 import pytest
 
 from ethroot import gfpoly, verify
+from ethroot.fq import FqField
 from ethroot.numfield import FactoredElement, NumberField, PrimeIdealRep
+from ethroot.primes import is_prime, random_prime
 from ethroot.verify import verify_root
 
 
@@ -122,25 +124,25 @@ def test_split_primes_reject_near_misses(monkeypatch, m, e):
     assert verify_root(x * w, FactoredElement(K, [(x, e), (w, e)]), e, K, seed=3)
 
 
-def test_generic_field_still_factors(monkeypatch):
-    calls = []
+def test_generic_field_verifies_without_factoring(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a generic trial compares in Z[alpha]/q, unfactored")
+
     K = NumberField([-1, -1, 0, 1])  # x^3 - x - 1
-    ideals_above = K.prime_ideals
-
-    def counting(q):
-        calls.append(q)
-        return ideals_above(q)
-
-    monkeypatch.setattr(K, "prime_ideals", counting)
+    monkeypatch.setattr(K, "prime_ideals", refuse)
+    monkeypatch.setattr(gfpoly, "split_squarefree", refuse)
+    monkeypatch.setattr(gfpoly, "factor", refuse)
+    monkeypatch.setattr(verify, "_exact_affordable", lambda *args: False)
     x = K.element([2, -1, 3], 5)
     assert verify_root(x, FactoredElement(K, [(x, 3)]), 3, K)
-    assert len(calls) == 3  # one factorization per trial prime
+    assert not verify_root(x + K.one, FactoredElement(K, [(x, 3)]), 3, K)
 
 
 @pytest.mark.parametrize("q", [5, 13, 17, 3, 7, 11])
 def test_check_at_keeps_zero_and_pole_rules(q):
     # at q = 1 mod 4, i - r vanishes at one of the two degree-1 ideals above
-    # q; at q = 3 mod 4, q(1 + i) vanishes at the one ideal, of degree 2
+    # q, checked by evaluation and in the ring; at q = 3 mod 4, q(1 + i)
+    # vanishes at the one ideal, of degree 2, checked in the ring F_q[t]/(t^2 + 1)
     K = NumberField.cyclotomic(4)
     if q % 4 == 1:
         r = next(t for t in range(q) if t * t % q == q - 1)
@@ -161,4 +163,100 @@ def test_check_at_keeps_zero_and_pole_rules(q):
     ]
     for x, terms, want in cases:
         y = FactoredElement(K, terms)
-        assert verify._check_at(x, y, 3, q, ideals) is want
+        if q % 4 == 1:
+            assert verify._check_at(x, y, 3, q, ideals) is want
+        assert verify._check_in_ring(x, y, 3, q, K) is want
+
+
+def test_pole_fails_whatever_the_term_order():
+    # z = i - r vanishes at (i - r) above 5; y = z^4 z^-1 v^3 equals x^3 as a
+    # field element, but z^-1 is a pole mod that ideal
+    K = NumberField.cyclotomic(4)
+    q, r = 5, 2
+    z, v = K.element([-r, 1]), K.element([1, 1])
+    x = z * v
+    for terms in ([(z, 4), (z, -1), (v, 3)], [(z, -1), (z, 4), (v, 3)]):
+        y = FactoredElement(K, terms)
+        assert verify._check_at(x, y, 3, q, K.prime_ideals(q)) is False
+        assert verify._check_in_ring(x, y, 3, q, K) is False
+
+
+# -- the ring trial against a per-ideal reference ---------------------------------
+
+
+def _per_ideal_check(x, y, e, q, K):
+    # reference: compare in the residue field F_{q^d} of every ideal above q;
+    # a vanishing factor with a negative exponent is a pole there
+    for ideal in K.prime_ideals(q):
+        field = FqField.trusted(q, list(ideal.g))
+        xr = field.element(x.reduce_mod_prime(q))
+        urs = [(field.element(u.reduce_mod_prime(q)), a) for u, a in y.terms]
+        if any(ur.is_zero() and a < 0 for ur, a in urs):
+            return False
+        rhs = field.one
+        for ur, a in urs:
+            rhs = rhs * ur ** a
+        if xr ** e != rhs:
+            return False
+    return True
+
+
+def _vanishes_mod(w, q, K):
+    return any(not gfpoly.rem(w.reduce_mod_prime(q), list(i.g), q)
+               for i in K.prime_ideals(q))
+
+
+RING_FIELDS = {
+    "x^3-x-1": [-1, -1, 0, 1],
+    "x^4-10x^2+1": [1, 0, -10, 0, 1],
+    "dedekind": [-8, -2, -1, 1],  # 2 divides the index of Z[alpha]
+}
+
+
+@pytest.mark.parametrize("name", sorted(RING_FIELDS))
+def test_ring_trial_matches_per_ideal_reference(name):
+    K = NumberField(RING_FIELDS[name])
+    rng = random.Random(f"ring:{name}")
+    qs = [q for q in range(5, 80) if is_prime(q) and K.discriminant() % q]
+    qs += [random_prime(rng, 62) for _ in range(2)]
+    # residue degrees 1 and 2 among the primes; the cubics mix them above one q
+    degrees = {d for q in qs for d in (i.f_deg for i in K.prime_ideals(q))}
+    assert {1, 2} <= degrees
+    minus_one = K.element([-1])
+    for q in qs:
+        den = 7 if q != 7 else 11
+        for e in (3, 5, 9):
+            u = K.random_element(rng, bits=20)
+            v = K.random_element(rng, bits=20, den=den)
+            while _vanishes_mod(v, q, K):  # v^-1 in a planted root: no pole
+                v = K.random_element(rng, bits=20, den=den)
+            z = K.element(list(K.prime_ideals(q)[0].g))  # 0 at one ideal
+            planted = [
+                (u, [(u, e)]),
+                (u / v, [(u, e), (v, -e)]),
+                (u * v, [(u * v * v, e), (v, -e)]),
+                (z * u, [(z, e), (u, e)]),  # zero on both sides
+                (K.one, []),
+            ]
+            near = [
+                (u + K.one, [(u, e)]),
+                (u * minus_one, [(u, e)]),  # times a unit
+                (u * K.gen, [(u, e)]),
+                (u * v, [(u, e), (v, e - 1)]),  # one exponent off by one
+                (u, [(z, e)]),  # y vanishes, x need not
+                (z, [(u, e)]),
+                (z, [(z, -e)]),  # pole where x vanishes
+                (z * u, [(z, e + 1), (z, -1), (u, e)]),  # pole behind a zero
+                (z * u, [(z, -1), (z, e + 1), (u, e)]),
+            ]
+            for x, terms, want in ([(x, t, True) for x, t in planted]
+                                   + [(x, t, None) for x, t in near]):
+                if any(w.den % q == 0 for w in [x] + [t for t, _ in terms]):
+                    continue  # verify_root's avoid set keeps such q out
+                y = FactoredElement(K, terms)
+                got = verify._check_in_ring(x, y, e, q, K)
+                assert got is _per_ideal_check(x, y, e, q, K)
+                if want is not None:
+                    assert got is want
+                elif q.bit_length() > 32 or terms[0][1] < 0 or len(terms) == 3:
+                    assert got is False  # a pole, or a near miss at a 62-bit q
