@@ -24,6 +24,8 @@ from .numfield import (
     crt_ideals,
     crt_integers_symmetric,
     multi_reduce,
+    split_prime_ideals,
+    split_roots,
 )
 from .primes import check_odd_prime_power, derive_rng, prime_power_split, prime_stream
 from .verify import verify_root
@@ -49,17 +51,50 @@ class Rejection:
     degree: int = 0
 
 
-@dataclass(frozen=True)
 class GoodPrime:
-    q: int
-    ideals: tuple
-    all_split: bool
+    """A good prime q for (K, e) and the prime ideals above it.
+
+    On Q(zeta_m) a q = 1 mod m is held as (q, w), w a primitive m-th root of
+    1 mod q: the phi(m) nodes are the w^u, u a unit mod m, and the linear
+    ideals (q, alpha - w^u) are built, in split_prime_ideals' order, only
+    when read. Any other good prime carries the ideals it was found with.
+    """
+
+    def __init__(self, q: int, ideals: tuple | None, all_split: bool,
+                 w: int = 0, m: int = 0):
+        self.q, self._ideals, self.all_split = q, ideals, all_split
+        self.w, self.m = w, m
+
+    @classmethod
+    def split(cls, q: int, w: int, m: int) -> "GoodPrime":
+        """The totally split q = 1 mod m of Q(zeta_m), held as (q, w)."""
+        return cls(q, None, True, w, m)
+
+    @property
+    def ideals(self) -> tuple:
+        if self._ideals is None:
+            self._ideals = split_prime_ideals(self.q, self.m, self.w)
+        return self._ideals
 
     def split_roots(self) -> list[int]:
         """Roots r of the linear ideals (alpha - r); only when all_split."""
         if not self.all_split:
             raise ValueError(f"{self.q} is not totally split")
+        if self._ideals is None:
+            return split_roots(self.q, self.m, self.w)
         return [(-g[0]) % self.q for g in (i.g for i in self.ideals)]
+
+    def __eq__(self, other):
+        return (isinstance(other, GoodPrime) and self.q == other.q
+                and self.all_split == other.all_split
+                and self.ideals == other.ideals)
+
+    def __hash__(self):
+        return hash(self.q)
+
+    def __repr__(self):
+        held = f"w={self.w}" if self._ideals is None else f"ideals={self._ideals}"
+        return f"GoodPrime(q={self.q}, {held})"
 
 
 def _sees_mu(q: int, d: int, e: int) -> bool:
@@ -75,12 +110,17 @@ def check_good_prime(q: int, K: NumberField, e: int):
     needs no factoring of e. A q = 1 mod l is refused first, without
     looking at the ideals above it: F_q, and so every residue field, already
     holds mu_l. Rejection.degree is then 1, the degree of F_q, not that of a
-    residue field. Otherwise the ideals come from K.prime_ideals (None means
-    "ramified"), each distinct residue degree d is tested once, smallest
-    first, and the Rejection names the d that failed.
+    residue field. A q = 1 mod m on Q(zeta_m) is then good, since it splits
+    totally; it is returned as (q, w) with no ideals built. Otherwise the
+    ideals come from K.prime_ideals (None means "ramified"), each distinct
+    residue degree d is tested once, smallest first, and the Rejection names
+    the d that failed.
     """
     if _sees_mu(q, 1, e):
         return Rejection("root-of-unity", 1)
+    m = K.conductor
+    if m is not None and q % m == 1:
+        return GoodPrime.split(q, K.split_root(q), m)  # every residue field is F_q
     ideals = K.prime_ideals(q)
     if ideals is None:
         return Rejection("ramified")
@@ -182,8 +222,8 @@ def eth_root_double_crt(y: FactoredElement, e: int, K: NumberField,
     primes = _cover(stream, B)
     bases = [u for u, _ in work.terms]
     exps = [a for _, a in work.terms]
-    kernel_ok = K.n > 1 and all(gp.all_split and gp.q < (1 << SPLIT_BITS)
-                                for gp in primes)
+    kernel_ok = K.n > 1 and K.conductor is not None and all(
+        gp.all_split and gp.q < (1 << SPLIT_BITS) for gp in primes)
     fresh = [next(stream) for _ in range(3)] if kernel_ok else []
     if kernel_ok:
         from .splitkernel import split_roots_kernel

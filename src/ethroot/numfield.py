@@ -131,6 +131,7 @@ class NumberField:
         self.conductor = conductor
         self._cinf = None
         self._disc = None
+        self._conductor_primes = None  # see split_root()
         # primes l with a good prime seen for e = l^k: crtroot.is_bad_field
         self.good_ells: set[int] = set()
         self._radius = None
@@ -213,7 +214,7 @@ class NumberField:
             if m % q == 0:
                 return None
             if q % m == 1:
-                return split_prime_ideals(q, m)
+                return split_prime_ideals(q, m, self.split_root(q))
         elif self.discriminant() % q == 0:
             return None
         fq = gfpoly.from_int_poly(list(self.f), q)
@@ -221,6 +222,15 @@ class NumberField:
         gs = [fq] if d == self.n else gfpoly.split_squarefree(fq, q, degree=d)
         gs.sort(key=lambda g: (len(g), g))
         return tuple(PrimeIdealRep(q, tuple(g), len(g) - 1) for g in gs)
+
+    def split_root(self, q: int) -> int:
+        """root_of_unity(q, m) for a prime q = 1 mod m on Q(zeta_m).
+
+        m's prime factors are read once per field.
+        """
+        if self._conductor_primes is None:
+            self._conductor_primes = tuple(factorize(self.conductor))
+        return root_of_unity(q, self.conductor, self._conductor_primes)
 
     def discriminant(self) -> int:
         """disc(f) = (-1)^(n(n-1)/2) N(f'(alpha)), exact, computed once.
@@ -660,24 +670,43 @@ class PrimeIdealRep(NamedTuple):
     f_deg: int
 
 
-def split_prime_ideals(q: int, m: int) -> tuple:
-    """The phi(m) ideals (q, zeta_m - r), r primitive m-th roots of 1 mod prime q.
+def root_of_unity(q: int, m: int, ps=None) -> int:
+    """A primitive m-th root of 1 mod the prime q = 1 mod m.
 
-    Sorted by g = (-r) % q, the order factor_mod_p lists Phi_m mod q in.
+    The first c^((q-1)/m), c = 2, 3, ..., of order m; ps are the primes
+    dividing m (factored here when not given).
     """
     if (q - 1) % m:
         raise ValueError(f"{q} is not 1 mod {m}")
-    ps = list(factorize(m))
-    w = next(w for w in (pow(c, (q - 1) // m, q) for c in range(2, q))
-             if all(pow(w, m // p, q) != 1 for p in ps))
-    # w has order m, so the w^t with gcd(t, m) = 1 are the phi(m) roots
-    gs, acc = [], 1
+    ps = factorize(m) if ps is None else ps
+    return next(w for w in (pow(c, (q - 1) // m, q) for c in range(2, q))
+                if all(pow(w, m // p, q) != 1 for p in ps))
+
+
+def split_roots(q: int, m: int, w: int) -> list[int]:
+    """The phi(m) primitive m-th roots of 1 mod q, largest first.
+
+    w has order m, so they are the w^t with gcd(t, m) = 1. Largest first is
+    split_prime_ideals' order, whose g = q - r ascend.
+    """
+    roots, acc = [], 1
     for t in range(1, m):
-        acc = acc * w % q  # w^t, so g = -w^t mod q
+        acc = acc * w % q
         if math.gcd(t, m) == 1:
-            gs.append(q - acc)
-    gs.sort()
-    return tuple(PrimeIdealRep(q, (g, 1), 1) for g in gs)
+            roots.append(acc)
+    roots.sort(reverse=True)
+    return roots
+
+
+def split_prime_ideals(q: int, m: int, w: int | None = None) -> tuple:
+    """The phi(m) ideals (q, zeta_m - r), r primitive m-th roots of 1 mod prime q.
+
+    Sorted by g = (-r) % q, the order factor_mod_p lists Phi_m mod q in. w, a
+    primitive m-th root of 1 mod q, is found when not given.
+    """
+    if w is None:
+        w = root_of_unity(q, m)
+    return tuple(PrimeIdealRep(q, (q - r, 1), 1) for r in split_roots(q, m, w))
 
 
 def reduce_mod_ideal(coeffs_mod_p: list[int], ideal: PrimeIdealRep) -> list[int]:

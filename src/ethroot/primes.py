@@ -172,6 +172,8 @@ def iroot(n: int, k: int) -> int:
 
 def prime_power_split(e: int) -> tuple[int, int]:
     """Return (l, k) with e = l^k, l prime. Raises Unsupported otherwise."""
+    if isinstance(e, OddPrimePower):
+        return e.split
     if e < 2:
         raise Unsupported(f"e = {e} is not a prime power")
     if is_prime(e):
@@ -188,6 +190,23 @@ def check_odd_prime_power(e: int) -> tuple[int, int]:
     if l == 2:
         raise Unsupported("even e is out of scope")
     return l, k
+
+
+class OddPrimePower(int):
+    """An exponent e = l^k, l an odd prime, checked once when made.
+
+    prime_power_split and check_odd_prime_power return its (l, k) with no
+    primality test, so a caller that validates e and passes this down spares
+    every layer below the test. Arithmetic on it gives plain ints.
+    """
+
+    def __new__(cls, e: int) -> "OddPrimePower":
+        if isinstance(e, OddPrimePower):
+            return e
+        split = check_odd_prime_power(e)
+        self = super().__new__(cls, e)
+        self.split = split
+        return self
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:

@@ -25,8 +25,10 @@ from .numfield import (
     NumberField,
     PrimeIdealRep,
     avoid_integers,
+    split_roots,
 )
 from .primes import (
+    OddPrimePower,
     check_odd_prime_power,
     derive_rng,
     modinv,
@@ -103,8 +105,10 @@ def select_character_primes(K: NumberField, e: int, count: int, U,
     """Degree-1 primes Q with N(Q) = 1 mod e, units at every u_j, chi tables.
 
     Cyclotomic fields sample q = 1 mod lcm(e, m), so f splits completely
-    into the known linear ideals and nothing is factored; otherwise q = 1
-    mod e and whatever linear factors of f mod q show up are used.
+    at the powers w^u of one primitive m-th root w, in split_prime_ideals'
+    order, and nothing is factored; otherwise q = 1 mod e and whatever
+    linear factors of f mod q show up are used. An ideal is built only for
+    a prime that is kept.
     SearchExhausted after `budget` prime draws.
     """
     ell, _ = check_odd_prime_power(e)
@@ -117,22 +121,24 @@ def select_character_primes(K: NumberField, e: int, count: int, U,
     out: list = []
     while len(out) < count:
         q = next(stream)
-        linears = [i for i in K.prime_ideals(q) or () if i.f_deg == 1]
-        if not linears:
+        if K.conductor is not None:  # q = 1 mod m: the roots of Phi_m, from w
+            roots = split_roots(q, K.conductor, K.split_root(q))
+        else:
+            roots = [(-i.g[0]) % q for i in K.prime_ideals(q) or () if i.f_deg == 1]
+        if not roots:
             continue
         z = _order_e_element(q, e, ell, rng)
         zeta = FqField.trusted(q, [0, 1]).element([z])
-        for ideal in linears:
+        for r in roots:
             if len(out) >= count:
                 break
-            r = (-ideal.g[0]) % q
             try:
                 table = tuple(
                     dlog_mod_p(pow(_unit_residue(u, r, q), (q - 1) // e, q), z, e, q)
                     for u in U)
             except ValueError:
                 continue  # some u_j vanishes mod this ideal; its siblings may do
-            out.append(CharacterPrime(ideal, zeta, table))
+            out.append(CharacterPrime(PrimeIdealRep(q, ((-r) % q, 1), 1), zeta, table))
     return out
 
 
@@ -316,6 +322,7 @@ def detect_eth_powers(G: GeneratingSet, e: int, K: NumberField,
 
 def saturate(G: GeneratingSet, e: int, K: NumberField, seed: int = 0) -> list:
     """Detected e-th powers together with their verified roots."""
+    e = OddPrimePower(e)  # tested once for the detection and every root
     out = []
     for alpha, y in detect_eth_powers(G, e, K, seed=seed):
         result = eth_root(RootRequest(K, e, y, seed=seed))

@@ -34,7 +34,7 @@ from .numfield import (
     normalize_exponents,
 )
 from .padic import eth_root_padic, eth_root_padic_reconstruct, find_inert_prime
-from .primes import check_odd_prime_power, derive_rng, prime_stream
+from .primes import OddPrimePower, derive_rng, prime_stream
 
 METHODS = ("auto", "double_crt", "padic", "reconstruct", "couveignes")
 
@@ -194,10 +194,10 @@ def eth_root(req: RootRequest) -> RootResult:
     is raised only for an exponent that is not an odd prime power. An
     explicitly requested method propagates its own errors unchanged.
     """
-    check_odd_prime_power(req.e)
+    e = OddPrimePower(req.e)  # the one test of e; the backends reuse it
     if req.method not in METHODS:
         raise ValueError(f"unknown method {req.method!r}")
-    K, e, seed, budgets = req.K, req.e, req.seed, req.budgets or {}
+    K, seed, budgets = req.K, req.seed, req.budgets or {}
     if req.y.field != K:
         raise IncompatibleFields("request element does not live in K")
     prefactor, residual = normalize_exponents(req.y, e)

@@ -16,8 +16,14 @@ from ethroot.crtroot import (
 )
 from ethroot.errors import NotApplicable, SearchExhausted, VerificationFailed
 from ethroot.fq import factor_mod_p
-from ethroot.numfield import FactoredElement, NumberField, PrimeIdealRep, multi_reduce
-from ethroot.primes import random_prime
+from ethroot.numfield import (
+    FactoredElement,
+    NumberField,
+    PrimeIdealRep,
+    multi_reduce,
+    split_prime_ideals,
+)
+from ethroot.primes import factorize, random_prime
 
 
 def factored(K, pairs):
@@ -103,6 +109,41 @@ def test_check_good_prime_q_one_mod_l_needs_no_factoring(monkeypatch):
         assert check_good_prime(q, K, 9) == Rejection("root-of-unity", 1)
     with pytest.raises(AssertionError):
         check_good_prime(11, K, 3)  # 11 = 2 mod 3 needs the ideals
+
+
+def test_split_good_prime_is_q_and_w_until_its_ideals_are_read(monkeypatch):
+    # q = 1 mod m on Q(zeta_m): good from _sees_mu(q, 1, e) alone, held as
+    # (q, w); the ideals, built on first read, are split_prime_ideals' own
+    for m, e in ((4, 3), (9, 5), (20, 3), (31, 3)):
+        K = NumberField.cyclotomic(m)
+        monkeypatch.setattr(K, "prime_ideals", None)  # never called
+        stream = good_prime_stream(K, e, seed=m)
+        for gp in [next(stream) for _ in range(4)]:
+            q, w = gp.q, gp.w
+            assert gp.m == m and gp.all_split and gp._ideals is None
+            assert pow(w, m, q) == 1 and all(pow(w, m // p, q) != 1
+                                             for p in factorize(m))
+            fac = factor_mod_p(list(K.f), q, seed=1)
+            want = reference_good_prime(q, K, e, fac)
+            assert gp.split_roots() == want.split_roots()
+            assert gp._ideals is None
+            assert gp == want and gp.ideals == split_prime_ideals(q, m)
+    # a good prime that is not 1 mod m still reads its ideals off K: 2 has
+    # order 5 mod 31, so 6 ideals of degree 5, and 2^5 = 2 mod 3
+    monkeypatch.undo()
+    gp = check_good_prime(2, K, 3)
+    assert gp.ideals == K.prime_ideals(2) and len(gp.ideals) == 6
+    assert not gp.all_split and gp.w == 0
+
+
+def test_split_good_primes_factor_m_once(monkeypatch):
+    import ethroot.numfield as nf
+
+    calls = []
+    monkeypatch.setattr(nf, "factorize", lambda n: calls.append(n) or factorize(n))
+    K = NumberField.cyclotomic(21)
+    primes = select_crt_primes(K, 5, 10 ** 200, seed=3)
+    assert len(primes) > 20 and calls == [21]
 
 
 # -- prime selection --------------------------------------------------------------

@@ -1,11 +1,13 @@
 """Input and invariant guards raise explicitly, so `python -O` keeps them."""
 
 import ast
+import itertools
 import json
 import random
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from ethroot import gfpoly
@@ -97,12 +99,61 @@ def test_split_kernel_rejects_primes_of_another_field():
         split_roots_kernel([K4.element([1, 1])], [3], [gp], 3, K4)
 
 
+def test_split_kernel_refuses_a_root_of_lower_order_and_generic_fields():
+    # 17 = 1 mod 8, but 4 has order 4 mod 17: not a root of Phi_8
+    K8 = NumberField.cyclotomic(8)
+    with pytest.raises(ValueError):
+        split_roots_kernel([K8.element([1, 1])], [3], [GoodPrime.split(17, 4, 8)], 3, K8)
+    K = NumberField([2, 0, 1])  # x^2 + 2: 11 splits, and 11 = 2 mod 3 is good
+    gp = check_good_prime(11, K, 3)
+    assert isinstance(gp, GoodPrime) and gp.all_split
+    with pytest.raises(ValueError):
+        split_roots_kernel([K.element([1, 1])], [3], [gp], 3, K)
+
+
 def test_split_kernel_int64_headroom():
     # residues lie below q < 2^SPLIT_BITS, limbs below 2^_LIMB
     q, limb, top = 1 << SPLIT_BITS, 1 << _LIMB, 1 << 63
-    assert q * q + q < top  # a product of residues plus a residue (Horner steps)
+    # a gather (evaluation, power sums) or Hankel product: _CHUNK products
+    # of residues, plus the running residue
+    assert _CHUNK * (q - 1) ** 2 + q < top
     assert _CHUNK * limb * q + q < top  # one einsum block of limb * power, plus the carry
-    assert _GRID * q < top  # a sum over the nodes of one prime, and n * f_k
+    assert _GRID * q < top  # n * f_k, the coefficients of f'
+
+
+def test_split_kernel_blocks_stay_within_grid(monkeypatch):
+    # every array of a block, the joint tables of the chain included, has at
+    # most _GRID entries; the tables have 2^_GROUP rows per group of bases
+    import ethroot.splitkernel as sk
+    from ethroot.crtroot import good_prime_stream
+
+    K16, rng = NumberField.cyclotomic(16), random.Random(5)
+    primes = list(itertools.islice(good_prime_stream(K16, 3, seed=5), 40))
+    bases = [K16.random_element(rng, 60) for _ in range(9)]
+    exps = [rng.randrange(1, 10 ** 9) for _ in bases]
+    whole = split_roots_kernel(bases, exps, primes, 3, K16)
+    sizes = []
+
+    def record(name):
+        real = getattr(sk, name)
+
+        def wrapper(*args):
+            out = real(*args)
+            sizes.append((name, max(np.size(a) for a in (*args, out))))
+            if name == "_multi_pow":
+                k, J, T = args[0].shape
+                groups = -(-k // sk._GROUP)
+                sizes.append(("tables", groups * (1 << sk._GROUP) * J * T))
+            return out
+        monkeypatch.setattr(sk, name, wrapper)
+
+    for name in ("_matmul", "_multi_pow", "_power_table"):
+        record(name)
+    monkeypatch.setattr(sk, "_GRID", 4096)
+    assert split_roots_kernel(bases, exps, primes, 3, K16) == whole
+    # 9 terms and f' in 3 groups: 384 table entries a prime, 10 primes a block
+    assert [size for name, size in sizes if name == "tables"] == [3840] * 4
+    assert max(size for _, size in sizes) <= 4096
 
 
 def test_crt_integers_rejects_ragged_vectors():

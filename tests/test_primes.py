@@ -70,6 +70,18 @@ def test_prime_power_split_rejects_psi_12():
         primes.prime_power_split(PSI_12)
 
 
+def test_odd_prime_power_carries_its_split(monkeypatch):
+    e = primes.OddPrimePower(3 ** 5)
+    assert e == 243 and e.split == (3, 5) and type(e * 2 + 1) is int
+    monkeypatch.setattr(primes, "is_prime", None)  # no test after the first
+    assert primes.OddPrimePower(e) is e
+    assert primes.prime_power_split(e) == primes.check_odd_prime_power(e) == (3, 5)
+    monkeypatch.undo()
+    for bad in (1, 8, 45, PSI_12):
+        with pytest.raises(Unsupported):
+            primes.OddPrimePower(bad)
+
+
 def test_eth_root_rejects_psi_12_exponent():
     K = NumberField.cyclotomic(16)
     with pytest.raises(Unsupported):

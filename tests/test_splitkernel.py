@@ -75,6 +75,57 @@ def test_multi_pow_matches_pow():
                 assert got[j, t] == want
 
 
+@pytest.mark.parametrize("m", [9, 15, 20, 21])
+@pytest.mark.parametrize("grid", [None, 1])
+def test_kernel_gathers_units_that_are_not_a_range(m, grid, monkeypatch):
+    # the units of Z/m skip more than 0, so the gathered Vandermonde columns
+    # u_a * k mod m wrap and skip; grid=1 runs every prime in its own block
+    import ethroot.splitkernel as sk
+
+    if grid is not None:
+        monkeypatch.setattr(sk, "_GRID", grid)
+    K, e = NumberField.cyclotomic(m), {9: 5, 15: 7, 20: 3, 21: 5}[m]
+    rng = random.Random(7100 + m)
+    stream = good_prime_stream(K, e, seed=m, avoid_divisors_of=(3, 35))
+    for k in (1, 3, 4, 5, 9):
+        primes = [next(stream) for _ in range(4)]
+        bases, exps = _terms(K, primes[1], rng, k)
+        kern = split_roots_kernel(bases, exps, primes, e, K)
+        table = multi_reduce(bases, [gp.q for gp in primes])
+        for j, gp in enumerate(primes):
+            ref = eth_root_mod_q([(table[i][j], exps[i]) for i in range(k)],
+                                 e, gp, K)
+            assert kern[j] == ref, (m, k, gp.q)
+
+
+def _pow_reference(bases, exps, qs):
+    k, J, T = bases.shape
+    out = [[1] * T for _ in range(J)]
+    for j, q in enumerate(qs.tolist()):
+        for t in range(T):
+            for i in range(k):
+                out[j][t] = out[j][t] * pow(int(bases[i, j, t]), int(exps[i, j]), q) % q
+    return out
+
+
+@pytest.mark.parametrize("k", range(1, 10))
+def test_multi_pow_across_groups_and_bit_lengths(k):
+    # 1-9 bases straddle the groups of four; each prime's exponents have
+    # their own bit lengths, from 0 up to that of q - 2
+    rng = random.Random(f"multi-pow:{k}")
+    qs = np.array([536870909, (1 << 28) + 3, 1000003, 65537, 7], dtype=np.int64)
+    bases = np.array([[[rng.randrange(q) for _ in range(5)] for q in qs.tolist()]
+                      for _ in range(k)], dtype=np.int64)
+    exps = np.array([[rng.randrange(1 << rng.randrange(q.bit_length())) if i % 3
+                      else q - 2 for q in qs.tolist()] for i in range(k)],
+                    dtype=np.int64)
+    exps[:, 2] = rng.randrange(2)  # one prime with exponents 0 and 1 only
+    got = _multi_pow(bases, exps, qs[:, None])
+    assert got.tolist() == _pow_reference(bases, exps, qs)
+    zero = np.zeros_like(exps)
+    assert (_multi_pow(bases, zero, qs[:, None]) == 1).all()
+
+
 def test_multi_pow_all_zero_exponents():
     qs = np.array([11, 13], dtype=np.int64)
     bases = np.array([[[0, 5], [3, 0]]], dtype=np.int64)

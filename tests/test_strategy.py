@@ -177,3 +177,39 @@ def test_reconstruct_honours_the_search_budget(monkeypatch):
     with pytest.raises(SearchExhausted):
         eth_root(RootRequest(K16, 3, y, method="reconstruct"))
     assert 30 < len(factored) <= 200  # the default candidate budget
+
+
+def _count_is_prime(monkeypatch, n):
+    """Calls of primes.is_prime at n, through a counting wrapper."""
+    import ethroot.primes as primes
+
+    calls, real = [], primes.is_prime
+    monkeypatch.setattr(primes, "is_prime",
+                        lambda k: calls.append(k) or real(k))
+    return lambda: calls.count(n)
+
+
+def test_eth_root_tests_e_once(monkeypatch):
+    # a 40-bit prime e, as in crt_large: double_crt after the strategy's check
+    K31, e = NumberField.cyclotomic(31), 1099511627791
+    x = K31.element(list(range(1, 31)))
+    y = FactoredElement(K31, [(x, 5), (-x, e - 5)])  # x^e, as e - 5 is even
+    count = _count_is_prime(monkeypatch, e)
+    r = eth_root(RootRequest(K31, e, y))
+    assert r.method_used == "double_crt" and r.root == x
+    assert count() == 1
+    # on a bad field auto passes the checked e through double_crt to padic
+    count = _count_is_prime(monkeypatch, 3)
+    w = K9.element([2, -1, 0, 1, 0, 0])
+    r = eth_root(RootRequest(K9, 3, planted(K9, w, 3)))
+    assert r.method_used == "padic" and r.root ** 3 == w ** 3
+    assert count() == 1
+
+
+def test_double_crt_called_directly_still_checks_e():
+    from ethroot.crtroot import eth_root_double_crt
+
+    y = planted(K16, K16.element([1, 1, 0, 0, 0, 0, 0, 0]), 3)
+    for e in (45, 4):
+        with pytest.raises(Unsupported):
+            eth_root_double_crt(y, e, K16)
