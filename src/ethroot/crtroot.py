@@ -27,7 +27,14 @@ from .numfield import (
     split_prime_ideals,
     split_roots,
 )
-from .primes import check_odd_prime_power, derive_rng, prime_power_split, prime_stream
+from .primes import (
+    check_odd_prime_power,
+    derive_rng,
+    is_prime,
+    prime_power_split,
+    prime_stream,
+    t_range,
+)
 from .verify import verify_root
 
 # prime draws for prime selection before giving up
@@ -37,6 +44,13 @@ SEARCH_BUDGET = 10 ** 6
 # of two residues inside int64; generic primes use most of the word
 SPLIT_BITS = 29
 GENERIC_BITS = 62
+
+# the split primes q = m t + 1 of Q(zeta_m) are kept on the field in blocks
+# of SPLIT_BLOCK consecutive t; a walk starts at one of the first
+# SPLIT_STARTS blocks, picked by its seed; a field keeps at most SPLIT_CAP
+SPLIT_BLOCK = 128
+SPLIT_STARTS = 256
+SPLIT_CAP = 4096
 
 # running tallies, handy when tuning prime selection: primes handed to
 # check_good_prime, and those it accepted
@@ -102,7 +116,7 @@ def _sees_mu(q: int, d: int, e: int) -> bool:
     return math.gcd(e, pow(q, d, e) - 1) > 1
 
 
-def check_good_prime(q: int, K: NumberField, e: int):
+def check_good_prime(q: int, K: NumberField, e: int, w: int = 0):
     """GoodPrime if q is unramified and no residue field sees mu_l.
 
     Returns a Rejection (never raises) when q fails. For e = l^k a residue
@@ -111,16 +125,18 @@ def check_good_prime(q: int, K: NumberField, e: int):
     looking at the ideals above it: F_q, and so every residue field, already
     holds mu_l. Rejection.degree is then 1, the degree of F_q, not that of a
     residue field. A q = 1 mod m on Q(zeta_m) is then good, since it splits
-    totally; it is returned as (q, w) with no ideals built. Otherwise the
-    ideals come from K.prime_ideals (None means "ramified"), each distinct
-    residue degree d is tested once, smallest first, and the Rejection names
-    the d that failed.
+    totally; it is returned as (q, w) with no ideals built, w the primitive
+    m-th root of 1 mod q the caller kept (K.split_root(q) when w is 0).
+    Otherwise the ideals come from K.prime_ideals (None means "ramified"),
+    each distinct residue degree d is tested once, smallest first, and the
+    Rejection names the d that failed.
     """
     if _sees_mu(q, 1, e):
         return Rejection("root-of-unity", 1)
     m = K.conductor
     if m is not None and q % m == 1:
-        return GoodPrime.split(q, K.split_root(q), m)  # every residue field is F_q
+        # every residue field is F_q
+        return GoodPrime.split(q, w or K.split_root(q), m)
     ideals = K.prime_ideals(q)
     if ideals is None:
         return Rejection("ramified")
@@ -130,20 +146,76 @@ def check_good_prime(q: int, K: NumberField, e: int):
     return GoodPrime(q, ideals, all(i.f_deg == 1 for i in ideals))
 
 
+def _split_block(K: NumberField, b: int, lo: int, hi: int):
+    """The primes q = m t + 1 of Q(zeta_m), t in block b of [lo, hi),
+    ascending and interleaved with their w: q0, w0, q1, w1, ...
+
+    w is 0 until a walk first reaches q. A block is scanned once and kept
+    on K while K holds at most SPLIT_CAP primes, so w is found at most once
+    per kept prime; a block past the cap is scanned again by each walk that
+    reaches it.
+    """
+    block = K.split_blocks.get(b)
+    if block is None:
+        m, t0 = K.conductor, lo + b * SPLIT_BLOCK
+        block = [x for q in range(m * t0 + 1, m * min(t0 + SPLIT_BLOCK, hi) + 1, m)
+                 if is_prime(q) for x in (q, 0)]
+        if sum(map(len, K.split_blocks.values())) + len(block) <= 2 * SPLIT_CAP:
+            # loaded with the first kept block, so import ethroot stays lean
+            from array import array
+
+            # C ints: q, w < 2^SPLIT_BITS
+            block = K.split_blocks[b] = array("i", block)
+    return block
+
+
+def _walk_split_primes(K: NumberField, rng, avoid, budget: int):
+    """(q, w) for the split primes of Q(zeta_m), ascending from a block
+    picked by rng. Raises SearchExhausted after budget primes or at the end
+    of the SPLIT_BITS range."""
+    lo, hi = t_range(SPLIT_BITS, K.conductor)
+    blocks = -(-(hi - lo) // SPLIT_BLOCK)
+    walked = 0
+    for b in range(rng.randrange(min(SPLIT_STARTS, blocks)), blocks):
+        block = _split_block(K, b, lo, hi)
+        for i in range(0, len(block), 2):
+            if walked == budget:
+                raise SearchExhausted(f"no usable prime in {budget} split primes")
+            walked += 1
+            q = block[i]
+            if not any(a % q == 0 for a in avoid):
+                if not block[i + 1]:
+                    block[i + 1] = K.split_root(q)
+                yield q, block[i + 1]
+    raise SearchExhausted(f"the {SPLIT_BITS}-bit split primes ran out")
+
+
 def good_prime_stream(K: NumberField, e: int, seed: int = 0,
                       avoid_divisors_of=(), budget: int = SEARCH_BUDGET):
     """Yield distinct good primes, deterministic under seed.
 
-    Cyclotomic K samples q = 1 mod m just under SPLIT_BITS (residue fields
-    are all F_q, the kernel-friendly shape); other fields sample GENERIC_BITS
-    primes. Primes dividing an integer of avoid_divisors_of are skipped.
-    Raises SearchExhausted after budget prime draws.
+    On Q(zeta_m) the candidates are consecutive split primes q = m t + 1 just
+    under SPLIT_BITS (residue fields are all F_q, the kernel-friendly shape),
+    taken from the field's kept table from a start block the seed picks, so
+    they depend on the seed alone, whatever ran on the field before; a field
+    with gcd(m, e) > 1 has no good split prime and raises SearchExhausted at
+    once. Other fields draw random GENERIC_BITS primes. Primes dividing an
+    integer of avoid_divisors_of are skipped. Raises SearchExhausted after
+    budget primes (table primes walked, or prime draws).
     """
     rng = derive_rng(seed, "crt-primes")
-    bits = GENERIC_BITS if K.conductor is None else SPLIT_BITS
-    for q in prime_stream(rng, bits, K.conductor or 1, avoid_divisors_of, budget):
+    m = K.conductor
+    if m is None:
+        pairs = ((q, 0) for q in prime_stream(rng, GENERIC_BITS, 1,
+                                              avoid_divisors_of, budget))
+    elif math.gcd(m, e) > 1:
+        raise SearchExhausted(f"gcd({m}, {e}) > 1: every split prime sees mu_l")
+    else:
+        pairs = _walk_split_primes(K, rng, [a for a in avoid_divisors_of if a],
+                                   budget)
+    for q, w in pairs:
         stats["candidates"] += 1
-        gp = check_good_prime(q, K, e)
+        gp = check_good_prime(q, K, e, w)
         if isinstance(gp, GoodPrime):
             stats["accepted"] += 1
             yield gp
@@ -157,13 +229,6 @@ def _cover(stream, B: int) -> list[GoodPrime]:
         out.append(gp)
         prod *= gp.q
     return out
-
-
-def select_crt_primes(K: NumberField, e: int, B: int, seed: int = 0,
-                      avoid_divisors_of=(),
-                      budget: int = SEARCH_BUDGET) -> list[GoodPrime]:
-    """Good primes whose product exceeds 2B."""
-    return _cover(good_prime_stream(K, e, seed, avoid_divisors_of, budget), B)
 
 
 def eth_root_mod_q(terms, e: int, gp: GoodPrime, K: NumberField) -> list[int]:

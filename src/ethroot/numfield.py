@@ -132,6 +132,8 @@ class NumberField:
         self._cinf = None
         self._disc = None
         self._conductor_primes = None  # see split_root()
+        # split primes kept by crtroot.good_prime_stream: block -> (q, w)s
+        self.split_blocks: dict = {}
         # primes l with a good prime seen for e = l^k: crtroot.is_bad_field
         self.good_ells: set[int] = set()
         self._radius = None

@@ -16,23 +16,27 @@ from .errors import SearchExhausted, Unsupported
 # Sorenson and Webster, Math. Comp. 2017):
 #   psi_4  = 3215031751                  (~3.2e9)
 #   psi_7  = 341550071728321             (~3.4e14, also psi_8)
-#   psi_9  = 3825123056546413051         (~3.8e18, also psi_10, psi_11)
 #   psi_12 = 318665857834031151167461    (~3.2e23)
 #   psi_13 = 3317044064679887385961981   (~3.3e24)
-# is_prime takes the first tier whose bound exceeds n. Every modulus this
-# package samples stays under 2^64.
+# From psi_7 up to 2^64, Jim Sinclair's seven bases (2011, the record set
+# listed at miller-rabin.appspot.com) are exact, in place of the 9 or 12
+# prime bases; each is below psi_7, so none is 0 mod n. is_prime takes the
+# first tier whose bound exceeds n. Every modulus this package samples
+# stays under 2^64.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_MR_TIERS = ((3215031751, 4), (341550071728321, 7), (3825123056546413051, 9),
-             (318665857834031151167461, 12), (3317044064679887385961981, 13))
+_SINCLAIR_BASES = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
+_MR_TIERS = ((3215031751, _MR_BASES[:4]), (341550071728321, _MR_BASES[:7]),
+             (1 << 64, _SINCLAIR_BASES),
+             (318665857834031151167461, _MR_BASES[:12]),
+             (3317044064679887385961981, _MR_BASES))
 _PSI_13 = _MR_TIERS[-1][0]
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
 
 
 def is_prime(n: int) -> bool:
-    """Exact below psi_13 (strong tests at the first 4 to 13 prime bases,
-    by the table above); above it Baillie-PSW, which has no known
-    counterexample."""
+    """Exact below psi_13 (strong tests at the bases of the table above);
+    above it Baillie-PSW, which has no known counterexample."""
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
@@ -44,8 +48,8 @@ def is_prime(n: int) -> bool:
         d //= 2
         r += 1
     # above psi_13, Baillie-PSW: the strong base-2 test, then Lucas
-    k = next((k for bound, k in _MR_TIERS if n < bound), 1)
-    for a in _MR_BASES[:k]:
+    bases = next((b for bound, b in _MR_TIERS if n < bound), (2,))
+    for a in bases:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -129,10 +133,7 @@ def prime_stream(rng: random.Random, bits: int, modulus: int = 1, avoid=(),
         def draw():
             return rng.randrange(lo, hi) | 1
     else:
-        lo = ((1 << (bits - 1)) - 1) // modulus + 1
-        hi = ((1 << bits) - 1) // modulus
-        if hi <= lo:
-            raise ValueError(f"no {bits}-bit range of q = 1 mod {modulus}")
+        lo, hi = t_range(bits, modulus)
 
         def draw():
             return rng.randrange(lo, hi) * modulus + 1
@@ -149,6 +150,16 @@ def prime_stream(rng: random.Random, bits: int, modulus: int = 1, avoid=(),
         seen.add(q)
         yield q
     raise SearchExhausted(f"no usable prime in {budget} prime draws")
+
+
+def t_range(bits: int, modulus: int) -> tuple[int, int]:
+    """(lo, hi): every t in [lo, hi) puts q = modulus * t + 1 in
+    [2^(bits-1), 2^bits). Raises ValueError when that range is empty."""
+    lo = ((1 << (bits - 1)) - 1) // modulus + 1
+    hi = ((1 << bits) - 1) // modulus
+    if hi <= lo:
+        raise ValueError(f"no {bits}-bit range of q = 1 mod {modulus}")
+    return lo, hi
 
 
 def random_prime(rng: random.Random, bits: int) -> int:

@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 import time
 
@@ -12,7 +14,6 @@ from ethroot.crtroot import (
     eth_root_mod_q,
     good_prime_stream,
     is_bad_field,
-    select_crt_primes,
 )
 from ethroot.errors import NotApplicable, SearchExhausted, VerificationFailed
 from ethroot.fq import factor_mod_p
@@ -24,6 +25,7 @@ from ethroot.numfield import (
     split_prime_ideals,
 )
 from ethroot.primes import factorize, random_prime
+from helpers import select_crt_primes
 
 
 def factored(K, pairs):
@@ -177,6 +179,131 @@ def test_select_primes_bad_field_exhausts():
         select_crt_primes(K, 3, 100, seed=1, budget=400)
 
 
+def test_bad_cyclotomic_field_exhausts_at_once_with_no_table():
+    # gcd(m, e) > 1: every split prime is 1 mod l, so nothing is walked
+    for m, e in ((9, 3), (15, 25), (21, 7)):
+        K = NumberField.cyclotomic(m)
+        t0 = time.perf_counter()
+        with pytest.raises(SearchExhausted):
+            next(good_prime_stream(K, e))
+        assert time.perf_counter() - t0 < 0.1
+        assert K.split_blocks == {}
+
+
+# -- the kept table of split primes ------------------------------------------------
+
+
+def primes_between(lo, hi):
+    """Ascending primes in [lo, hi), by a segmented sieve of Eratosthenes."""
+    r = math.isqrt(hi)
+    small = bytearray([1]) * (r + 1)
+    small[:2] = b"\0\0"
+    for i in range(2, math.isqrt(r) + 1):
+        if small[i]:
+            small[i * i::i] = bytes(len(range(i * i, r + 1, i)))
+    seg = bytearray([1]) * (hi - lo)
+    for p in (i for i in range(r + 1) if small[i]):
+        start = max(p * p, -(-lo // p) * p)
+        seg[start - lo::p] = bytes(len(range(start, hi, p)))
+    return [lo + i for i, v in enumerate(seg) if v and lo + i > 1]
+
+
+def has_order(w, m, q):
+    return pow(w, m, q) == 1 and all(pow(w, m // p, q) != 1 for p in factorize(m))
+
+
+@pytest.mark.parametrize("m, e", [(4, 3), (9, 5), (16, 3), (31, 3), (113, 7)])
+def test_walked_primes_are_a_scan_of_the_covered_range(m, e):
+    K = NumberField.cyclotomic(m)
+    for seed in (0, 5):
+        plain = list(itertools.islice(good_prime_stream(K, e, seed=seed), 60))
+        avoid = plain[3].q * plain[10].q
+        walked = list(itertools.islice(
+            good_prime_stream(K, e, seed=seed, avoid_divisors_of=(avoid,)), 60))
+        lo, _ = crtroot.t_range(crtroot.SPLIT_BITS, m)
+        start = crtroot.derive_rng(seed, "crt-primes").randrange(crtroot.SPLIT_STARTS)
+        t_first, t_last = lo + start * crtroot.SPLIT_BLOCK, walked[-1].q // m
+        want = [q for q in primes_between(m * t_first + 1, m * t_last + 2)
+                if q % m == 1 and q % e != 1 and avoid % q]
+        assert [gp.q for gp in walked] == want
+        assert all(has_order(gp.w, m, gp.q) for gp in walked)
+    # the blocks a walk passes through are kept, ascending within each
+    for b, block in K.split_blocks.items():
+        qs = list(block[::2])
+        assert qs == sorted(qs) and all((q - 1) // m - lo in
+                                        range(b * crtroot.SPLIT_BLOCK,
+                                              (b + 1) * crtroot.SPLIT_BLOCK)
+                                        for q in qs)
+
+
+def test_walked_primes_depend_on_the_seed_alone():
+    def walk(K, e, seed):
+        return [(gp.q, gp.w) for gp in itertools.islice(
+            good_prime_stream(K, e, seed=seed), 40)]
+
+    fresh = walk(NumberField.cyclotomic(16), 5, 3)
+    K = NumberField.cyclotomic(16)
+    for seed, e in itertools.product(range(6), (3, 7, 25)):
+        walk(K, e, seed)
+    assert walk(K, 5, 3) == fresh
+
+
+def test_split_root_runs_once_per_kept_prime(monkeypatch):
+    K = NumberField.cyclotomic(20)
+    calls = []
+    split_root = K.split_root
+    monkeypatch.setattr(K, "split_root", lambda q: calls.append(q) or split_root(q))
+    for seed, e in itertools.product(range(4), (3, 7)):
+        for gp in itertools.islice(good_prime_stream(K, e, seed=seed), 30):
+            assert has_order(gp.w, 20, gp.q)
+    # w is found once, for the kept primes a walk reached
+    found = [block[i] for block in K.split_blocks.values()
+             for i in range(0, len(block), 2) if block[i + 1]]
+    assert sorted(calls) == sorted(found) and len(set(calls)) == len(calls)
+
+
+def test_the_table_keeps_at_most_the_cap_and_walks_past_it(monkeypatch):
+    def walk(K, seed):
+        return [(gp.q, gp.w) for gp in itertools.islice(
+            good_prime_stream(K, 3, seed=seed), 120)]
+
+    want = [walk(NumberField.cyclotomic(16), seed) for seed in (1, 2)]
+    monkeypatch.setattr(crtroot, "SPLIT_CAP", 50)
+    K = NumberField.cyclotomic(16)
+    assert [walk(K, seed) for seed in (1, 2)] == want
+    assert [walk(K, seed) for seed in (1, 2)] == want
+    kept = sum(len(block) for block in K.split_blocks.values()) // 2
+    assert 0 < kept <= 50
+
+
+def test_split_walk_budget_counts_walked_primes(monkeypatch):
+    calls = _count_checks(monkeypatch)
+    K = NumberField.cyclotomic(4)
+    first = [gp.q for gp in itertools.islice(good_prime_stream(K, 3), 2)]
+    calls.clear()
+    stream = good_prime_stream(K, 3, avoid_divisors_of=(first[0] * first[1],),
+                               budget=12)
+    with pytest.raises(SearchExhausted):
+        list(stream)
+    # the two avoided primes count against the budget but are never checked
+    assert len(calls) == 10 and not set(first) & set(calls)
+
+
+def test_split_walk_ends_with_the_range(monkeypatch):
+    monkeypatch.setattr(crtroot, "SPLIT_BITS", 12)
+    K = NumberField.cyclotomic(16)
+    stream = good_prime_stream(K, 3, seed=1)
+    got = []
+    with pytest.raises(SearchExhausted):
+        for gp in stream:
+            got.append(gp.q)
+    lo, hi = crtroot.t_range(12, 16)
+    assert lo * 16 + 1 >= 2 ** 11 and (hi - 1) * 16 + 1 < 2 ** 12
+    # one block covers the 12-bit range, so the walk is all of it
+    assert got == [q for q in primes_between(2 ** 11, 2 ** 12)
+                   if q % 16 == 1 and q % 3 != 1 and (q - 1) // 16 < hi]
+
+
 def test_is_bad_field():
     assert is_bad_field(NumberField.cyclotomic(9), 3)
     assert is_bad_field(NumberField.cyclotomic(15), 25)  # zeta_5 in K
@@ -189,9 +316,9 @@ def test_is_bad_field():
 def _count_checks(monkeypatch):
     calls = []
 
-    def counted(q, K, e):
+    def counted(q, K, e, *w):
         calls.append(q)
-        return check_good_prime(q, K, e)
+        return check_good_prime(q, K, e, *w)
 
     monkeypatch.setattr(crtroot, "check_good_prime", counted)
     return calls

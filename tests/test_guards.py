@@ -4,6 +4,7 @@ import ast
 import itertools
 import json
 import random
+import subprocess
 import sys
 from pathlib import Path
 
@@ -66,6 +67,16 @@ def test_library_imports_only_stdlib_and_numpy():
             found += [f"{path.name}:{node.lineno} {name}" for name in names
                       if name.split(".")[0] not in allowed]
     assert found == []
+
+
+def test_import_ethroot_loads_no_numpy():
+    # the cold import is most of a workload's set-up, and numpy would add
+    # about 60 ms to it; only the split kernel needs numpy
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import ethroot; "
+            "print('numpy' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code, str(SRC.parent)],
+                         capture_output=True, text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "False"
 
 
 def test_random_prime_rejects_one_bit():

@@ -111,11 +111,49 @@ def test_is_prime_rejects_psi_k(k):
     assert not primes.is_prime(n)
 
 
-@pytest.mark.parametrize("bound", [b for b, _ in primes._MR_TIERS])
+@pytest.mark.parametrize("bound", [PSI[3], PSI[6], PSI[8], PSI_12, PSI_13])
 def test_is_prime_accepts_primes_on_both_sides_of_a_tier(bound):
     below = next(n for n in range(bound - 2, 0, -2) if bpsw(n))
     above = next(n for n in range(bound + 2, 2 * bound, 2) if bpsw(n))
     assert primes.is_prime(below) and primes.is_prime(above)
+
+
+def test_is_prime_tiers_bound_psi_or_two_to_the_64():
+    assert [b for b, _ in primes._MR_TIERS] == [PSI[3], PSI[6], 2 ** 64,
+                                                 PSI_12, PSI_13]
+
+
+def _bases_tried(monkeypatch, n):
+    # is_prime's strong tests are its only calls of pow
+    bases = []
+
+    def recording_pow(a, d, mod):
+        bases.append(a)
+        return pow(a, d, mod)
+
+    monkeypatch.setattr(primes, "pow", recording_pow, raising=False)
+    assert primes.is_prime(n)
+    monkeypatch.undo()
+    return bases
+
+
+def test_is_prime_takes_sinclairs_bases_from_psi_7_to_two_to_the_64(monkeypatch):
+    sinclair = [2, 325, 9375, 28178, 450775, 9780504, 1795265022]
+    below_psi_7 = next(n for n in range(PSI[6] - 2, 0, -2) if bpsw(n))
+    assert _bases_tried(monkeypatch, below_psi_7) == list(FIRST_13[:7])
+    for n in (next(n for n in range(PSI[6] + 2, 2 * PSI[6], 2) if bpsw(n)),
+              2 ** 61 - 1, 2 ** 64 - 59):
+        assert _bases_tried(monkeypatch, n) == sinclair
+    assert _bases_tried(monkeypatch, 2 ** 64 + 13) == list(FIRST_13[:12])
+
+
+def test_is_prime_just_below_and_above_two_to_the_64():
+    # 2^64 - 59 and 2^64 + 13 are the primes nearest 2^64 on either side
+    window = range(2 ** 64 - 64, 2 ** 64 + 64)
+    found = [n for n in window if primes.is_prime(n)]
+    assert found == [n for n in window if bpsw(n)]
+    assert [n for n in found if 2 ** 64 - 60 < n < 2 ** 64 + 14] == [
+        2 ** 64 - 59, 2 ** 64 + 13]
 
 
 @pytest.mark.parametrize("bits", [29, 62])
