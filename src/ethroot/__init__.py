@@ -43,7 +43,6 @@ from .numfield import (
     cyclotomic_poly,
     multi_reduce,
     normalize_exponents,
-    reduce_mod_ideal,
     relative_norm,
 )
 from .padic import eth_root_padic, eth_root_padic_reconstruct, find_inert_prime

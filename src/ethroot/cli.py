@@ -309,6 +309,21 @@ def cmd_selftest(args) -> int:
         status = "ok" if ok else "FAIL"
         failures += 0 if ok else 1
         print(f"{status} {label} ({time.perf_counter() - t0:.2f}s)")
+    # a non-power ends in a certified failure, with no precision doubling
+    K9 = NumberField.cyclotomic(9)
+    x = _random_element(K9, 8, derive_rng(args.seed, "selftest-non-power"))
+    y = FactoredElement(K9, [(K9.element([2]) * x ** 3, 1)])
+    t0 = time.perf_counter()
+    try:
+        eth_root(RootRequest(K9, 3, y, seed=args.seed))
+        ok = False
+    except NotAnEthPower as exc:
+        ok = "certified:" in str(exc)
+    except EthrootError:
+        ok = False
+    print(f"{'ok' if ok else 'FAIL'} non-power m=9 e=3 "
+          f"({time.perf_counter() - t0:.2f}s)")
+    failures += 0 if ok else 1
     # saturation plant
     K4 = NumberField.cyclotomic(4)
     g = K4.element([2, 1])
@@ -319,7 +334,7 @@ def cmd_selftest(args) -> int:
     print(f"{'ok' if ok else 'FAIL'} saturation m=4 e=3 "
           f"({time.perf_counter() - t0:.2f}s)")
     failures += 0 if ok else 1
-    total = len(checks) + 1
+    total = len(checks) + 2
     print(f"selftest: {total - failures}/{total} passed")
     return EXIT_OK if failures == 0 else 1
 

@@ -378,11 +378,3 @@ def is_irreducible(f: list[int], p: int) -> bool:
         if deg(gcd(sub(powers[n // q], x, p), f, p)) > 0:
             return False
     return True
-
-
-def random_irreducible(d: int, p: int, rng: random.Random) -> list[int]:
-    """Random monic irreducible of degree d over F_p."""
-    while True:
-        f = [rng.randrange(p) for _ in range(d)] + [1]
-        if is_irreducible(f, p):
-            return f

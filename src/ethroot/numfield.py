@@ -711,11 +711,6 @@ def split_prime_ideals(q: int, m: int, w: int | None = None) -> tuple:
     return tuple(PrimeIdealRep(q, (q - r, 1), 1) for r in split_roots(q, m, w))
 
 
-def reduce_mod_ideal(coeffs_mod_p: list[int], ideal: PrimeIdealRep) -> list[int]:
-    """Residue of a mod-p coordinate vector in F_p[x]/(g)."""
-    return gfpoly.rem(gfpoly.trim(list(coeffs_mod_p)), list(ideal.g), ideal.p)
-
-
 def crt_ideals(residues: list[list[int]], ideals: list[PrimeIdealRep],
                K: NumberField) -> list[int]:
     """Combine per-ideal residues into z mod (p, f): Chinese remainder in F_p[x]."""
@@ -740,9 +735,10 @@ def crt_integers_symmetric(vectors: list[list[int]], moduli: list[int],
                            bound: int) -> list[int]:
     """Per-coordinate CRT with symmetric lift into [-bound, bound].
 
-    vectors[j] is the coordinate vector mod moduli[j]; returns one integer
-    vector. Requires prod moduli > 2*bound; BoundViolation if a combined
-    coordinate falls outside the symmetric range.
+    vectors[j] is the coordinate vector mod moduli[j], entries in
+    [0, moduli[j]); returns one integer vector. Requires prod moduli >
+    2*bound; BoundViolation if a combined coordinate falls outside the
+    symmetric range.
     """
     if not vectors:
         raise ValueError("no residue vectors")
@@ -752,12 +748,12 @@ def crt_integers_symmetric(vectors: list[list[int]], moduli: list[int],
         for i in range(0, len(pairs) - 1, 2):
             (v1, m1), (v2, m2) = pairs[i], pairs[i + 1]
             inv = modinv(m1 % m2, m2)
-            m = m1 * m2
+            # a < m1 and the digit is below m2, so a + m1 * digit < m1 * m2
             combined = [
-                (a + m1 * ((b - a) * inv % m2)) % m
+                a + m1 * ((b - a) % m2 * inv % m2)
                 for a, b in zip(v1, v2, strict=True)
             ]
-            nxt.append((combined, m))
+            nxt.append((combined, m1 * m2))
         if len(pairs) % 2:
             nxt.append(pairs[-1])
         pairs = nxt
@@ -824,12 +820,6 @@ class SubfieldEmbedding:
         for i, c in enumerate(x.num):
             num[i * k % m] = c
         return self.K.element(num, x.den)
-
-    def from_subfield(self, b: FieldElement) -> FieldElement:
-        """Image of an L-element in K (substitute beta = alpha^(m/m'))."""
-        if b.field != self.L:
-            raise IncompatibleFields("element not in L")
-        return self._power_map(b, self.K.conductor // self.L.conductor)
 
     def to_subfield(self, x: FieldElement) -> FieldElement:
         """Express a K-element lying in L as an L-element (NotInSubfield else)."""

@@ -7,7 +7,9 @@ seed. The global root is the residual of the lift under nearest-plane rounding
 in the lattice of the ideal power (p, g)^a, walked in exact integers on the
 Gram-Schmidt data that LLL leaves behind. An inert p is the case g = f: the
 completion is Z[x]/(p^a, f), the lattice is p^a Z^n and the rounding is plain
-symmetric rounding of each coordinate mod p^a.
+symmetric rounding of each coordinate mod p^a. A non-power stops at the first
+precision where Babai's box test holds: there the rounding would have found
+every root the tried twists lead to, so doubling the precision cannot help.
 
 gfpoly is reused with a composite modulus: divmod_/rem/mulmod/powmod stay exact
 there as long as every divisor is monic (the leading-coefficient inverse is 1).
@@ -44,7 +46,6 @@ from .primes import (
     multiplicative_order,
     prime_power_split,
     prime_stream,
-    xgcd,
 )
 from .verify import verify_root
 
@@ -58,7 +59,7 @@ GAMMA = 1.022
 LLL_DELTA = (99, 100)  # delta = 99/100
 
 TWIST_BUDGET = 4096
-MAX_DOUBLINGS = 4
+MAX_DOUBLINGS = 4  # precision doublings while the box test fails
 
 # lift_checks counts the always-on convergence checks (one per step)
 stats = {"lift_steps": 0, "lift_checks": 0, "twists": 0, "doublings": 0}
@@ -280,55 +281,21 @@ def hensel_factor_lift(g: list[int], f: list[int], p: int, a: int) -> list[int]:
     return ga
 
 
-def _hnf(mat: list[list[int]], n: int) -> list[list[int]]:
-    """Upper-triangular row HNF, positive diagonal, reduced above the diagonal."""
-    rows = [list(r) for r in mat]
-    basis = []
-    for col in range(n):
-        work = [r for r in rows if r[col] != 0]
-        rest = [r for r in rows if r[col] == 0]
-        if not work:
-            raise ValueError("matrix rows do not span full rank")
-        piv = work.pop()
-        while work:
-            r = work.pop()
-            g, s, t = xgcd(piv[col], r[col])
-            q1, q2 = piv[col] // g, r[col] // g
-            comb = [s * x + t * y for x, y in zip(piv, r)]
-            left = [q2 * x - q1 * y for x, y in zip(piv, r)]
-            piv = comb
-            if any(left):
-                rest.append(left)
-        if piv[col] < 0:
-            piv = [-c for c in piv]
-        basis.append(piv)
-        rows = rest
-    # canonical form: entries above each pivot land in [0, pivot); increasing
-    # order keeps earlier columns untouched (later pivot rows start with zeros)
-    for i in range(n):
-        for j in range(i):
-            q = basis[j][i] // basis[i][i]
-            if q:
-                basis[j] = [x - q * y for x, y in zip(basis[j], basis[i])]
-    return basis
-
-
 def build_ideal_lattice(pil: PrimeIdealRep, a: int, K: NumberField,
                         ga: list[int] | None = None) -> list[list[int]]:
-    """Row basis of pil^a = (p^a, g_a(alpha)) in Hermite form, n x n."""
-    p, n = pil.p, K.n
+    """Lower-triangular row basis of pil^a = (p^a, g_a(alpha)), n x n.
+
+    The rows are p^a e_i for i < f, then the coefficient rows of x^j g_a for
+    j < n - f; g_a is monic of degree f, so the diagonal is f times p^a and
+    then n - f ones.
+    """
+    p, n, f = pil.p, K.n, pil.f_deg
     pa = p ** a
     if ga is None:
         ga = hensel_factor_lift(list(pil.g), list(K.f), p, a)
-    rows = [[pa if i == j else 0 for i in range(n)] for j in range(n)]
-    gel = K.element(ga)
-    for j in range(n - pil.f_deg):
-        el = gel * K.gen ** j
-        if el.den != 1:
-            raise ArithmeticError("ideal generator is not integral")
-        rows.append(list(el.num))
-    basis = _hnf(rows, n)
-    if math.prod(basis[i][i] for i in range(n)) != p ** (a * pil.f_deg):
+    basis = [[pa if i == j else 0 for i in range(n)] for j in range(f)]
+    basis += [[0] * j + list(ga) + [0] * (n - f - 1 - j) for j in range(n - f)]
+    if math.prod(basis[i][i] for i in range(n)) != p ** (a * f):
         raise ArithmeticError("ideal lattice determinant mismatch")
     return basis
 
@@ -435,8 +402,7 @@ def babai_nearest_plane(gs: GramSchmidt, target: list[int]) -> list[int]:
 
 
 def eth_root_padic_reconstruct(y: FactoredElement, e: int, K: NumberField,
-                               pil: PrimeIdealRep, seed: int = 0,
-                               max_doublings: int = MAX_DOUBLINGS) -> FieldElement:
+                               pil: PrimeIdealRep, seed: int = 0) -> FieldElement:
     """e-th root via a single prime ideal: lift in the completion, then Babai.
 
     Pipeline: clear denominators, bound the integral root, fold
@@ -448,11 +414,20 @@ def eth_root_padic_reconstruct(y: FactoredElement, e: int, K: NumberField,
     twist's nearest-plane walk runs on its integral Gram-Schmidt data. When K
     contains e-th roots of unity the local seed is ambiguous; wrong seeds are
     retried twisted by a root of unity until the verified global root appears.
-    On failure a doubles (default 4 times) before giving up.
+
+    When no twist verifies, Babai's box test decides whether to double a.
+    Nearest plane returns X exactly when ||X|| < min ||b*_i|| / 2 (Babai
+    1986); ||b*_i||^2 = d[i+1] / d[i] and every root has ||X|| <= sqrt(n) B',
+    so 4 n B'^2 d[i] < d[i+1] for every i means each tried twist's root would
+    have been found, and doubling, which retries the same twists, cannot help.
+    The failure is then final at this precision, and "certified" (y is not an
+    e-th power) when every twist was tried on a cyclotomic K, whose Z[alpha]
+    is the maximal order. Otherwise a doubles, at most MAX_DOUBLINGS times.
 
     An inert pil (f_deg == n) takes two exact shortcuts: the Hensel lift of
     f mod p is f itself, and pil^a = p^a O is the lattice p^a Z^n, whose
-    nearest-plane residual is the symmetric residue of each coordinate.
+    nearest-plane residual is the symmetric residue of each coordinate. That
+    rounding is exact once p^a > 2B', so the box test always holds there.
     """
     check_odd_prime_power(e)
     l, k = prime_power_split(e)
@@ -469,7 +444,7 @@ def eth_root_padic_reconstruct(y: FactoredElement, e: int, K: NumberField,
     a = precision_estimate(K.n, pil.f_deg, p, Bp)
     inert = pil.f_deg == K.n
     field = FqField.trusted(p, pil.g)
-    for attempt in range(max_doublings + 1):
+    for attempt in range(MAX_DOUBLINGS + 1):
         if attempt:
             a *= 2
             stats["doublings"] += 1
@@ -486,7 +461,7 @@ def eth_root_padic_reconstruct(y: FactoredElement, e: int, K: NumberField,
             raise RootSeedMissing("y mod pil is not an e-th power residue") from exc
         if not inert:
             red = lll_reduce(build_ideal_lattice(pil, a, K, ga=ga))
-        for cand in _twist_candidates(x0, field, l, k, seed):
+        for tried, cand in enumerate(_twist_candidates(x0, field, l, k, seed), 1):
             xk = hensel_lift(a_poly, cand, e, ctx)
             approx = gfpoly.mulmod(Y, xk, mp, M)
             xhat = list(approx) + [0] * (K.n - len(approx))
@@ -502,8 +477,19 @@ def eth_root_padic_reconstruct(y: FactoredElement, e: int, K: NumberField,
             if verify_root(x, y, e, K, trials=2, seed=seed + 1):
                 return x
             stats["twists"] += 1
-    raise VerificationFailed(
-        "no twist of the local seed gives a global root at any precision tried")
+        box = 4 * K.n * Bp * Bp
+        if inert or all(box * red.d[i] < red.d[i + 1] for i in range(K.n)):
+            break
+    else:
+        raise VerificationFailed(
+            f"no twist of the local seed gives a global root up to {p}^{a}")
+    msg = (f"no twist of the local seed gives a global root at {p}^{a}, "
+           f"where the box test holds")
+    if K.conductor is None:
+        raise VerificationFailed(f"{msg}; no root lies in Z[alpha]/{T}")
+    if tried < math.gcd(e, field.q - 1):
+        raise VerificationFailed(f"{msg}; only {tried} twists were tried")
+    raise VerificationFailed(f"certified: y is not an e-th power; {msg}")
 
 
 def eth_root_padic(y: FactoredElement, e: int, K: NumberField, p: int,
@@ -512,10 +498,10 @@ def eth_root_padic(y: FactoredElement, e: int, K: NumberField, p: int,
 
     This is reconstruction at the inert ideal (p, f) of degree n: its a-th
     power is p^a O, so recognizing the root is symmetric rounding mod p^a.
-    Once p^a > 2B that rounding is unique, so doubling the precision cannot
-    help and none is tried.
+    Once p^a > 2B that rounding is unique, so the box test holds at the first
+    precision and a failure is final there.
     """
     if not is_inert(K, p):
         raise ValueError(f"p={p} is not inert in K")
     pil = PrimeIdealRep(p, tuple(gfpoly.from_int_poly(list(K.f), p)), K.n)
-    return eth_root_padic_reconstruct(y, e, K, pil, seed=seed, max_doublings=0)
+    return eth_root_padic_reconstruct(y, e, K, pil, seed=seed)

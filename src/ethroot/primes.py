@@ -162,11 +162,6 @@ def t_range(bits: int, modulus: int) -> tuple[int, int]:
     return lo, hi
 
 
-def random_prime(rng: random.Random, bits: int) -> int:
-    """Random prime in [2^(bits-1), 2^bits)."""
-    return next(prime_stream(rng, bits))
-
-
 def iroot(n: int, k: int) -> int:
     """Floor of the integer k-th root of n >= 0."""
     if n < 0 or k < 1:
@@ -218,16 +213,6 @@ class OddPrimePower(int):
         self = super().__new__(cls, e)
         self.split = split
         return self
-
-
-def xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """Return (g, x, y) with a*x + b*y = g = gcd(a, b)."""
-    x0, x1, y0, y1 = 1, 0, 0, 1
-    while b:
-        q, a, b = a // b, b, a % b
-        x0, x1 = x1, x0 - q * x1
-        y0, y1 = y1, y0 - q * y1
-    return a, x0, y0
 
 
 def modinv(a: int, m: int) -> int:

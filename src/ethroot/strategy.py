@@ -46,8 +46,9 @@ class RootRequest:
     """What to take the root of and how.
 
     budgets: optional overrides, {"search": prime-search budget shared by the
-    admissibility probes, "doublings": precision retries of the lattice
-    backend}; missing keys mean library defaults.
+    admissibility probes}; missing keys mean library defaults. The lattice
+    backend needs no budget: a non-power stops at the first precision where
+    Babai's box test holds.
     """
 
     K: NumberField
@@ -171,10 +172,7 @@ def run_reconstruct(y: FactoredElement, K: NumberField, e: int, seed: int,
     if budgets.get("search") is not None:
         pick_kw["budget"] = budgets["search"]
     pil = pick_reconstruct_ideal(K, e, **pick_kw)
-    kw = {}
-    if budgets.get("doublings") is not None:
-        kw["max_doublings"] = budgets["doublings"]
-    return eth_root_padic_reconstruct(y, e, K, pil, seed=seed, **kw)
+    return eth_root_padic_reconstruct(y, e, K, pil, seed=seed)
 
 
 RUNNERS = {

@@ -18,9 +18,8 @@ from ethroot import couveignes, padic
 from ethroot.crtroot import eth_root_double_crt
 from ethroot.errors import NotAPower, NotUnit, ZeroInput
 from ethroot.fq import FqField, fq_eth_root
-from ethroot.gfpoly import random_irreducible
 from ethroot.numfield import FactoredElement, NumberField
-from ethroot.primes import derive_rng, is_prime, prime_power_split, random_prime
+from ethroot.primes import derive_rng, is_prime, prime_power_split
 from ethroot.saturation import (
     GeneratingSet,
     chi,
@@ -31,6 +30,7 @@ from ethroot.saturation import (
 )
 from ethroot.strategy import RootRequest, eth_root
 from ethroot.verify import verify_root
+from helpers import random_irreducible, random_prime
 
 FIELDS = {m: NumberField.cyclotomic(m) for m in (4, 5, 7, 8, 9, 15, 16, 35, 64, 113)}
 Q = NumberField([0, 1])

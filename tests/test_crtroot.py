@@ -24,8 +24,8 @@ from ethroot.numfield import (
     multi_reduce,
     split_prime_ideals,
 )
-from ethroot.primes import factorize, random_prime
-from helpers import select_crt_primes
+from ethroot.primes import factorize
+from helpers import random_prime, select_crt_primes
 
 
 def factored(K, pairs):

@@ -23,13 +23,14 @@ from ethroot.crtroot import eth_root_double_crt
 from ethroot.numfield import FactoredElement, NumberField
 from ethroot.primes import is_prime
 from ethroot.verify import verify_root
+from helpers import random_irreducible
 
 
 def make_field(p, d, seed=1):
     if d == 1:
         return FqField(p, [0, 1])
     rng = random.Random(seed)
-    return FqField(p, gfpoly.random_irreducible(d, p, rng))
+    return FqField(p, random_irreducible(d, p, rng))
 
 
 def prime_powers_upto(bound):

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from ethroot import gfpoly
+from helpers import random_irreducible
 
 
 def ref_trim(a):
@@ -162,7 +163,7 @@ def test_powmod_large_exponents(p):
 def test_powmod_multiplicative_group_order(p, d):
     # beyond the reference's reach: a^(p^d - 1) = 1 and a^(p^d) = a in F_{p^d}
     rng = random.Random(f"powmod:order:{p}:{d}")
-    f = gfpoly.random_irreducible(d, p, rng)
+    f = random_irreducible(d, p, rng)
     assert gfpoly.factor(f, p) == [(f, 1)]
     for a in ([p - 1] * d, ref_trim([rng.randrange(p) for _ in range(d)])):
         assert gfpoly.powmod(a, p ** d - 1, f, p) == [1]
@@ -214,8 +215,8 @@ def test_is_irreducible_large_prime_products():
     rng = random.Random("irreducible:2^61-1")
     for _ in range(8):
         d1, d2 = rng.randrange(1, 4), rng.randrange(1, 4)
-        g = gfpoly.random_irreducible(d1, p, rng)
-        h = gfpoly.random_irreducible(d2, p, rng)
+        g = random_irreducible(d1, p, rng)
+        h = random_irreducible(d2, p, rng)
         # the factorization's DDF takes its own Frobenius powers, not the test's
         assert gfpoly.factor(g, p) == [(g, 1)]
         assert gfpoly.is_irreducible(h, p)
@@ -231,9 +232,9 @@ def test_is_irreducible_both_frobenius_steps(p):
     # always squares. Either way the answers must match factor().
     rng = random.Random(f"irreducible:both:{p}")
     for n in range(2, 15):
-        g = gfpoly.random_irreducible(n, p, rng)
+        g = random_irreducible(n, p, rng)
         assert gfpoly.factor(g, p) == [(g, 1)]
-        h = gfpoly.random_irreducible(rng.randrange(1, n), p, rng)
+        h = random_irreducible(rng.randrange(1, n), p, rng)
         assert not gfpoly.is_irreducible(gfpoly.mul(g, h, p), p)
         for _ in range(4):
             f = rand_poly(rng, n, p, monic=True)

@@ -14,7 +14,7 @@ import pytest
 from ethroot import gfpoly
 from ethroot.crtroot import SPLIT_BITS, GoodPrime, check_good_prime
 from ethroot.numfield import NumberField, crt_integers_symmetric
-from ethroot.primes import factorize, random_prime
+from ethroot.primes import factorize
 from ethroot.splitkernel import _CHUNK, _GRID, _LIMB, split_roots_kernel
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -77,11 +77,6 @@ def test_import_ethroot_loads_no_numpy():
     out = subprocess.run([sys.executable, "-c", code, str(SRC.parent)],
                          capture_output=True, text=True, check=True, timeout=60)
     assert out.stdout.strip() == "False"
-
-
-def test_random_prime_rejects_one_bit():
-    with pytest.raises(ValueError):
-        random_prime(random.Random(0), 1)
 
 
 def test_factorize_rejects_zero():

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -19,7 +20,6 @@ from ethroot.numfield import FactoredElement, NumberField, PrimeIdealRep
 from ethroot.padic import (
     GAMMA,
     PadicContext,
-    _hnf,
     _round_div,
     _symmetric,
     babai_nearest_plane,
@@ -36,7 +36,8 @@ from ethroot.padic import (
     stats,
 )
 from ethroot.primes import multiplicative_order
-from ethroot.strategy import RootRequest, eth_root
+from ethroot.strategy import RootRequest, eth_root, pick_reconstruct_ideal
+from helpers import hnf
 
 
 def factored(K, pairs):
@@ -325,9 +326,25 @@ def test_ideal_lattice_membership_and_det():
     det = 1
     for i, row in enumerate(basis):
         det *= row[i]
-        assert all(row[j] == 0 for j in range(i))  # upper triangular
+        assert all(c == 0 for c in row[i + 1:])  # lower triangular
         assert gfpoly.rem(gfpoly.trim([c % M for c in row]), ga, M) == []
     assert det == 13 ** (a * pil.f_deg)
+    # p^a e_i for i < f, then x^j g_a: diagonal f times p^a, then ones
+    assert [basis[i][i] for i in range(K.n)] == [M, M, 1, 1]
+
+
+@pytest.mark.parametrize("m, q, a", [(8, 13, 3), (16, 17, 2), (32, 31, 2)])
+def test_ideal_lattice_spans_the_ideal_generators(m, q, a):
+    # same Hermite form as p^a I plus the rows of g_a(alpha) alpha^j, the
+    # generating set of (p^a, g_a(alpha)) taken through K's arithmetic
+    K = NumberField.cyclotomic(m)
+    pa = q ** a
+    for pil in K.prime_ideals(q)[:2]:
+        ga = hensel_factor_lift(list(pil.g), list(K.f), q, a)
+        gens = [[pa if i == j else 0 for i in range(K.n)] for j in range(K.n)]
+        gel = K.element(ga)
+        gens += [list((gel * K.gen ** j).num) for j in range(K.n - pil.f_deg)]
+        assert hnf(build_ideal_lattice(pil, a, K), K.n) == hnf(gens, K.n)
 
 
 def test_ideal_lattice_inert_degenerates_to_scalar():
@@ -352,12 +369,6 @@ def test_inert_lattice_rounding_is_nearest_plane():
                 w = babai_nearest_plane(red, target)
                 assert [t - wi for t, wi in zip(target, w)] == [
                     _symmetric(t, M) for t in target]
-
-
-def test_hnf_unimodular_and_rank():
-    assert _hnf([[2, 1], [1, 1], [3, 0]], 2) == [[1, 0], [0, 1]]
-    with pytest.raises(ValueError):
-        _hnf([[1, 0], [2, 0]], 2)
 
 
 # -- LLL and Babai ------------------------------------------------------------
@@ -460,7 +471,7 @@ def test_lll_identity_fixed():
 def test_lll_skew_basis():
     red = lll_reduce([[1, 0], [1000, 1]]).basis
     assert max(abs(c) for row in red for c in row) <= 1
-    assert _hnf(red, 2) == [[1, 0], [0, 1]]  # same lattice
+    assert hnf(red, 2) == [[1, 0], [0, 1]]  # same lattice
 
 
 def test_lll_conditions_and_lattice_equality():
@@ -470,7 +481,7 @@ def test_lll_conditions_and_lattice_equality():
         for i in range(4):
             rows[i][i] += 500  # keep it nonsingular
         red = lll_reduce(rows).basis
-        assert _hnf(red, 4) == _hnf(rows, 4)
+        assert hnf(red, 4) == hnf(rows, 4)
         bs, norms, mus = _gso(red)
         for i in range(4):
             for j in range(i):
@@ -489,7 +500,7 @@ def test_babai_membership_and_quality():
     basis = gs.basis
     target = [29, -23]
     w = babai_nearest_plane(gs, target)
-    assert _hnf(basis + [w], 2) == _hnf(basis, 2)  # w is in the lattice
+    assert hnf(basis + [w], 2) == hnf(basis, 2)  # w is in the lattice
     best = min(
         sum((t - (i * basis[0][k] + j * basis[1][k])) ** 2 for k, t in enumerate(target))
         for i in range(-40, 41)
@@ -538,13 +549,61 @@ def test_reconstruct_local_obstruction():
         eth_root_padic_reconstruct(factored(K, [(K.element([2]), 1)]), 3, K, pil)
 
 
-def test_reconstruct_global_non_power_fails_after_doublings():
+def test_reconstruct_global_non_power_certified_without_doubling():
     K, g = _quartic_factor_mod_13()
     pil = PrimeIdealRep(13, tuple(g), 2)
     before = stats["doublings"]
-    with pytest.raises(VerificationFailed):
+    with pytest.raises(VerificationFailed, match=r"^certified: .* 13\^4,"):
+        eth_root_padic_reconstruct(factored(K, [(K.element([14]), 1)]), 3, K, pil)
+    # Babai's box test holds at the first precision: nothing to double
+    assert stats["doublings"] == before
+
+
+def test_reconstruct_doubles_until_the_box_test_holds(monkeypatch):
+    # at p^1 the ideal lattice is too small for nearest plane to be exact, so
+    # a non-power doubles, and is certified once the box test holds
+    K, g = _quartic_factor_mod_13()
+    pil = PrimeIdealRep(13, tuple(g), 2)
+    monkeypatch.setattr(padic, "precision_estimate", lambda *args: 1)
+    before = stats["doublings"]
+    with pytest.raises(VerificationFailed, match="^certified: "):
         eth_root_padic_reconstruct(factored(K, [(K.element([14]), 1)]), 3, K, pil)
     assert stats["doublings"] > before
+    # a planted cube at the same start still comes back
+    x = K.element([5, -3, 2, 7])
+    assert eth_root_padic_reconstruct(factored(K, [(x ** 3, 1)]), 3, K, pil) == x
+
+
+def test_reconstruct_cut_twists_are_not_certified(monkeypatch):
+    # Q(zeta_9) holds the cube roots of 1, so the residue field gives three
+    # local roots; with no twist budget only the first is tried, and the
+    # failure must not claim that y is no cube
+    K = NumberField.cyclotomic(9)
+    pil = pick_reconstruct_ideal(K, 3)
+    assert (pil.p ** pil.f_deg - 1) % 3 == 0
+    monkeypatch.setattr(padic, "TWIST_BUDGET", 0)
+    y = factored(K, [(K.element([2]), 1), (K.element([3, 1, 4, 1, 5, 9]), 3)])
+    with pytest.raises(VerificationFailed) as info:
+        eth_root_padic_reconstruct(y, 3, K, pil)
+    assert "certified" not in str(info.value)
+    monkeypatch.undo()
+    with pytest.raises(VerificationFailed, match="^certified: "):
+        eth_root_padic_reconstruct(y, 3, K, pil)
+
+
+def test_reconstruct_non_power_on_zeta35_stops_under_auto():
+    # padic declines (no inert prime), couveignes and the n = 24 lattice
+    # backend both fail; every failure is final at its first precision
+    K = NumberField.cyclotomic(35)
+    rng = random.Random(35)
+    x = K.element([rng.randrange(-(1 << 10), 1 << 10) for _ in range(K.n)])
+    y = factored(K, [(x, 5), (K.element([1, 8]), 1)])
+    before = stats["doublings"]
+    t0 = time.perf_counter()
+    with pytest.raises(NotAnEthPower, match="reconstruct: VerificationFailed: certified: "):
+        eth_root(RootRequest(K, 5, y))
+    assert time.perf_counter() - t0 < 60
+    assert stats["doublings"] == before
 
 
 def test_reconstruct_rational_denominators():

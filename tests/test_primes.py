@@ -11,6 +11,7 @@ from ethroot import couveignes, crtroot, padic, primes, saturation, strategy, ve
 from ethroot.errors import SearchExhausted, Unsupported
 from ethroot.numfield import FactoredElement, NumberField, SubfieldEmbedding
 from ethroot.strategy import RootRequest, eth_root
+from helpers import random_prime
 
 # smallest strong pseudoprimes to the first 12 and 13 prime bases
 PSI_12 = 318665857834031151167461  # = 399165290221 * 798330580441
@@ -218,10 +219,10 @@ def test_prime_stream_needs_room_for_its_residue_class():
 
 def test_random_prime_values_are_pinned():
     rng = random.Random("pinned")
-    assert [primes.random_prime(rng, 62) for _ in range(3)] == [
+    assert [random_prime(rng, 62) for _ in range(3)] == [
         3072845651923664101, 4211105896630410727, 4554069632319163709]
-    assert [primes.random_prime(rng, 16) for _ in range(3)] == [56633, 58451, 49943]
-    assert [primes.random_prime(rng, 29) for _ in range(2)] == [383902661, 504510637]
+    assert [random_prime(rng, 16) for _ in range(3)] == [56633, 58451, 49943]
+    assert [random_prime(rng, 29) for _ in range(2)] == [383902661, 504510637]
 
 
 # -- every prime search stops within its budget -------------------------------------

@@ -107,7 +107,7 @@ def test_empty_product_roots_to_one():
 def test_non_power_raises_not_an_eth_power():
     bad = FactoredElement(K16, [(K16.element([1, 1, 0, 0, 1, 0, 0, 2]), 1)])
     with pytest.raises(NotAnEthPower):
-        eth_root(RootRequest(K16, 3, bad, budgets={"search": 60, "doublings": 2}))
+        eth_root(RootRequest(K16, 3, bad, budgets={"search": 60}))
 
 
 def test_explicit_method_propagates_not_applicable():

@@ -5,8 +5,9 @@ import pytest
 from ethroot import gfpoly, verify
 from ethroot.fq import FqField
 from ethroot.numfield import FactoredElement, NumberField, PrimeIdealRep
-from ethroot.primes import is_prime, random_prime
+from ethroot.primes import is_prime
 from ethroot.verify import verify_root
+from helpers import random_prime
 
 
 def test_root_of_unity_against_empty_product():
