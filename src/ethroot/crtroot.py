@@ -2,18 +2,20 @@
 
 A prime q is good for (K, e = l^k) when f mod q is squarefree and no residue
 field F_{q^d} contains a primitive l-th root of unity, i.e. q^d != 1 mod l for
-every factor degree d. Then raising to the e-th power is a bijection on every
-residue field, the local root is unique and costs one exponentiation, and the
-global root is assembled by CRT over ideals and over primes.
+every residue degree d. Then raising to the e-th power is a bijection on
+every residue field, so on Z[alpha]/q = F_q[t]/(f mod q), their product: the
+local root is unique and costs one exponentiation there, with no prime ideal
+named. The global root is assembled by CRT over the primes.
 """
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import gfpoly
 from .errors import BoundViolation, NotApplicable, SearchExhausted, VerificationFailed
-from .fq import FqField, fq_eth_root
-from .fq import factor_mod_p  # noqa: F401, wrapped at this module by layerbench
+from .fq import factor_mod_p, fq_eth_root  # noqa: F401, wrapped at this module by layerbench
+from .numfield import crt_ideals  # noqa: F401, wrapped at this module by layerbench
 from .numfield import (
     FactoredElement,
     FieldElement,
@@ -21,16 +23,15 @@ from .numfield import (
     avoid_integers,
     clear_denominators,
     coeff_bound_root,
-    crt_ideals,
     crt_integers_symmetric,
     multi_reduce,
-    split_prime_ideals,
     split_roots,
 )
 from .primes import (
     check_odd_prime_power,
     derive_rng,
     is_prime,
+    multiplicative_order,
     prime_power_split,
     prime_stream,
     t_range,
@@ -65,50 +66,24 @@ class Rejection:
     degree: int = 0
 
 
-class GoodPrime:
-    """A good prime q for (K, e) and the prime ideals above it.
+class GoodPrime(NamedTuple):
+    """A good prime q for (K, e) and its distinct residue degrees, ascending.
 
-    On Q(zeta_m) a q = 1 mod m is held as (q, w), w a primitive m-th root of
-    1 mod q: the phi(m) nodes are the w^u, u a unit mod m, and the linear
-    ideals (q, alpha - w^u) are built, in split_prime_ideals' order, only
-    when read. Any other good prime carries the ideals it was found with.
+    On Q(zeta_m) a q = 1 mod m also holds w, a primitive m-th root of 1 mod
+    q: the phi(m) roots of f mod q are the w^u, u a unit mod m. w and m are
+    0 for any other good prime.
     """
 
-    def __init__(self, q: int, ideals: tuple | None, all_split: bool,
-                 w: int = 0, m: int = 0):
-        self.q, self._ideals, self.all_split = q, ideals, all_split
-        self.w, self.m = w, m
-
-    @classmethod
-    def split(cls, q: int, w: int, m: int) -> "GoodPrime":
-        """The totally split q = 1 mod m of Q(zeta_m), held as (q, w)."""
-        return cls(q, None, True, w, m)
-
-    @property
-    def ideals(self) -> tuple:
-        if self._ideals is None:
-            self._ideals = split_prime_ideals(self.q, self.m, self.w)
-        return self._ideals
+    q: int
+    degrees: tuple
+    w: int = 0
+    m: int = 0
 
     def split_roots(self) -> list[int]:
-        """Roots r of the linear ideals (alpha - r); only when all_split."""
-        if not self.all_split:
-            raise ValueError(f"{self.q} is not totally split")
-        if self._ideals is None:
-            return split_roots(self.q, self.m, self.w)
-        return [(-g[0]) % self.q for g in (i.g for i in self.ideals)]
-
-    def __eq__(self, other):
-        return (isinstance(other, GoodPrime) and self.q == other.q
-                and self.all_split == other.all_split
-                and self.ideals == other.ideals)
-
-    def __hash__(self):
-        return hash(self.q)
-
-    def __repr__(self):
-        held = f"w={self.w}" if self._ideals is None else f"ideals={self._ideals}"
-        return f"GoodPrime(q={self.q}, {held})"
+        """The roots of f mod q, largest first; only for a q held with w."""
+        if not self.m:
+            raise ValueError(f"{self.q} is not held as a split prime (q, w)")
+        return split_roots(self.q, self.m, self.w)
 
 
 def _sees_mu(q: int, d: int, e: int) -> bool:
@@ -116,34 +91,48 @@ def _sees_mu(q: int, d: int, e: int) -> bool:
     return math.gcd(e, pow(q, d, e) - 1) > 1
 
 
+def _residue_degrees(q: int, K: NumberField) -> tuple | None:
+    """The distinct residue degrees above q, ascending, or None when f mod q
+    has a repeated factor: q | m on Q(zeta_m), q | disc(f) otherwise, as in
+    NumberField.prime_ideals. Every degree on Q(zeta_m) is ord_m(q); a
+    generic f mod q is squarefree, and its distinct-degree split names the
+    degrees without splitting any further.
+    """
+    m = K.conductor
+    if m is not None:
+        return None if m % q == 0 else (multiplicative_order(q, m),)
+    if K.discriminant() % q == 0:
+        return None
+    return tuple(d for _, d in gfpoly._ddf(gfpoly.from_int_poly(list(K.f), q), q))
+
+
 def check_good_prime(q: int, K: NumberField, e: int, w: int = 0):
     """GoodPrime if q is unramified and no residue field sees mu_l.
 
     Returns a Rejection (never raises) when q fails. For e = l^k a residue
     field F_{q^d} holds mu_l iff q^d = 1 mod l iff gcd(e, q^d - 1) > 1, which
-    needs no factoring of e. A q = 1 mod l is refused first, without
-    looking at the ideals above it: F_q, and so every residue field, already
-    holds mu_l. Rejection.degree is then 1, the degree of F_q, not that of a
-    residue field. A q = 1 mod m on Q(zeta_m) is then good, since it splits
-    totally; it is returned as (q, w) with no ideals built, w the primitive
-    m-th root of 1 mod q the caller kept (K.split_root(q) when w is 0).
-    Otherwise the ideals come from K.prime_ideals (None means "ramified"),
-    each distinct residue degree d is tested once, smallest first, and the
-    Rejection names the d that failed.
+    needs no factoring of e. A q = 1 mod l is refused first, with no look at
+    f mod q: F_q, and so every residue field, already holds mu_l.
+    Rejection.degree is then 1, the degree of F_q, not that of a residue
+    field. A q = 1 mod m on Q(zeta_m) is then good, since it splits totally;
+    it is returned with w, the primitive m-th root of 1 mod q the caller
+    kept (K.split_root(q) when w is 0). Otherwise the residue degrees come
+    from _residue_degrees (None means "ramified"), each is tested once,
+    smallest first, and the Rejection names the d that failed.
     """
     if _sees_mu(q, 1, e):
         return Rejection("root-of-unity", 1)
     m = K.conductor
     if m is not None and q % m == 1:
         # every residue field is F_q
-        return GoodPrime.split(q, w or K.split_root(q), m)
-    ideals = K.prime_ideals(q)
-    if ideals is None:
+        return GoodPrime(q, (1,), w or K.split_root(q), m)
+    degrees = _residue_degrees(q, K)
+    if degrees is None:
         return Rejection("ramified")
-    for d in sorted({i.f_deg for i in ideals}):
+    for d in degrees:
         if _sees_mu(q, d, e):
             return Rejection("root-of-unity", d)
-    return GoodPrime(q, ideals, all(i.f_deg == 1 for i in ideals))
+    return GoodPrime(q, degrees)
 
 
 def _split_block(K: NumberField, b: int, lo: int, hi: int):
@@ -231,36 +220,33 @@ def _cover(stream, B: int) -> list[GoodPrime]:
     return out
 
 
+def _positive(a: int, L: int) -> int:
+    """The representative of a mod L in [1, L]."""
+    return (a - 1) % L + 1
+
+
 def eth_root_mod_q(terms, e: int, gp: GoodPrime, K: NumberField) -> list[int]:
     """Unique e-th root mod q of prod base_i^{a_i}, as a coordinate vector.
 
-    terms: [(coordinate vector mod q, exponent)]. Per ideal the product is
-    folded with exponents reduced mod q^d - 1, the unique root is one
-    exponentiation, and the residues are CRTed back mod (q, f).
+    terms: [(coordinate vector mod q, exponent)]. Everything happens in
+    Z[alpha]/q = F_q[t]/(f mod q), the product of the residue fields
+    F_{q^d}. With L = lcm(q^d - 1), a nonzero exponent a is used as its
+    representative in [1, L]: that agrees with a on each residue field where
+    the base is a unit, whatever the sign or size of a, and, being positive,
+    keeps 0 where the base vanishes (there y, and so its root, is 0). The
+    root is then one power, by e^-1 mod L, a bijection on every residue
+    field since none sees mu_l.
     """
     q = gp.q
-    residues = []
-    for ideal in gp.ideals:
-        field = FqField.trusted(q, ideal.g)
-        order = field.q - 1
-        acc = field.one
-        for vec, a in terms:
-            if a == 0:
-                continue
-            base = field.element(gfpoly.rem(gfpoly.trim(list(vec)),
-                                            list(ideal.g), q))
-            if base.is_zero():
-                # y has positive valuation here, so the root does too
-                acc = None
-                break
-            r = a % order
-            if r:
-                acc = acc * base ** r
-        if acc is None:
-            residues.append([0])
-        else:
-            residues.append(list(fq_eth_root(acc, e).coeffs))
-    return crt_ideals(residues, gp.ideals, K)
+    L = math.lcm(*(q ** d - 1 for d in gp.degrees))
+    fq = gfpoly.from_int_poly(list(K.f), q)
+    acc = [1]
+    for vec, a in terms:
+        if a:
+            base = gfpoly.powmod(list(vec), _positive(a, L), fq, q)
+            acc = gfpoly.mulmod(acc, base, fq, q)
+    root = gfpoly.powmod(acc, _positive(pow(e, -1, L), L), fq, q)
+    return root + [0] * (K.n - len(root))
 
 
 def eth_root_double_crt(y: FactoredElement, e: int, K: NumberField,
@@ -287,8 +273,8 @@ def eth_root_double_crt(y: FactoredElement, e: int, K: NumberField,
     primes = _cover(stream, B)
     bases = [u for u, _ in work.terms]
     exps = [a for _, a in work.terms]
-    kernel_ok = K.n > 1 and K.conductor is not None and all(
-        gp.all_split and gp.q < (1 << SPLIT_BITS) for gp in primes)
+    # on Q(zeta_m) the stream yields only split primes below SPLIT_BITS
+    kernel_ok = K.conductor is not None
     fresh = [next(stream) for _ in range(3)] if kernel_ok else []
     if kernel_ok:
         from .splitkernel import split_roots_kernel

@@ -274,8 +274,8 @@ def _bsgs(target: FqElement, base: FqElement, order: int) -> int:
 def dlog_mod_p(t: int, z: int, e: int, p: int) -> int:
     """log_z t mod e in F_p*, z of exact order e: integer baby-step giant-step.
 
-    The prime-field counterpart of fq_dlog_order_e, with the same budget and
-    membership checks, for callers that hold residues as integers mod p.
+    Raises BudgetExceeded for e above DLOG_BUDGET and NotInGroup for a t
+    outside <z>.
     """
     if e > DLOG_BUDGET:
         raise BudgetExceeded(f"dlog order {e} above 2^40 budget")
@@ -426,14 +426,3 @@ def fq_norm_to_subfield(x: FqElement, emb: FqElement, sub: FqField) -> FqElement
         return sub.zero
     n = x ** ((big.q - 1) // (sub.q - 1))
     return sub.element(solver(n.coeffs))
-
-
-def fq_dlog_order_e(z: FqElement, zeta: FqElement, e: int) -> int:
-    """Discrete log of z in <zeta> where zeta has exact order e (BSGS)."""
-    if e > DLOG_BUDGET:
-        raise BudgetExceeded(f"dlog order {e} above 2^40 budget")
-    if z.field != zeta.field:
-        raise IncompatibleFields("dlog operands in different fields")
-    if z.is_zero() or z ** e != z.field.one:
-        raise NotInGroup("element is not in the order-e subgroup")
-    return _bsgs(z, zeta, e)

@@ -2,7 +2,9 @@
 
 from ethroot import gfpoly
 from ethroot.crtroot import SEARCH_BUDGET, _cover, good_prime_stream
-from ethroot.errors import IncompatibleFields
+from ethroot.errors import BudgetExceeded, IncompatibleFields, NotInGroup
+from ethroot.fq import DLOG_BUDGET, FqField, _bsgs, fq_eth_root
+from ethroot.numfield import crt_ideals
 from ethroot.primes import prime_stream
 
 
@@ -10,6 +12,49 @@ def select_crt_primes(K, e: int, B: int, seed: int = 0, avoid_divisors_of=(),
                       budget: int = SEARCH_BUDGET):
     """Good primes whose product exceeds 2B."""
     return _cover(good_prime_stream(K, e, seed, avoid_divisors_of, budget), B)
+
+
+def eth_root_mod_q_by_ideals(terms, e: int, q: int, K) -> list[int]:
+    """The unique e-th root mod q of prod base_i^{a_i}, ideal by ideal.
+
+    A reference for crtroot.eth_root_mod_q at a good q: per prime ideal
+    above q the product is folded in its residue field with exponents
+    reduced mod q^d - 1 (0 when a base with a nonzero exponent vanishes
+    there), the root is fq_eth_root's, and the residues are CRTed back
+    mod (q, f).
+    """
+    ideals = K.prime_ideals(q)
+    residues = []
+    for ideal in ideals:
+        field = FqField.trusted(q, ideal.g)
+        acc = field.one
+        for vec, a in terms:
+            if a == 0:
+                continue
+            base = field.element(gfpoly.rem(gfpoly.trim(list(vec)),
+                                            list(ideal.g), q))
+            if base.is_zero():
+                acc = None
+                break
+            r = a % (field.q - 1)
+            if r:
+                acc = acc * base ** r
+        residues.append([0] if acc is None else list(fq_eth_root(acc, e).coeffs))
+    return crt_ideals(residues, ideals, K)
+
+
+def fq_dlog_order_e(z, zeta, e: int) -> int:
+    """Discrete log of z in <zeta> where zeta has exact order e (BSGS).
+
+    A reference for fq.dlog_mod_p, which takes the same logs on integers mod p.
+    """
+    if e > DLOG_BUDGET:
+        raise BudgetExceeded(f"dlog order {e} above 2^40 budget")
+    if z.field != zeta.field:
+        raise IncompatibleFields("dlog operands in different fields")
+    if z.is_zero() or z ** e != z.field.one:
+        raise NotInGroup("element is not in the order-e subgroup")
+    return _bsgs(z, zeta, e)
 
 
 def random_prime(rng, bits: int) -> int:

@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from ethroot import cli, crtroot
+from ethroot import cli, crtroot, gfpoly
 from ethroot.crtroot import (
     GoodPrime,
     Rejection,
@@ -17,15 +17,9 @@ from ethroot.crtroot import (
 )
 from ethroot.errors import NotApplicable, SearchExhausted, VerificationFailed
 from ethroot.fq import factor_mod_p
-from ethroot.numfield import (
-    FactoredElement,
-    NumberField,
-    PrimeIdealRep,
-    multi_reduce,
-    split_prime_ideals,
-)
-from ethroot.primes import factorize
-from helpers import random_prime, select_crt_primes
+from ethroot.numfield import FactoredElement, NumberField, multi_reduce
+from ethroot.primes import factorize, is_prime
+from helpers import eth_root_mod_q_by_ideals, random_prime, select_crt_primes
 
 
 def factored(K, pairs):
@@ -38,8 +32,7 @@ def factored(K, pairs):
 def test_check_good_prime_examples():
     K15 = NumberField.cyclotomic(15)
     gp = check_good_prime(2, K15, 7)
-    assert isinstance(gp, GoodPrime)
-    assert all(i.f_deg == 4 for i in gp.ideals) and len(gp.ideals) == 2
+    assert gp == GoodPrime(2, (4,))  # two ideals of degree 4, F_16 each
 
     Ki = NumberField.cyclotomic(4)
     rej = check_good_prime(11, Ki, 3)  # 11 inert, 11^2 = 1 mod 3
@@ -47,7 +40,7 @@ def test_check_good_prime_examples():
     assert rej.degree == 2
 
     gp5 = check_good_prime(5, Ki, 3)
-    assert isinstance(gp5, GoodPrime) and gp5.all_split
+    assert isinstance(gp5, GoodPrime) and gp5.degrees == (1,) and gp5.m == 4
     assert sorted(gp5.split_roots()) == [2, 3]
 
 
@@ -63,22 +56,22 @@ def test_check_good_prime_generic_field():
     gp = check_good_prime(5, K, 3)  # x^2 + 2 irreducible mod 5, 25 = 1 mod 3
     assert isinstance(gp, Rejection)
     gp = check_good_prime(11, K, 3)  # 3^2 = 9 = -2, so split; 11 = 2 mod 3
-    assert isinstance(gp, GoodPrime) and gp.all_split
+    assert gp == GoodPrime(11, (1,))
 
 
 ELL = {3: 3, 5: 5, 25: 5}  # e -> rad(e)
 
 
 def reference_good_prime(q, K, e, fac):
-    """The decision taken from a full factorization fac of f mod q."""
+    """The decision taken from a full factorization fac of f mod q: the
+    factor degrees, ascending and distinct, of a good q."""
     ell = ELL[e]
     if any(mult > 1 for _, mult in fac):
         return Rejection("ramified")
     for g, _ in fac:
         if pow(q, len(g) - 1, ell) == 1:
             return Rejection("root-of-unity", len(g) - 1)
-    ideals = tuple(PrimeIdealRep(q, tuple(g), len(g) - 1) for g, _ in fac)
-    return GoodPrime(q, ideals, all(i.f_deg == 1 for i in ideals))
+    return GoodPrime(q, tuple(sorted({len(g) - 1 for g, _ in fac})))
 
 
 def test_check_good_prime_matches_full_factorization():
@@ -102,40 +95,60 @@ def test_check_good_prime_q_one_mod_l_needs_no_factoring(monkeypatch):
     K = NumberField([-1, -1, 0, 1])  # x^3 - x - 1, discriminant -23
     assert check_good_prime(23, K, 3).kind == "ramified"  # 23 = 2 mod 3
 
-    def refuse(q):
-        raise AssertionError("prime_ideals called")
+    def refuse(*args):
+        raise AssertionError("f mod q factored")
 
     monkeypatch.setattr(K, "prime_ideals", refuse)
+    monkeypatch.setattr(gfpoly, "_ddf", refuse)
     for q in (7, 13, 31, 2 ** 61 - 1):  # all 1 mod 3
         assert check_good_prime(q, K, 3) == Rejection("root-of-unity", 1)
         assert check_good_prime(q, K, 9) == Rejection("root-of-unity", 1)
     with pytest.raises(AssertionError):
-        check_good_prime(11, K, 3)  # 11 = 2 mod 3 needs the ideals
+        check_good_prime(11, K, 3)  # 11 = 2 mod 3 needs the residue degrees
 
 
-def test_split_good_prime_is_q_and_w_until_its_ideals_are_read(monkeypatch):
+def test_split_good_prime_is_q_and_w(monkeypatch):
     # q = 1 mod m on Q(zeta_m): good from _sees_mu(q, 1, e) alone, held as
-    # (q, w); the ideals, built on first read, are split_prime_ideals' own
+    # (q, w); its roots are those of the linear factors of f mod q, in
+    # factor_mod_p's order
     for m, e in ((4, 3), (9, 5), (20, 3), (31, 3)):
         K = NumberField.cyclotomic(m)
         monkeypatch.setattr(K, "prime_ideals", None)  # never called
         stream = good_prime_stream(K, e, seed=m)
         for gp in [next(stream) for _ in range(4)]:
             q, w = gp.q, gp.w
-            assert gp.m == m and gp.all_split and gp._ideals is None
+            assert gp.m == m and gp.degrees == (1,)
             assert pow(w, m, q) == 1 and all(pow(w, m // p, q) != 1
                                              for p in factorize(m))
             fac = factor_mod_p(list(K.f), q, seed=1)
             want = reference_good_prime(q, K, e, fac)
-            assert gp.split_roots() == want.split_roots()
-            assert gp._ideals is None
-            assert gp == want and gp.ideals == split_prime_ideals(q, m)
-    # a good prime that is not 1 mod m still reads its ideals off K: 2 has
-    # order 5 mod 31, so 6 ideals of degree 5, and 2^5 = 2 mod 3
-    monkeypatch.undo()
+            assert gp.split_roots() == [(-g[0]) % q for g, _ in fac]
+            assert gp == want._replace(w=w, m=m)
+    # a good prime that is not 1 mod m has the one degree ord_m(q), with no
+    # ideal listed: 2 has order 5 mod 31, and 2^5 = 2 mod 3
     gp = check_good_prime(2, K, 3)
-    assert gp.ideals == K.prime_ideals(2) and len(gp.ideals) == 6
-    assert not gp.all_split and gp.w == 0
+    assert gp == GoodPrime(2, (5,)) and gp.w == gp.m == 0
+    monkeypatch.undo()
+    assert [i.f_deg for i in K.prime_ideals(2)] == [5] * 6
+
+
+@pytest.mark.parametrize("f, degrees_at_13", [([-1, -1, 0, 1], (3,)),
+                                               ([2, -1, 0, 0, 0, 0, 1], (1, 2, 3))])
+def test_generic_double_crt_lists_no_prime_ideals(monkeypatch, f, degrees_at_13):
+    # the degrees come from the distinct-degree split alone, and the local
+    # roots from Z[alpha]/q: no ideal is listed and nothing is split further
+    def refuse(*args):
+        raise AssertionError("prime ideals listed")
+
+    K = NumberField(f)
+    x = K.element([5, -3, 2, 1], 7)
+    y = factored(K, [(x * x, 2), (x, 1)])  # exponents that sum to e = 5
+    monkeypatch.setattr(K, "prime_ideals", refuse)
+    monkeypatch.setattr(gfpoly, "_edf", refuse)
+    assert check_good_prime(13, K, 5) == GoodPrime(13, degrees_at_13)
+    for e, seed in ((5, 0), (5, 1), (7, 2)):
+        assert eth_root_double_crt(factored(K, [(x, e)]), e, K, seed=seed) == x
+    assert eth_root_double_crt(y, 5, K) == x
 
 
 def test_split_good_primes_factor_m_once(monkeypatch):
@@ -157,7 +170,7 @@ def test_select_primes_congruences():
     prod = 1
     for gp in primes:
         assert gp.q % 16 == 1 and gp.q % 3 == 2
-        assert gp.all_split and len(gp.ideals) == 8
+        assert gp.degrees == (1,) and len(gp.split_roots()) == 8
         again = check_good_prime(gp.q, K, 3)
         assert isinstance(again, GoodPrime)
         prod *= gp.q
@@ -400,7 +413,7 @@ def test_root_mod_q_exponent_reduction_oracle():
     # folding with a mod (q^d - 1) must equal naive repeated multiplication
     K = NumberField.cyclotomic(5)
     gp = check_good_prime(3, K, 7)  # ord_5(3) = 4, one ideal F_81
-    assert len(gp.ideals) == 1 and gp.ideals[0].f_deg == 4
+    assert gp.degrees == (4,) and K.n == 4
     rng = random.Random(4)
     for _ in range(8):
         x = K.random_element(rng, bits=5)
@@ -410,6 +423,48 @@ def test_root_mod_q_exponent_reduction_oracle():
         a = rng.randrange(81, 2500)
         naive = eth_root_mod_q([(vec, 1)] * a, 7, gp, K)
         assert eth_root_mod_q([(vec, a)], 7, gp, K) == naive
+
+
+# generic fields, then Q(zeta_m) at non-split q: (f or m, e, primes); the
+# sextic x^6 - x + 2 has residue degrees 1, 2 and 3 at 7 and at 13
+RING_ROOT_CASES = [
+    ([-1, -1, 0, 1], 5, None),  # x^3 - x - 1
+    ([-1, -1, 0, 0, 0, 1], 3, None),  # x^5 - x - 1
+    ([2, 0, 1], 3, None),  # x^2 + 2
+    ([2, -1, 0, 0, 0, 0, 1], 5, [7, 13]),
+    (5, 7, [3]),  # inert: one ideal of degree 4
+    (15, 7, [2]),  # two ideals of degree 4
+]
+
+
+@pytest.mark.parametrize("f, e, qs", RING_ROOT_CASES)
+def test_ring_root_matches_the_per_ideal_root(f, e, qs):
+    K = NumberField.cyclotomic(f) if isinstance(f, int) else NumberField(f)
+    rng = random.Random(f"ring-root:{f}")
+    if qs is None:
+        # every degree pattern of the small good primes, then 62-bit ones
+        qs = [q for q in range(2, 300) if is_prime(q)]
+        qs += [random_prime(rng, 62) for _ in range(6)]
+    checked = set()
+    for q in qs:
+        gp = check_good_prime(q, K, e)
+        if not isinstance(gp, GoodPrime):
+            continue
+        checked.add(gp.degrees)
+        top = q ** gp.degrees[-1] - 1
+        b = [K.random_element(rng, bits=30).reduce_mod_prime(q) for _ in range(4)]
+        # 0 at the first ideal above q, a unit at the others
+        g = K.prime_ideals(q)[0].g
+        z = K.element(list(g)).reduce_mod_prime(q)
+        plain = [(b[0], 0), (b[1], -rng.randrange(1, 3 * e)), (b[2], top),
+                 (b[3], top + rng.randrange(1, e))]
+        for terms in ([], [(b[0], 0)], plain, plain + [(z, -2)],
+                      plain + [(z, 1)], [(z, e)], [(b[1], 1), (z, -top)]):
+            got = eth_root_mod_q(terms, e, gp, K)
+            assert got == eth_root_mod_q_by_ideals(terms, e, q, K), (q, terms)
+            if any(v is z for v, _ in terms):
+                assert gfpoly.rem(gfpoly.trim(list(got)), list(g), q) == []
+    assert checked
 
 
 # -- eth_root_double_crt ------------------------------------------------------------

@@ -15,7 +15,6 @@ from ethroot.fq import (
     FqField,
     _nonresidue,
     factor_mod_p,
-    fq_dlog_order_e,
     fq_eth_root,
     fq_norm_to_subfield,
 )
@@ -23,7 +22,7 @@ from ethroot.crtroot import eth_root_double_crt
 from ethroot.numfield import FactoredElement, NumberField
 from ethroot.primes import is_prime
 from ethroot.verify import verify_root
-from helpers import random_irreducible
+from helpers import fq_dlog_order_e, random_irreducible
 
 
 def make_field(p, d, seed=1):

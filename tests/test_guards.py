@@ -1,6 +1,7 @@
 """Input and invariant guards raise explicitly, so `python -O` keeps them."""
 
 import ast
+import importlib.util
 import itertools
 import json
 import random
@@ -52,6 +53,39 @@ def test_library_has_no_unused_module_imports():
     assert found == []
 
 
+WRAPPED = "# noqa: F401, wrapped at this module by layerbench"
+
+
+def test_layerbench_imports_name_wrapped_functions_and_nothing_else():
+    # an import kept only for layerbench must name a function that
+    # spans.LAYERS wraps at that module, and must have no other use there,
+    # so that dropping it once the benchmark stops wrapping is mechanical
+    spec = importlib.util.spec_from_file_location(
+        "layerbench_spans", ROOT / "layerbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    wrapped = {(layer, fn, caller) for layer, fn, callers in spans.LAYERS
+               for caller in callers}
+    found, seen = [], 0
+    for path in sorted(SRC.glob("*.py")):
+        text = path.read_text()
+        lines = text.splitlines()
+        tree = ast.parse(text, filename=str(path))
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        for node in tree.body:
+            if (not isinstance(node, ast.ImportFrom)
+                    or not lines[node.lineno - 1].endswith(WRAPPED)):
+                continue
+            for alias in node.names:
+                seen += 1
+                name = alias.asname or alias.name
+                if (node.module, alias.name, path.stem) not in wrapped or alias.asname:
+                    found.append(f"{path.name}:{node.lineno} {name} is not wrapped here")
+                if name in used:
+                    found.append(f"{path.name}:{node.lineno} {name} is used here")
+    assert seen and found == []
+
+
 def test_library_imports_only_stdlib_and_numpy():
     allowed = set(sys.stdlib_module_names) | {"numpy"}
     found = []
@@ -92,7 +126,7 @@ def test_powmod_rejects_negative_exponent():
 def test_split_roots_needs_an_all_split_prime():
     K = NumberField.cyclotomic(4)
     gp = check_good_prime(7, K, 5)  # 7 = 3 mod 4 is inert in Q(i)
-    assert isinstance(gp, GoodPrime) and not gp.all_split
+    assert gp == GoodPrime(7, (2,))
     with pytest.raises(ValueError):
         gp.split_roots()
 
@@ -100,7 +134,7 @@ def test_split_roots_needs_an_all_split_prime():
 def test_split_kernel_rejects_primes_of_another_field():
     K4, K8 = NumberField.cyclotomic(4), NumberField.cyclotomic(8)
     gp = check_good_prime(17, K8, 3)  # four roots where Q(i) needs two
-    assert isinstance(gp, GoodPrime) and gp.all_split
+    assert isinstance(gp, GoodPrime) and gp.degrees == (1,) and gp.m == 8
     with pytest.raises(ValueError):
         split_roots_kernel([K4.element([1, 1])], [3], [gp], 3, K4)
 
@@ -109,10 +143,10 @@ def test_split_kernel_refuses_a_root_of_lower_order_and_generic_fields():
     # 17 = 1 mod 8, but 4 has order 4 mod 17: not a root of Phi_8
     K8 = NumberField.cyclotomic(8)
     with pytest.raises(ValueError):
-        split_roots_kernel([K8.element([1, 1])], [3], [GoodPrime.split(17, 4, 8)], 3, K8)
+        split_roots_kernel([K8.element([1, 1])], [3], [GoodPrime(17, (1,), 4, 8)], 3, K8)
     K = NumberField([2, 0, 1])  # x^2 + 2: 11 splits, and 11 = 2 mod 3 is good
     gp = check_good_prime(11, K, 3)
-    assert isinstance(gp, GoodPrime) and gp.all_split
+    assert gp == GoodPrime(11, (1,))
     with pytest.raises(ValueError):
         split_roots_kernel([K.element([1, 1])], [3], [gp], 3, K)
 

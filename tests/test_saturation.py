@@ -16,7 +16,7 @@ from ethroot.errors import (
     SearchExhausted,
     ZeroInput,
 )
-from ethroot.fq import FqField, dlog_mod_p, fq_dlog_order_e
+from ethroot.fq import FqField, dlog_mod_p
 from ethroot.numfield import NumberField, PrimeIdealRep
 from ethroot.saturation import (
     CharacterPrime,
@@ -29,6 +29,7 @@ from ethroot.saturation import (
     schirokauer_map,
     select_character_primes,
 )
+from helpers import fq_dlog_order_e
 
 Q = NumberField([0, 1])
 K4 = NumberField.cyclotomic(4)
