@@ -15,6 +15,7 @@ K = Q(zeta_m) over L = Q(zeta_{m'}) that reads ord_m(p) = [K:L] * ord_{m'}(p).
 import math
 from dataclasses import dataclass
 
+from .counters import count
 from .errors import (
     DenominatorClash,
     IncompatibleFields,
@@ -51,9 +52,6 @@ from .verify import verify_root
 
 CRT_BITS = 62
 PRIME_BUDGET = 4000
-
-# norm_checks counts the always-on per-ideal norm-anchor checks
-stats = {"norm_checks": 0, "primes": 0}
 
 
 @dataclass(frozen=True)
@@ -143,7 +141,7 @@ def select_couveignes_primes(K: NumberField, emb: SubfieldEmbedding, e: int,
             continue
         chosen.append(cp)
         product *= p
-    stats["primes"] += len(chosen)
+    count("couveignes", "primes", len(chosen))
     return chosen
 
 
@@ -196,7 +194,7 @@ def couveignes_mod_p(y: FactoredElement, e: int, emb: SubfieldEmbedding,
             raise NormMismatch(f"anchor is not an e-th root of the norm mod {p}")
         xi = xbar * _poly_at(z.coeffs, gen_img) ** kinv
         # corrected root must reproduce the anchor (one extra norm per ideal)
-        stats["norm_checks"] += 1
+        count("couveignes", "norm_checks")
         if fq_norm_to_subfield(xi, gen_img, sub) != abar:
             raise NormMismatch(f"corrected root misses the norm anchor mod {p}")
         residues.append(list(xi.coeffs))

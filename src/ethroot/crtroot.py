@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import gfpoly
+from .counters import count
 from .errors import BoundViolation, NotApplicable, SearchExhausted, VerificationFailed
 from .fq import factor_mod_p, fq_eth_root  # noqa: F401, wrapped at this module by layerbench
 from .numfield import crt_ideals  # noqa: F401, wrapped at this module by layerbench
@@ -52,10 +53,6 @@ GENERIC_BITS = 62
 SPLIT_BLOCK = 128
 SPLIT_STARTS = 256
 SPLIT_CAP = 4096
-
-# running tallies, handy when tuning prime selection: primes handed to
-# check_good_prime, and those it accepted
-stats = {"candidates": 0, "accepted": 0}
 
 
 @dataclass(frozen=True)
@@ -203,10 +200,10 @@ def good_prime_stream(K: NumberField, e: int, seed: int = 0,
         pairs = _walk_split_primes(K, rng, [a for a in avoid_divisors_of if a],
                                    budget)
     for q, w in pairs:
-        stats["candidates"] += 1
+        count("crt", "candidates")
         gp = check_good_prime(q, K, e, w)
         if isinstance(gp, GoodPrime):
-            stats["accepted"] += 1
+            count("crt", "accepted")
             yield gp
 
 

@@ -58,7 +58,7 @@ def scale(a: list[int], c: int, p: int) -> list[int]:
 
 
 def _product(a: list[int], b: list[int]) -> list[int]:
-    """Schoolbook product over Z, neither reduced nor trimmed."""
+    """Schoolbook product over Z (or Q), neither reduced nor trimmed."""
     if not a or not b:
         return []
     out = [0] * (len(a) + len(b) - 1)

@@ -39,23 +39,6 @@ from .primes import factorize, iroot, modinv, multiplicative_order
 # -- integer polynomial helpers (index = degree, stripped, [] = 0) ------------
 
 
-def _ztrim(a: list[int]) -> list[int]:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _zmul(a: list[int], b: list[int]) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return _ztrim(out)
-
-
 def _zdivexact_monic(a: list[int], b: list[int]) -> list[int]:
     """Exact division by a monic integer polynomial."""
     r = a[:]
@@ -68,9 +51,9 @@ def _zdivexact_monic(a: list[int], b: list[int]) -> list[int]:
         q[i - db] = c
         for j, y in enumerate(b):
             r[i - db + j] -= c * y
-    if _ztrim(r):
+    if gfpoly.trim(r):
         raise ValueError("division was not exact")
-    return _ztrim(q)
+    return gfpoly.trim(q)
 
 
 def _zderiv(a) -> list[int]:
@@ -376,8 +359,9 @@ class FieldElement:
     def __mul__(self, other):
         other = self._check(other)
         K = self.field
-        prod = _zmul(_ztrim(list(self.num)), _ztrim(list(other.num)))
-        red = K.reduce_int_poly(prod)
+        # trimmed operands: a constant costs n multiplies, not n^2
+        a, b = gfpoly.trim(list(self.num)), gfpoly.trim(list(other.num))
+        red = K.reduce_int_poly(gfpoly._product(a, b))
         return FieldElement(K, tuple(red), self.den * other.den)._normalize()
 
     __radd__ = __add__
@@ -402,12 +386,12 @@ class FieldElement:
             raise ZeroDivisionError("inverse of zero element")
         K = self.field
         f = [Fraction(c) for c in K.f]
-        r0, r1 = f, _ftrim(self.power_basis_fractions())
+        r0, r1 = f, gfpoly.trim(self.power_basis_fractions())
         s0, s1 = [], [Fraction(1)]
         while r1:
             q, r = _fdivmod(r0, r1)
             r0, r1 = r1, r
-            s0, s1 = s1, _fsub(s0, _fmul(q, s1))
+            s0, s1 = s1, _fsub(s0, gfpoly._product(q, s1))
         if len(r0) != 1:
             raise ZeroDivisionError("element not invertible (f reducible?)")
         inv = [c / r0[0] for c in s0]
@@ -449,28 +433,11 @@ class FieldElement:
         return [c % p * dinv % p for c in self.num]
 
 
-def _ftrim(a):
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _fmul(a, b):
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return _ftrim(out)
-
-
 def _fsub(a, b):
     out = list(a) + [Fraction(0)] * (len(b) - len(a))
     for i, c in enumerate(b):
         out[i] -= c
-    return _ftrim(out)
+    return gfpoly.trim(out)
 
 
 def _fdivmod(a, b):
@@ -486,7 +453,7 @@ def _fdivmod(a, b):
         q[i - db] = fct
         for j, y in enumerate(b):
             r[i - db + j] -= fct * y
-    return q, _ftrim(r)
+    return q, gfpoly.trim(r)
 
 
 # -- factored elements ---------------------------------------------------------

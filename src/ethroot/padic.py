@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import gfpoly
+from .counters import count
 from .errors import (
     DenominatorClash,
     NotAPower,
@@ -60,9 +61,6 @@ LLL_DELTA = (99, 100)  # delta = 99/100
 
 TWIST_BUDGET = 4096
 MAX_DOUBLINGS = 4  # precision doublings while the box test fails
-
-# lift_checks counts the always-on convergence checks (one per step)
-stats = {"lift_steps": 0, "lift_checks": 0, "twists": 0, "doublings": 0}
 
 
 @dataclass(frozen=True)
@@ -132,7 +130,7 @@ def _symmetric(c: int, M: int) -> int:
 def _check_converged(a_mod, x, e, modpoly, M):
     # quadratic convergence contract: a * x^e = 1 at the current precision
     t = gfpoly.mulmod(a_mod, gfpoly.powmod(x, e, modpoly, M), modpoly, M)
-    stats["lift_checks"] += 1
+    count("padic", "lift_checks")
     if gfpoly.trim(t) != [1]:
         raise VerificationFailed(f"Newton convergence check failed at modulus {M}")
 
@@ -163,7 +161,7 @@ def hensel_lift(a_poly: list[int], x0: FqElement, e: int,
         t = gfpoly.sub(t, [1], M)
         t = gfpoly.scale(gfpoly.mulmod(x, t, mp, M), inv_e, M)
         x = gfpoly.sub(x, t, M)
-        stats["lift_steps"] += 1
+        count("padic", "lift_steps")
         _check_converged(ai, x, e, mp, M)
     return x
 
@@ -447,7 +445,7 @@ def eth_root_padic_reconstruct(y: FactoredElement, e: int, K: NumberField,
     for attempt in range(MAX_DOUBLINGS + 1):
         if attempt:
             a *= 2
-            stats["doublings"] += 1
+            count("padic", "doublings")
         M = p ** a
         ga = list(K.f) if inert else hensel_factor_lift(list(pil.g), list(K.f), p, a)
         mp = [c % M for c in ga]
@@ -471,12 +469,12 @@ def eth_root_padic_reconstruct(y: FactoredElement, e: int, K: NumberField,
                 w = babai_nearest_plane(red, xhat)
                 coords = [h - wi for h, wi in zip(xhat, w)]
             if any(abs(c) > Bp for c in coords):
-                stats["twists"] += 1
+                count("padic", "twists")
                 continue
             x = K.element(coords, T)
             if verify_root(x, y, e, K, trials=2, seed=seed + 1):
                 return x
-            stats["twists"] += 1
+            count("padic", "twists")
         box = 4 * K.n * Bp * Bp
         if inert or all(box * red.d[i] < red.d[i + 1] for i in range(K.n)):
             break

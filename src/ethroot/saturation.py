@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from . import gfpoly
 from .errors import IncompatibleFields, NotUnit, RamifiedE, ZeroInput
-from .fq import DLOG_BUDGET, FqElement, FqField, dlog_mod_p
+from .fq import DLOG_BUDGET, dlog_mod_p
 from .fq import factor_mod_p  # noqa: F401, wrapped at this module by layerbench
 from .numfield import (
     FactoredElement,
@@ -39,7 +39,6 @@ from .strategy import RootRequest, eth_root
 
 CHAR_BITS = 29
 SELECT_BUDGET = 100000
-DLOG_LIMIT = DLOG_BUDGET
 EXTRA_CHARACTERS = 20  # failure probability <= e^-20
 
 
@@ -69,10 +68,13 @@ class GeneratingSet:
 
 @dataclass(frozen=True)
 class CharacterPrime:
-    """Degree-1 prime with norm 1 mod e, zeta of exact order e, cached chi(u_j)."""
+    """Degree-1 prime Q with N(Q) = q = 1 mod e, cached chi(u_j).
+
+    zeta is an integer of exact order e mod q, the base of the logs.
+    """
 
     Q_ideal: PrimeIdealRep
-    zeta: FqElement
+    zeta: int
     table: tuple | None = None
 
 
@@ -128,7 +130,6 @@ def select_character_primes(K: NumberField, e: int, count: int, U,
         if not roots:
             continue
         z = _order_e_element(q, e, ell, rng)
-        zeta = FqField.trusted(q, [0, 1]).element([z])
         for r in roots:
             if len(out) >= count:
                 break
@@ -138,7 +139,7 @@ def select_character_primes(K: NumberField, e: int, count: int, U,
                     for u in U)
             except ValueError:
                 continue  # some u_j vanishes mod this ideal; its siblings may do
-            out.append(CharacterPrime(PrimeIdealRep(q, ((-r) % q, 1), 1), zeta, table))
+            out.append(CharacterPrime(PrimeIdealRep(q, ((-r) % q, 1), 1), z, table))
     return out
 
 
@@ -146,16 +147,17 @@ def chi(u: FieldElement, cp: CharacterPrime, e: int) -> int:
     """Power residue symbol as a residue mod e: log_zeta of u^((Q-1)/e) mod Q.
 
     Zero exactly on the e-th power residues; u must be a unit at the ideal.
+    IncompatibleFields unless zeta has exact order e mod Q.
     """
     ideal = cp.Q_ideal
     if ideal.f_deg != 1:
         raise ValueError("character ideals must have degree 1")
-    q = ideal.p
-    r = (-ideal.g[0]) % q
-    if cp.zeta.field.q != q:
-        raise IncompatibleFields("zeta does not live in the residue field")
-    val = _unit_residue(u, r, q)
-    return dlog_mod_p(pow(val, (q - 1) // e, q), cp.zeta.coeffs[0], e, q)
+    q, z = ideal.p, cp.zeta
+    ell, _ = prime_power_split(e)
+    if pow(z, e, q) != 1 or pow(z, e // ell, q) == 1:
+        raise IncompatibleFields(f"zeta does not have order {e} mod {q}")
+    val = _unit_residue(u, (-ideal.g[0]) % q, q)
+    return dlog_mod_p(pow(val, (q - 1) // e, q), z, e, q)
 
 
 def schirokauer_map(u: FieldElement, e: int, K: NumberField) -> list:
@@ -292,22 +294,21 @@ def kernel_mod_e(M, e: int) -> list:
 
 
 def detect_eth_powers(G: GeneratingSet, e: int, K: NumberField,
-                      policy: dict | None = None, seed: int = 0) -> list:
+                      seed: int = 0) -> list:
     """Kernel vectors alpha with prod y_i^{alpha_i} an e-th power (w.h.p.).
 
     Returns (alpha, y_alpha) pairs with y_alpha factored over U by exponent
-    arithmetic. policy: {"characters": count (default s + 20), "dlog_limit":
-    BSGS cutoff}; above the cutoff only Schirokauer and valuation columns
-    are used, exactly the cheap large-e recipe.
+    arithmetic. Up to the BSGS cutoff DLOG_BUDGET the columns are s + 20
+    power residue characters; above it only Schirokauer and valuation
+    columns are used, exactly the cheap large-e recipe.
     """
     check_odd_prime_power(e)
-    policy = policy or {}
     s, r = len(G.E), len(G.U)
     columns: list = []
     if G.valuations is not None:
         columns.append("valuations")
-    if e <= policy.get("dlog_limit", DLOG_LIMIT):
-        count = policy.get("characters", s + EXTRA_CHARACTERS)
+    if e <= DLOG_BUDGET:
+        count = s + EXTRA_CHARACTERS
         columns.extend(select_character_primes(K, e, count, G.U, seed=seed))
     else:
         columns.append("schirokauer")

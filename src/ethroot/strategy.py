@@ -6,15 +6,15 @@ Couveignes recursion when a cyclotomic tower exists; prime-ideal lattice
 reconstruction, which applies to every field, as the last resort. Each
 runner checks its own admissibility and raises NotApplicable, so auto never
 runs an inapplicable method, and a genuine failure falls through to the next
-method before NotAnEthPower is reported.
+method before NotAnEthPower is reported. Every backend runs at its library
+defaults. Each call opens one counters.record(), which the backends fill and
+the result returns as stats["counters"].
 """
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from . import couveignes as _couveignes_mod
-from . import crtroot as _crtroot_mod
-from . import padic as _padic_mod
+from .counters import record
 from .couveignes import build_tower, eth_root_couveignes
 from .crtroot import eth_root_double_crt, is_bad_field
 from .errors import (
@@ -45,10 +45,8 @@ RECONSTRUCT_PRIME_BITS = 16
 class RootRequest:
     """What to take the root of and how.
 
-    budgets: optional overrides, {"search": prime-search budget shared by the
-    admissibility probes}; missing keys mean library defaults. The lattice
-    backend needs no budget: a non-power stops at the first precision where
-    Babai's box test holds.
+    method is "auto" or one backend of METHODS; seed fixes every prime the
+    backends draw, so equal requests give equal results.
     """
 
     K: NumberField
@@ -56,7 +54,6 @@ class RootRequest:
     y: FactoredElement
     method: str = "auto"
     seed: int = 0
-    budgets: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -68,29 +65,16 @@ class RootResult:
     it is kept so callers can see how much of the root was bookkeeping.
     Beware that folding expands the prefactor, so requests with huge term
     exponents pay for the expansion here.
+
+    stats is the record of this call alone: "seconds", the "failures" of the
+    backends auto tried before method_used, and "counters", the nonzero work
+    counts {"crt": ..., "padic": ..., "couveignes": ...} of its backends.
     """
 
     prefactor: FactoredElement
     root: FieldElement
     method_used: str
     stats: dict
-
-
-def _counters() -> dict:
-    return {
-        "crt": dict(_crtroot_mod.stats),
-        "padic": dict(_padic_mod.stats),
-        "couveignes": dict(_couveignes_mod.stats),
-    }
-
-
-def _counter_delta(before: dict, after: dict) -> dict:
-    out = {}
-    for mod, vals in after.items():
-        d = {k: v - before[mod].get(k, 0) for k, v in vals.items() if v != before[mod].get(k, 0)}
-        if d:
-            out[mod] = d
-    return out
 
 
 def pick_reconstruct_ideal(K: NumberField, e: int, seed: int = 0,
@@ -110,68 +94,61 @@ def pick_reconstruct_ideal(K: NumberField, e: int, seed: int = 0,
 
 
 def _tower_root(y_level: FactoredElement, plan, level: int, e: int,
-                seed: int, budgets: dict) -> FieldElement:
+                seed: int) -> FieldElement:
     """Root of y_level inside plan.levels[level], recursing down the chain."""
     top = plan.levels[level]
     if level == len(plan.levels) - 1:
-        return _base_root(y_level, top, plan.base_method, e, seed, budgets)
+        return _base_root(y_level, top, plan.base_method, e, seed)
     nxt = plan.levels[level + 1]
     emb = SubfieldEmbedding.cyclotomic(top, nxt.conductor)
 
     def solver(y_sub: FactoredElement) -> FieldElement:
-        return _tower_root(y_sub, plan, level + 1, e, seed, budgets)
+        return _tower_root(y_sub, plan, level + 1, e, seed)
 
     return eth_root_couveignes(y_level, e, top, emb, solver, seed=seed + level)
 
 
 def _base_root(y: FactoredElement, L: NumberField, method: str, e: int,
-               seed: int, budgets: dict) -> FieldElement:
+               seed: int) -> FieldElement:
     if method == "padic":
         try:
-            return run_padic(y, L, e, seed, budgets)
+            return run_padic(y, L, e, seed)
         except NotApplicable:
             pass  # cyclic unit groups promise an inert prime, but the budget ran dry
-    return run_reconstruct(y, L, e, seed, budgets)
+    return run_reconstruct(y, L, e, seed)
 
 
-# -- backend runners: (y, K, e, seed, budgets) -> root, or NotApplicable -------
+# -- backend runners: (y, K, e, seed) -> root, or NotApplicable ----------------
 
 
-def run_double_crt(y: FactoredElement, K: NumberField, e: int, seed: int,
-                   budgets: dict) -> FieldElement:
-    bad_kw = {"seed": seed}
-    if K.conductor is None and budgets.get("search") is not None:
-        bad_kw["candidates"] = budgets["search"]
-    if is_bad_field(K, e, **bad_kw):
+def run_double_crt(y: FactoredElement, K: NumberField, e: int,
+                   seed: int) -> FieldElement:
+    if is_bad_field(K, e, seed=seed):
         raise NotApplicable("every prime sees e-th roots of unity")
     return eth_root_double_crt(y, e, K, seed=seed)
 
 
-def run_padic(y: FactoredElement, K: NumberField, e: int, seed: int,
-              budgets: dict) -> FieldElement:
-    kw = {"seed": seed, "avoid": avoid_integers([u for u, _ in y.terms])}
-    if budgets.get("search") is not None:
-        kw["budget"] = budgets["search"]
-    p = find_inert_prime(K, e, **kw)
+def run_padic(y: FactoredElement, K: NumberField, e: int,
+              seed: int) -> FieldElement:
+    avoid = avoid_integers([u for u, _ in y.terms])
+    p = find_inert_prime(K, e, seed=seed, avoid=avoid)
     if p is None:
         raise NotApplicable("no inert prime found")
     return eth_root_padic(y, e, K, p, seed=seed)
 
 
-def run_couveignes(y: FactoredElement, K: NumberField, e: int, seed: int,
-                   budgets: dict) -> FieldElement:
+def run_couveignes(y: FactoredElement, K: NumberField, e: int,
+                   seed: int) -> FieldElement:
     if K.conductor is None or K.conductor % e != 0:
         raise NotApplicable("tower construction needs a cyclotomic bad case")
     plan = build_tower(K, e)
-    return _tower_root(y, plan, 0, e, seed, budgets)
+    return _tower_root(y, plan, 0, e, seed)
 
 
-def run_reconstruct(y: FactoredElement, K: NumberField, e: int, seed: int,
-                    budgets: dict) -> FieldElement:
-    pick_kw = {"seed": seed, "avoid": avoid_integers([u for u, _ in y.terms])}
-    if budgets.get("search") is not None:
-        pick_kw["budget"] = budgets["search"]
-    pil = pick_reconstruct_ideal(K, e, **pick_kw)
+def run_reconstruct(y: FactoredElement, K: NumberField, e: int,
+                    seed: int) -> FieldElement:
+    avoid = avoid_integers([u for u, _ in y.terms])
+    pil = pick_reconstruct_ideal(K, e, seed=seed, avoid=avoid)
     return eth_root_padic_reconstruct(y, e, K, pil, seed=seed)
 
 
@@ -195,7 +172,7 @@ def eth_root(req: RootRequest) -> RootResult:
     e = OddPrimePower(req.e)  # the one test of e; the backends reuse it
     if req.method not in METHODS:
         raise ValueError(f"unknown method {req.method!r}")
-    K, seed, budgets = req.K, req.seed, req.budgets or {}
+    K, seed = req.K, req.seed
     if req.y.field != K:
         raise IncompatibleFields("request element does not live in K")
     prefactor, residual = normalize_exponents(req.y, e)
@@ -204,28 +181,29 @@ def eth_root(req: RootRequest) -> RootResult:
     else:
         plan = [(req.method, RUNNERS[req.method])]
 
-    before = _counters()
     t0 = time.perf_counter()
     failures: list[str] = []
-    for name, backend in plan:
-        try:
-            root = backend(residual, K, e, seed, budgets)
-        except NotApplicable as exc:
-            if req.method != "auto":
-                raise
-            failures.append(f"{name}: not applicable: {exc}")
-            continue
-        except EthrootError as exc:
-            if req.method != "auto":
-                raise
-            failures.append(f"{name}: {type(exc).__name__}: {exc}")
-            continue
-        if prefactor.terms:
-            root = prefactor.value() * root
-        stats = {
-            "seconds": time.perf_counter() - t0,
-            "failures": failures,
-            "counters": _counter_delta(before, _counters()),
-        }
-        return RootResult(prefactor, root, name, stats)
+    with record() as counts:
+        for name, backend in plan:
+            try:
+                root = backend(residual, K, e, seed)
+            except NotApplicable as exc:
+                if req.method != "auto":
+                    raise
+                failures.append(f"{name}: not applicable: {exc}")
+                continue
+            except EthrootError as exc:
+                if req.method != "auto":
+                    raise
+                failures.append(f"{name}: {type(exc).__name__}: {exc}")
+                continue
+            if prefactor.terms:
+                root = prefactor.value() * root
+            stats = {
+                "seconds": time.perf_counter() - t0,
+                "failures": failures,
+                "counters": {group: {k: v for k, v in tally.items() if v}
+                             for group, tally in counts.items() if any(tally.values())},
+            }
+            return RootResult(prefactor, root, name, stats)
     raise NotAnEthPower("; ".join(failures))

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from ethroot import couveignes
+from ethroot.counters import record
 from ethroot.couveignes import (
     TowerPlan,
     _fold_residue,
@@ -78,15 +79,15 @@ def test_make_couveignes_prime_rejects_ramified():
 
 
 def test_select_primes_admissible_classes():
-    before = couveignes.stats["primes"]
-    cps = select_couveignes_primes(K15, EMB15, 3, 10 ** 40, seed=1)
+    with record() as counts:
+        cps = select_couveignes_primes(K15, EMB15, 3, 10 ** 40, seed=1)
     prod = math.prod(cp.p for cp in cps)
     assert prod > 2 * 10 ** 40
     assert len({cp.p for cp in cps}) == len(cps)
     for cp in cps:
         assert cp.p % 15 in (7, 13)
         assert multiplicative_order(cp.p, 15) == 4 * multiplicative_order(cp.p, 3)
-    assert couveignes.stats["primes"] > before
+    assert counts["couveignes"]["primes"] == len(cps)
 
 
 def test_select_primes_gcd_precondition():
@@ -180,10 +181,10 @@ def test_eth_root_couveignes_roundtrip():
     x = K15.element([rng.randrange(-2, 3) for _ in range(8)])
     y = FactoredElement(K15, [(x, 3)])
     solver = _padic_solver(L3, 3, seed=2)
-    before = couveignes.stats["norm_checks"]
-    root = eth_root_couveignes(y, 3, K15, EMB15, solver, seed=5)
+    with record() as counts:
+        root = eth_root_couveignes(y, 3, K15, EMB15, solver, seed=5)
     assert root ** 3 == x ** 3
-    assert couveignes.stats["norm_checks"] > before
+    assert counts["couveignes"]["norm_checks"] > 0
     # deterministic for a fixed seed
     assert eth_root_couveignes(y, 3, K15, EMB15, solver, seed=5) == root
 

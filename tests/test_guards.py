@@ -53,6 +53,88 @@ def test_library_has_no_unused_module_imports():
     assert found == []
 
 
+def _bound_names(node) -> set:
+    """Names that node binds: assignment targets, arguments, imports, defs."""
+    names = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, (ast.Store, ast.Del)):
+            names.add(n.id)
+        elif isinstance(n, ast.arg):
+            names.add(n.arg)
+        elif isinstance(n, (ast.Import, ast.ImportFrom)):
+            names.update((a.asname or a.name).split(".")[0] for a in n.names)
+        elif isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(n.name)
+    return names
+
+
+def _global_mutations(tree) -> list:
+    """Lines of `x[k] += n`, `x.a += n` with x a module-level name, and of
+    `x += n` with x declared global: process-wide mutable state."""
+    module = set()
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            module.add(stmt.name)
+        else:
+            module |= _bound_names(stmt)
+    found = []
+
+    def visit(node, local, declared):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                inner = {n for g in ast.walk(child) if isinstance(g, ast.Global)
+                         for n in g.names}
+                # a function's own name is the module's: f.calls += 1 counts
+                own = _bound_names(child) - inner - {getattr(child, "name", None)}
+                visit(child, local | own, inner)
+                continue
+            if isinstance(child, ast.AugAssign):
+                root = child.target
+                while isinstance(root, (ast.Subscript, ast.Attribute)):
+                    root = root.value
+                if isinstance(root, ast.Name) and (
+                        root.id in declared if root is child.target
+                        else root.id in module and root.id not in local):
+                    found.append(child.lineno)
+            visit(child, local, declared)
+
+    visit(tree, set(), set())
+    return found
+
+
+def test_library_keeps_no_process_global_counters():
+    # per-call counts go through ethroot.counters; a module global bumped in
+    # place would leak counts between calls, threads and tests
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{line}" for line in _global_mutations(tree)]
+    assert found == []
+
+
+def test_global_mutation_guard_sees_through_scopes():
+    code = """
+import mod
+stats = {}
+memo = {}
+def bump(memo, n):
+    stats["a"] += 1
+    mod.calls += n
+    memo["b"] += 1
+    local = {}
+    local["c"] += 1
+    memo2 = memo
+    memo2["d"] += 1
+def cache(k, v):
+    global total
+    total += 1
+    memo[k] = v
+    cache.calls += 1
+    fn = lambda: memo.update(k=1)
+"""
+    assert _global_mutations(ast.parse(code)) == [6, 7, 15, 17]
+
+
 WRAPPED = "# noqa: F401, wrapped at this module by layerbench"
 
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ethroot import saturation as sat
 from ethroot.errors import (
     BudgetExceeded,
     IncompatibleFields,
@@ -35,8 +36,7 @@ Q = NumberField([0, 1])
 K4 = NumberField.cyclotomic(4)
 U4 = [K4.element([1, 1]), K4.element([3, 2])]  # norms 2 and 13
 
-F31 = FqField(31, [0, 1])
-CP31 = CharacterPrime(PrimeIdealRep(31, (0, 1), 1), F31.element([2]))
+CP31 = CharacterPrime(PrimeIdealRep(31, (0, 1), 1), 2)  # 2^5 = 1 mod 31
 
 
 def span_mod(gens, e, s):
@@ -92,23 +92,33 @@ def test_chi_rejects_non_units():
         chi(Q.element([31]), CP31, 5)
     with pytest.raises(ValueError):
         chi(Q.element([1], 31), CP31, 5)
-    deg2 = CharacterPrime(PrimeIdealRep(31, (1, 0, 1), 2), F31.element([2]))
+    deg2 = CharacterPrime(PrimeIdealRep(31, (1, 0, 1), 2), 2)
     with pytest.raises(ValueError):
         chi(Q.element([3]), deg2, 5)
 
 
 def test_chi_budget_and_group_checks():
+    # q = 14 * 3^26 + 1 is prime and 3^14 has order 3^26 mod q, an order
+    # above the 2^40 BSGS budget
+    big = CharacterPrime(PrimeIdealRep(14 * 3 ** 26 + 1, (0, 1), 1), 3 ** 14)
     with pytest.raises(BudgetExceeded):
-        chi(Q.element([3]), CP31, 3 ** 26)  # above the 2^40 BSGS budget
-    with pytest.raises(NotInGroup):
-        chi(Q.element([3]), CP31, 7)  # 7 does not divide 30: 3^28 != 1
+        chi(Q.element([3]), big, 3 ** 26)
+    with pytest.raises(IncompatibleFields):
+        chi(Q.element([3]), CP31, 3 ** 26)  # 2 has order 5, not 3^26
+    with pytest.raises(IncompatibleFields):
+        chi(Q.element([3]), CP31, 7)  # 7 does not divide 30: no order 7 mod 31
     ideal = CP31.Q_ideal
-    other_prime = CharacterPrime(ideal, FqField(41, [0, 1]).element([10]))  # order 5
     with pytest.raises(IncompatibleFields):
-        chi(Q.element([3]), other_prime, 5)
-    f961 = FqField(31, [1, 0, 1])  # x^2 + 1 is irreducible mod 31
+        chi(Q.element([3]), CharacterPrime(ideal, 10), 5)  # 10^5 = 25 mod 31
     with pytest.raises(IncompatibleFields):
-        chi(Q.element([3]), CharacterPrime(ideal, f961.element([2])), 5)
+        chi(Q.element([3]), CharacterPrime(ideal, 1), 5)  # order 1, not 5
+
+
+def test_dlog_mod_p_budget_and_group_checks():
+    with pytest.raises(BudgetExceeded):
+        dlog_mod_p(1, 2, 3 ** 26, 31)  # above the 2^40 BSGS budget
+    with pytest.raises(NotInGroup):
+        dlog_mod_p(3, 2, 5, 31)  # 3^5 = 243 = 26 mod 31
 
 
 # e -> (prime q = 1 mod e, the prime dividing e)
@@ -127,7 +137,7 @@ def test_integer_character_log_matches_fq_dlog(e, g, a, j):
     zeta = field.element([z])
     t = pow(z, j, q)  # a random element of the order-e subgroup
     assert dlog_mod_p(t, z, e, q) == fq_dlog_order_e(field.element([t]), zeta, e)
-    cp = CharacterPrime(PrimeIdealRep(q, (0, 1), 1), zeta)
+    cp = CharacterPrime(PrimeIdealRep(q, (0, 1), 1), z)
     want = fq_dlog_order_e(field.element([pow(a, (q - 1) // e, q)]), zeta, e)
     assert chi(Q.element([a]), cp, e) == want
 
@@ -154,8 +164,9 @@ def test_select_rational_case():
 def test_select_tables_and_zeta_are_exact():
     cps = select_character_primes(K4, 5, 3, U4, seed=3)
     for cp in cps:
-        assert cp.zeta ** 5 == cp.zeta.field.one
-        assert cp.zeta != cp.zeta.field.one
+        q = cp.Q_ideal.p
+        assert pow(cp.zeta, 5, q) == 1
+        assert cp.zeta != 1
         for j, u in enumerate(U4):
             assert chi(u, cp, 5) == cp.table[j]
 
@@ -169,7 +180,6 @@ def test_select_avoids_basis_divisors():
 
 def _character_primes_from_ideals(K, e, count, U, seed):
     """select_character_primes on Q(zeta_m) as read off split_prime_ideals."""
-    from ethroot import saturation as sat
     from ethroot.numfield import avoid_integers, split_prime_ideals
     from ethroot.primes import derive_rng, prime_stream
 
@@ -181,7 +191,6 @@ def _character_primes_from_ideals(K, e, count, U, seed):
     while len(out) < count:
         q = next(stream)
         z = sat._order_e_element(q, e, ell, rng)
-        zeta = FqField.trusted(q, [0, 1]).element([z])
         for ideal in split_prime_ideals(q, K.conductor):
             if len(out) >= count:
                 break
@@ -191,7 +200,7 @@ def _character_primes_from_ideals(K, e, count, U, seed):
                                          z, e, q) for u in U)
             except ValueError:
                 continue
-            out.append(CharacterPrime(ideal, zeta, table))
+            out.append(CharacterPrime(ideal, z, table))
     return out
 
 
@@ -398,10 +407,11 @@ def test_detect_no_relations_stays_empty():
         assert detect_eth_powers(G, 5, K4, seed=seed) == []
 
 
-def test_detect_large_e_recipe():
+def test_detect_large_e_recipe(monkeypatch):
     # forcing the dlog cutoff exercises the schirokauer + valuation path
+    monkeypatch.setattr(sat, "DLOG_BUDGET", 1)
     G = GeneratingSet(U4, [[5, 0], [1, 2]], valuations=[[0], [1]])
-    dets = detect_eth_powers(G, 5, K4, policy={"dlog_limit": 1}, seed=7)
+    dets = detect_eth_powers(G, 5, K4, seed=7)
     assert [a for a, _ in dets] == [(1, 0)]
 
 

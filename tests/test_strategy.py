@@ -52,7 +52,7 @@ def test_generic_bad_field_routes_to_reconstruct():
     # same polynomial as K15 but no conductor: the tower is unavailable
     Kg = NumberField(cyclotomic_poly(15))
     x = Kg.element([1, 0, -1, 0, 0, 2, 0, 1])
-    r = eth_root(RootRequest(Kg, 3, planted(Kg, x, 3), budgets={"search": 80}))
+    r = eth_root(RootRequest(Kg, 3, planted(Kg, x, 3)))
     assert r.method_used == "reconstruct"
     assert r.root ** 3 == x ** 3
 
@@ -107,7 +107,7 @@ def test_empty_product_roots_to_one():
 def test_non_power_raises_not_an_eth_power():
     bad = FactoredElement(K16, [(K16.element([1, 1, 0, 0, 1, 0, 0, 2]), 1)])
     with pytest.raises(NotAnEthPower):
-        eth_root(RootRequest(K16, 3, bad, budgets={"search": 60}))
+        eth_root(RootRequest(K16, 3, bad))
 
 
 def test_explicit_method_propagates_not_applicable():
@@ -167,13 +167,6 @@ def test_reconstruct_honours_the_search_budget(monkeypatch):
 
     monkeypatch.setattr(K16, "prime_ideals", always_ramified)
     y = planted(K16, K16.element([1, 1, 0, 0, 0, 0, 0, 0]), 3)
-    for budget in (1, 7, 30):
-        factored.clear()
-        with pytest.raises(SearchExhausted):
-            eth_root(RootRequest(K16, 3, y, method="reconstruct",
-                                 budgets={"search": budget}))
-        assert 0 < len(factored) <= budget
-    factored.clear()
     with pytest.raises(SearchExhausted):
         eth_root(RootRequest(K16, 3, y, method="reconstruct"))
     assert 30 < len(factored) <= 200  # the default candidate budget
