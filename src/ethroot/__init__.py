@@ -30,7 +30,7 @@ from .errors import (
     VerificationFailed,
     ZeroInput,
 )
-from .fq import FqElement, FqField, factor_mod_p, fq_eth_root, fq_norm_to_subfield
+from .fq import FqElement, FqField, factor_mod_p, fq_eth_root
 from .numfield import (
     FactoredElement,
     FieldElement,

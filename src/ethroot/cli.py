@@ -288,6 +288,7 @@ def cmd_selftest(args) -> int:
         ("double_crt", 16, 3, "auto"),
         ("padic", 9, 3, "auto"),
         ("couveignes", 15, 3, "auto"),
+        ("couveignes", 45, 3, "auto"),  # residue fields hold mu_9
         ("reconstruct", 16, 3, "reconstruct"),
         ("double_crt", None, 3, "auto"),
     ]

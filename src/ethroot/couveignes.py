@@ -9,23 +9,26 @@ e candidates, so residues computed at different primes all belong to the same
 global root and a single symmetric CRT finishes the job.
 
 The per-prime step needs every prime of L above p to stay inert in K/L; for
-K = Q(zeta_m) over L = Q(zeta_{m'}) that reads ord_m(p) = [K:L] * ord_{m'}(p).
+K = Q(zeta_m) over L = Q(zeta_{m'}) that reads ord_m(p) = r * d with
+r = [K:L] and d = ord_{m'}(p). Then every residue field of K above p is
+F_Q, Q = q^r, over the residue field F_q, q = p^d, of L below it, and the
+relative norm there is the Frobenius product N(x) = x^E, E = (Q-1)/(q-1),
+the same E at every prime above p. As q = 1 mod e, E = r mod e is a unit
+mod e: with t = E^-1 mod e and s = (1 - tE)/e, so that se + tE = 1, a norm
+root a (a^e = N(y)) gives x = y^s a^t, which satisfies x^e = y^(se) y^(Et)
+= y and N(x) = y^(Es) a^(tE) = a^(es + tE) = a. That is the one local root
+whose norm is a, on all residue fields at once: two powers in
+R = Z[alpha]/p = F_p[t]/(Phi_m mod p), with no prime ideal named.
 """
 
 import math
 from dataclasses import dataclass
 
+from . import gfpoly
 from .counters import count
-from .errors import (
-    DenominatorClash,
-    IncompatibleFields,
-    NormMismatch,
-    NotApplicable,
-    VerificationFailed,
-    ZeroInput,
-)
-from .fq import FqElement, FqField, fq_eth_root, fq_norm_to_subfield
-from .fq import factor_mod_p  # noqa: F401, wrapped at this module by layerbench
+from .errors import IncompatibleFields, NormMismatch, NotApplicable, VerificationFailed
+from .fq import factor_mod_p, fq_eth_root  # noqa: F401, wrapped at this module by layerbench
+from .numfield import crt_ideals  # noqa: F401, wrapped at this module by layerbench
 from .numfield import (
     FactoredElement,
     FieldElement,
@@ -34,7 +37,6 @@ from .numfield import (
     avoid_integers,
     clear_denominators,
     coeff_bound_root,
-    crt_ideals,
     crt_integers_symmetric,
     relative_norm,
 )
@@ -44,7 +46,6 @@ from .primes import (
     euler_phi,
     factorize,
     is_cyclic_unit_group,
-    modinv,
     multiplicative_order,
     prime_stream,
 )
@@ -56,17 +57,10 @@ PRIME_BUDGET = 4000
 
 @dataclass(frozen=True)
 class CouveignesPrime:
-    """Prime p with the inert pairing of L-primes below K-primes above it.
-
-    lower_ideals[i] lies under upper_ideals[i]; emb_images[i] holds the image
-    of L's residue generator inside the residue field of upper_ideals[i] (a
-    root of lower_ideals[i].g there), as a padded coefficient tuple.
-    """
+    """Admissible prime p and d = ord_{m'}(p), the residue degree of L at p."""
 
     p: int
-    lower_ideals: tuple
-    upper_ideals: tuple
-    emb_images: tuple
+    d: int
 
 
 @dataclass(frozen=True)
@@ -81,124 +75,80 @@ class TowerPlan:
     base_method: str  # "padic" | "reconstruct"
 
 
-def _poly_at(poly, t: FqElement) -> FqElement:
-    """Evaluate an integer (or residue) polynomial at t, Horner style."""
-    out = t.field.zero
-    for c in reversed(list(poly)):
-        out = out * t + int(c)
-    return out
-
-
 def make_couveignes_prime(K: NumberField, emb: SubfieldEmbedding, p: int):
-    """Pairing data for p, or None when p does not split the right way.
+    """CouveignesPrime for p, or None when p does not split the right way.
 
-    Pairs each prime G of K above p with the prime g of L below it: the one
-    whose polynomial has the image of L's generator as a root in the residue
-    field of G. p qualifies iff it is unramified in both fields and
-    deg G = deg g * [K:L] for every pair.
+    p qualifies iff it is prime to m (so unramified in K and L) and
+    ord_m(p) = [K:L] * ord_{m'}(p), i.e. every prime of L above p is inert
+    in K/L.
     """
-    uppers_k = K.prime_ideals(p)
-    lowers_l = emb.L.prime_ideals(p)
-    if uppers_k is None or lowers_l is None:
+    if K.conductor % p == 0:
         return None
-    lowers, images = [], []
-    for big in uppers_k:
-        hbar = FqField.trusted(p, big.g).element(list(emb.h))
-        low = next((g for g in lowers_l if _poly_at(g.g, hbar).is_zero()), None)
-        if low is None or big.f_deg != low.f_deg * emb.degree:
-            return None
-        lowers.append(low)
-        images.append(tuple(hbar.coeffs))
-    if len(set(lowers)) != len(lowers_l):
+    d = multiplicative_order(p, emb.L.conductor)
+    if multiplicative_order(p, K.conductor) != emb.degree * d:
         return None
-    return CouveignesPrime(p, tuple(lowers), tuple(uppers_k), tuple(images))
+    return CouveignesPrime(p, d)
 
 
 def select_couveignes_primes(K: NumberField, emb: SubfieldEmbedding, e: int,
                              B: int, seed: int = 0, avoid=(),
                              budget: int = PRIME_BUDGET) -> list:
-    """Distinct admissible primes with prod p > 2B, pairings precomputed.
+    """Distinct admissible primes with prod p > 2B.
 
     Candidates are CRT_BITS-bit primes prime to m and to avoid, which lists
     integers whose prime factors must be skipped (denominators, numerator
-    contents of the eventual reductions). The order test
-    ord_m(p) = [K:L] * ord_{m'}(p) prescreens before any factoring.
+    contents of the eventual reductions); make_couveignes_prime tests each.
     SearchExhausted after `budget` prime draws.
     """
     if math.gcd(emb.degree, e) != 1:
         raise ValueError("[K:L] must be prime to e")
     rng = derive_rng(seed, "couveignes")
-    mk, ml = emb.K.conductor, emb.L.conductor
-    stream = prime_stream(rng, CRT_BITS, avoid=(*avoid, mk), budget=budget)
+    stream = prime_stream(rng, CRT_BITS, avoid=(*avoid, K.conductor), budget=budget)
     chosen: list[CouveignesPrime] = []
     product = 1
     while product <= 2 * B:
-        p = next(stream)
-        if multiplicative_order(p, mk) != emb.degree * multiplicative_order(p, ml):
-            continue
-        cp = make_couveignes_prime(K, emb, p)
-        if cp is None:
-            continue
-        chosen.append(cp)
-        product *= p
+        cp = make_couveignes_prime(K, emb, next(stream))
+        if cp is not None:
+            chosen.append(cp)
+            product *= cp.p
     count("couveignes", "primes", len(chosen))
     return chosen
-
-
-def _residue(u: FieldElement, field: FqField) -> FqElement:
-    """u mod the ideal (p, g) behind field; DenominatorClash when p | den."""
-    p = field.p
-    if u.den % p == 0:
-        raise DenominatorClash(p)
-    out = field.element(list(u.num))
-    if u.den != 1:
-        out = out * modinv(u.den, p)
-    return out
-
-
-def _fold_residue(y: FactoredElement, field: FqField) -> FqElement:
-    out = field.one
-    for u, exp in y.terms:
-        ubar = _residue(u, field)
-        if ubar.is_zero():
-            raise ZeroInput(f"factor vanishes mod {field.p}")
-        out = out * ubar ** exp
-    return out
 
 
 def couveignes_mod_p(y: FactoredElement, e: int, emb: SubfieldEmbedding,
                      a: FieldElement, cp: CouveignesPrime) -> list:
     """One consistent residue of y^{1/e} mod p, anchored by the norm root a.
 
-    Per pair: pick any e-th root of y in the upper residue field, then
-    rescale by the root of unity that fixes its relative norm to a mod the
-    lower ideal. z = (a mod lower)/N(x) satisfies z^e = 1 and
-    x * z^{[K:L]^{-1} mod e} is the single local root whose norm matches a;
-    the corrected residues are glued by the polynomial CRT.
+    In R = F_p[t]/(Phi_m mod p): y is folded, a is pushed to K by
+    alpha -> alpha^(m/m'), and x = y^s a^t with se + tE = 1 (module
+    docstring) is returned as a coordinate vector. NormMismatch unless
+    a^e = y^E in R. Both exponents are taken positive, s as its
+    representative in [1, Q-1], so x is 0 wherever y is, its right residue
+    there, and no inverse is needed. DenominatorClash when p divides a
+    denominator.
     """
-    K = emb.K
-    p = cp.p
-    kinv = modinv(emb.degree % e, e)
-    residues = []
-    for low, up, img in zip(cp.lower_ideals, cp.upper_ideals, cp.emb_images):
-        big = FqField.trusted(p, up.g)
-        sub = FqField.trusted(p, low.g)
-        gen_img = FqElement(big, tuple(img))
-        ybar = _fold_residue(y, big)
-        xbar = fq_eth_root(ybar, e)
-        abar = _residue(a, sub)
-        if abar.is_zero():
-            raise ZeroInput(f"norm anchor vanishes mod {p}")
-        z = abar / fq_norm_to_subfield(xbar, gen_img, sub)
-        if z ** e != sub.one:
-            raise NormMismatch(f"anchor is not an e-th root of the norm mod {p}")
-        xi = xbar * _poly_at(z.coeffs, gen_img) ** kinv
-        # corrected root must reproduce the anchor (one extra norm per ideal)
-        count("couveignes", "norm_checks")
-        if fq_norm_to_subfield(xi, gen_img, sub) != abar:
-            raise NormMismatch(f"corrected root misses the norm anchor mod {p}")
-        residues.append(list(xi.coeffs))
-    return crt_ideals(residues, list(cp.upper_ideals), K)
+    K, p = emb.K, cp.p
+    fbar = gfpoly.from_int_poly(list(K.f), p)
+    ybar = [1]
+    for u, exp in y.terms:
+        ubar = gfpoly.powmod(u.reduce_mod_prime(p), exp, fbar, p)
+        ybar = gfpoly.mulmod(ybar, ubar, fbar, p)
+    step = K.conductor // emb.L.conductor
+    pushed = [0] * (step * (emb.L.n - 1) + 1)
+    for i, c in enumerate(a.reduce_mod_prime(p)):
+        pushed[i * step] = c
+    abar = gfpoly.rem(pushed, fbar, p)
+    q = p ** cp.d
+    Q = q ** emb.degree
+    E = (Q - 1) // (q - 1)
+    t = pow(E, -1, e)
+    s = (1 - t * E) // e
+    count("couveignes", "norm_checks")
+    if gfpoly.powmod(abar, e, fbar, p) != gfpoly.powmod(ybar, E, fbar, p):
+        raise NormMismatch(f"anchor is not an e-th root of the norm mod {p}")
+    x = gfpoly.mulmod(gfpoly.powmod(ybar, (s - 1) % (Q - 1) + 1, fbar, p),
+                      gfpoly.powmod(abar, t, fbar, p), fbar, p)
+    return x + [0] * (K.n - len(x))
 
 
 def eth_root_couveignes(y: FactoredElement, e: int, K: NumberField,

@@ -20,7 +20,6 @@ from .errors import (
     IncompatibleFields,
     NotAPower,
     NotInGroup,
-    NotInSubfield,
     ZeroInput,
 )
 from .primes import check_odd_prime_power, is_prime, modinv
@@ -59,7 +58,6 @@ class FqField:
         self.q = p ** self.d
         self.modulus = tuple(modulus)
         self._mod_list = modulus
-        self._norm_cache: dict = {}
         self._packed = None  # gfpoly._Packed for powers, built on first use
 
     def __eq__(self, other):
@@ -352,77 +350,3 @@ def fq_eth_root(y: FqElement, e: int) -> FqElement:
         x = _amm_ell_root(x, ell)
     return x
 
-
-# -- subfield norms -----------------------------------------------------------
-
-
-def _gauss_solver(columns: list[tuple], p: int, dim: int):
-    """RREF solver for M c = z with M given by columns; returns solve(z)."""
-    ncols = len(columns)
-    rows = [[columns[j][i] for j in range(ncols)] + [0] * dim for i in range(dim)]
-    for i in range(dim):
-        rows[i][ncols + i] = 1  # augment with identity
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, dim) if rows[i][c] % p), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = pow(rows[r][c], p - 2, p)
-        rows[r] = [x * inv % p for x in rows[r]]
-        for i in range(dim):
-            if i != r and rows[i][c] % p:
-                f = rows[i][c]
-                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-    if r != ncols:
-        raise NotInSubfield("embedding image does not have full rank")
-    transform = [row[ncols:] for row in rows]
-
-    def solve(z: tuple) -> list[int]:
-        coords = [sum(t * zi for t, zi in zip(row, z)) % p for row in transform]
-        sol = [0] * ncols
-        for idx, c in enumerate(pivots):
-            sol[c] = coords[idx]
-        # consistency: rows beyond the rank must annihilate z
-        for idx in range(ncols, dim):
-            if coords[idx] % p:
-                raise NotInSubfield("element not in the embedded subfield")
-        return sol
-
-    return solve
-
-
-def fq_norm_to_subfield(x: FqElement, emb: FqElement, sub: FqField) -> FqElement:
-    """Norm of x from F_{p^D} down to F_{p^d}, d | D, expressed in sub.
-
-    emb is the image of sub's generator inside x's field; the linear
-    pull-back is cached on x's field per (emb, sub).
-    """
-    big = x.field
-    if emb.field != big or sub.p != big.p or big.d % sub.d != 0:
-        raise IncompatibleFields("subfield data does not match")
-    key = (sub.modulus, emb.coeffs)
-    solver = big._norm_cache.get(key)
-    if solver is None:
-        img = gfpoly.from_int_poly(list(sub.modulus), big.p)
-        val = big.zero
-        acc = big.one
-        for c in img:
-            val = val + acc * c
-            acc = acc * emb
-        if not val.is_zero():
-            raise IncompatibleFields("emb is not a root of the subfield modulus")
-        powers = []
-        cur = big.one
-        for _ in range(sub.d):
-            powers.append(cur.coeffs)
-            cur = cur * emb
-        solver = _gauss_solver(powers, big.p, big.d)
-        big._norm_cache[key] = solver
-    if x.is_zero():
-        return sub.zero
-    n = x ** ((big.q - 1) // (sub.q - 1))
-    return sub.element(solver(n.coeffs))

@@ -75,6 +75,16 @@ def reduce_mod_ideal(coeffs_mod_p: list[int], ideal) -> list[int]:
     return gfpoly.rem(gfpoly.trim(list(coeffs_mod_p)), list(ideal.g), ideal.p)
 
 
+def fold_mod_p(y, p: int) -> list[int]:
+    """The factored element y mod (p, f) in F_p[t]/(f mod p), trimmed."""
+    fbar = gfpoly.from_int_poly(list(y.field.f), p)
+    out = [1]
+    for u, a in y.terms:
+        ubar = gfpoly.powmod(u.reduce_mod_prime(p), a, fbar, p)
+        out = gfpoly.mulmod(out, ubar, fbar, p)
+    return out
+
+
 def from_subfield(emb, b):
     """Image of an L-element in K (substitute beta = alpha^(m/m'))."""
     if b.field != emb.L:

@@ -5,11 +5,11 @@ import random
 
 import pytest
 
-from ethroot import couveignes
+from ethroot import gfpoly
 from ethroot.counters import record
 from ethroot.couveignes import (
+    CouveignesPrime,
     TowerPlan,
-    _fold_residue,
     build_tower,
     couveignes_mod_p,
     eth_root_couveignes,
@@ -23,7 +23,7 @@ from ethroot.errors import (
     SearchExhausted,
     VerificationFailed,
 )
-from ethroot.fq import FqElement, FqField, factor_mod_p, fq_eth_root, fq_norm_to_subfield
+from ethroot.fq import FqField, factor_mod_p
 from ethroot.numfield import (
     FactoredElement,
     NumberField,
@@ -34,6 +34,8 @@ from ethroot.numfield import (
 )
 from ethroot.padic import eth_root_padic, eth_root_padic_reconstruct, find_inert_prime
 from ethroot.primes import multiplicative_order
+
+from helpers import fold_mod_p, from_subfield
 
 K15 = NumberField.cyclotomic(15)
 L3 = NumberField.cyclotomic(3)
@@ -56,16 +58,7 @@ def _padic_solver(L, e, seed):
 
 def test_make_couveignes_prime_admissible_7():
     # ord_15(7) = 4 = [K:L] * ord_3(7)
-    cp = make_couveignes_prime(K15, EMB15, 7)
-    assert cp is not None
-    assert [i.f_deg for i in cp.lower_ideals] == [1, 1]
-    assert [i.f_deg for i in cp.upper_ideals] == [4, 4]
-    for low, up, img in zip(cp.lower_ideals, cp.upper_ideals, cp.emb_images):
-        assert up.f_deg == low.f_deg * EMB15.degree
-        big = FqField(7, list(up.g))
-        t = FqElement(big, tuple(img))
-        # the stored image is a root of the paired lower factor
-        assert couveignes._poly_at(low.g, t).is_zero()
+    assert make_couveignes_prime(K15, EMB15, 7) == CouveignesPrime(7, 1)
 
 
 def test_make_couveignes_prime_rejects_wrong_order():
@@ -128,24 +121,35 @@ def test_couveignes_mod_p_anchored_zeta5():
         assert K15.element(coords) == K15.gen
 
 
-def test_couveignes_mod_p_unique_norm_match():
-    # of the three local candidates x*zeta_3^j exactly one has the right norm
-    y = FactoredElement(K15, [(K15.gen, 3)])
-    a = relative_norm(FactoredElement(K15, [(K15.gen, 1)]), EMB15).value()
+def test_couveignes_mod_p_root_with_anchored_norm():
+    # in R = F_p[t]/(Phi_15 mod p) the residue x is an e-th root of y whose
+    # Frobenius norm x^E, E = (p^4 - 1)/(p - 1), is the anchor a pushed to K
+    rng = random.Random(19)
+    w = K15.element([rng.randrange(-3, 4) for _ in range(8)], den=2)
+    y = FactoredElement(K15, [(w, 3), (K15.gen, 3)])
+    a = relative_norm(FactoredElement(K15, [(w * K15.gen, 1)]), EMB15).value()
+    fbar = list(K15.f)
+    for p in (7, 13, 43):
+        cp = make_couveignes_prime(K15, EMB15, p)
+        assert cp == CouveignesPrime(p, 1)
+        xbar = gfpoly.trim(couveignes_mod_p(y, 3, EMB15, a, cp))
+        E = (p ** 4 - 1) // (p - 1)
+        assert gfpoly.powmod(xbar, 3, fbar, p) == fold_mod_p(y, p)
+        abar = gfpoly.trim(from_subfield(EMB15, a).reduce_mod_prime(p))
+        assert gfpoly.powmod(xbar, E, fbar, p) == abar
+
+
+def test_couveignes_mod_p_factor_vanishing_at_one_ideal():
+    # u = g(alpha) for one quartic factor g of Phi_15 mod 7 lies in exactly
+    # one of the two primes above 7; u is still the root of u^3 anchored by
+    # N(u), 0 at that prime and a unit at the other
+    g = factor_mod_p(list(K15.f), 7)[0][0]
+    assert len(g) == 5
+    u = K15.element(g)
+    a = relative_norm(FactoredElement(K15, [(u, 1)]), EMB15).value()
     cp = make_couveignes_prime(K15, EMB15, 7)
-    zeta_coords = list((K15.gen ** 5).num)
-    for low, up, img in zip(cp.lower_ideals, cp.upper_ideals, cp.emb_images):
-        big = FqField(7, list(up.g))
-        sub = FqField(7, list(low.g))
-        gen_img = FqElement(big, tuple(img))
-        xbar = fq_eth_root(_fold_residue(y, big), 3)
-        zeta = big.element(zeta_coords)
-        abar = sub.element(list(a.num))
-        hits = sum(
-            fq_norm_to_subfield(xbar * zeta ** j, gen_img, sub) == abar
-            for j in range(3)
-        )
-        assert hits == 1
+    out = couveignes_mod_p(FactoredElement(K15, [(u ** 3, 1)]), 3, EMB15, a, cp)
+    assert out == u.reduce_mod_prime(7)
 
 
 def test_couveignes_mod_p_norm_mismatch():
@@ -154,26 +158,6 @@ def test_couveignes_mod_p_norm_mismatch():
     cp = make_couveignes_prime(K15, EMB15, 7)
     with pytest.raises(NormMismatch):
         couveignes_mod_p(y, 3, EMB15, bad, cp)
-
-
-def test_couveignes_mod_p_anchor_check_raises(monkeypatch):
-    # the re-check of the corrected root raises, so python -O keeps it
-    real = couveignes.fq_norm_to_subfield
-    calls = []
-
-    def skewed(x, gen_img, sub):
-        # per ideal: the first norm sizes the correction, the second re-checks
-        calls.append(x)
-        val = real(x, gen_img, sub)
-        return val if len(calls) % 2 else val + sub.one
-
-    monkeypatch.setattr(couveignes, "fq_norm_to_subfield", skewed)
-    y = FactoredElement(K15, [(K15.gen, 3)])
-    a = relative_norm(FactoredElement(K15, [(K15.gen, 1)]), EMB15).value()
-    cp = make_couveignes_prime(K15, EMB15, 7)
-    with pytest.raises(NormMismatch, match="misses the norm anchor"):
-        couveignes_mod_p(y, 3, EMB15, a, cp)
-    assert len(calls) == 2
 
 
 def test_eth_root_couveignes_roundtrip():
@@ -242,7 +226,7 @@ def test_eth_root_couveignes_rejects_noncube():
     chars = []
     for gq, _ in facts:
         fld = FqField(q, gq)
-        ubar = _fold_residue(FactoredElement(K15, [(u, 1)]), fld)
+        ubar = fld.element(fold_mod_p(FactoredElement(K15, [(u, 1)]), q))
         chars.append(ubar ** ((fld.q - 1) // 3) != fld.one)
     assert any(chars)
     rng = random.Random(5)

@@ -6,7 +6,6 @@ from ethroot import fq as fq_module
 from ethroot import gfpoly
 from ethroot.errors import (
     BudgetExceeded,
-    IncompatibleFields,
     NotAPower,
     NotInGroup,
     ZeroInput,
@@ -16,7 +15,6 @@ from ethroot.fq import (
     _nonresidue,
     factor_mod_p,
     fq_eth_root,
-    fq_norm_to_subfield,
 )
 from ethroot.crtroot import eth_root_double_crt
 from ethroot.numfield import FactoredElement, NumberField
@@ -203,64 +201,6 @@ def test_root_char2_field():
         y = x ** 3
         r = fq_eth_root(y, 3)
         assert r ** 3 == y
-
-
-# -- norms ----------------------------------------------------------------------
-
-
-def _find_embedding(big, sub):
-    for x in big.elements():
-        acc = big.zero
-        cur = big.one
-        for c in sub.modulus:
-            acc = acc + cur * c
-            cur = cur * x
-        if acc.is_zero() and not x.is_zero():
-            return x
-    raise AssertionError("no embedding found")
-
-
-def test_norm_to_subfield_matches_power_formula():
-    big = make_field(3, 4, seed=2)
-    sub = make_field(3, 2, seed=2)
-    emb = _find_embedding(big, sub)
-    rng = random.Random(11)
-    for _ in range(40):
-        x = big.random_element(rng)
-        if x.is_zero():
-            continue
-        n = fq_norm_to_subfield(x, emb, sub)
-        # image back in the big field must equal x^((q-1)/(q'-1))
-        img = big.zero
-        cur = big.one
-        for c in n.coeffs:
-            img = img + cur * c
-            cur = cur * emb
-        assert img == x ** ((big.q - 1) // (sub.q - 1))
-
-
-def test_norm_multiplicative():
-    big = make_field(5, 4, seed=9)
-    sub = make_field(5, 2, seed=9)
-    emb = _find_embedding(big, sub)
-    rng = random.Random(13)
-    for _ in range(30):
-        x, y = big.random_element(rng), big.random_element(rng)
-        if x.is_zero() or y.is_zero():
-            continue
-        lhs = fq_norm_to_subfield(x * y, emb, sub)
-        rhs = fq_norm_to_subfield(x, emb, sub) * fq_norm_to_subfield(y, emb, sub)
-        assert lhs == rhs
-
-
-def test_norm_incompatible_fields():
-    big = make_field(3, 4)
-    other = make_field(5, 2)
-    with pytest.raises(IncompatibleFields):
-        fq_norm_to_subfield(big.one, big.one, other)
-
-
-# -- discrete logs ---------------------------------------------------------------
 
 
 def test_dlog_spec_value():

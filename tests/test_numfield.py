@@ -29,9 +29,9 @@ from ethroot.numfield import (
     split_prime_ideals,
 )
 from ethroot.couveignes import make_couveignes_prime
-from ethroot.fq import FqElement, FqField, factor_mod_p, fq_norm_to_subfield
+from ethroot.fq import factor_mod_p
 from ethroot.primes import factorize, is_prime
-from helpers import from_subfield, reduce_mod_ideal
+from helpers import fold_mod_p, from_subfield, reduce_mod_ideal
 
 
 # -- cyclotomic polynomials ------------------------------------------------------
@@ -629,27 +629,20 @@ def test_relative_norm_commutes_with_reduction():
         assert nf.coeffs[0] == nc
 
 
-def _fq_residue(u, field):
-    return field.element(u.reduce_mod_prime(field.p))
-
-
-def _fq_fold(y, field):
-    out = field.one
-    for u, a in y.terms:
-        out = out * _fq_residue(u, field) ** a
-    return out
-
-
 @pytest.mark.parametrize("m,m_sub", [(12, 3), (15, 5), (35, 5), (45, 9)])
 def test_relative_norm_matches_finite_field_norms(m, m_sub):
-    # N_{K/L}(y) mod each lower ideal equals the F_q norm of y mod the paired
-    # upper ideal: the identity couveignes_mod_p anchors its roots on
+    # at an admissible p every prime of L is inert in K, so the norm on each
+    # residue field F_Q over F_q is the Frobenius product x^E, E = (Q-1)/(q-1):
+    # N_{K/L}(y), pushed back to K, is y^E in Z[alpha]/p, the identity
+    # couveignes_mod_p builds its roots on
     emb = SubfieldEmbedding.cyclotomic(NumberField.cyclotomic(m), m_sub)
     K, L = emb.K, emb.L
     for p in range(5, 2000):
         cp = make_couveignes_prime(K, emb, p) if m % p and is_prime(p) else None
         if cp is not None:
             break
+    q = p ** cp.d
+    E = (q ** emb.degree - 1) // (q - 1)
     rng = random.Random(61 * m + m_sub)
     for _ in range(4):
         terms = []
@@ -661,10 +654,9 @@ def test_relative_norm_matches_finite_field_norms(m, m_sub):
         y = FactoredElement(K, terms)
         n = relative_norm(y, emb)
         assert n.field == L and [a for _, a in n.terms] == [a for _, a in y.terms]
-        for low, up, img in zip(cp.lower_ideals, cp.upper_ideals, cp.emb_images):
-            big, sub = FqField(p, list(up.g)), FqField(p, list(low.g))
-            want = fq_norm_to_subfield(_fq_fold(y, big), FqElement(big, img), sub)
-            assert _fq_fold(n, sub) == want
+        pushed = FactoredElement(K, [(from_subfield(emb, v), a) for v, a in n.terms])
+        want = gfpoly.powmod(fold_mod_p(y, p), E, list(K.f), p)
+        assert fold_mod_p(pushed, p) == want
 
 
 def test_relative_norm_conjugate_product():

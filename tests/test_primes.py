@@ -276,8 +276,9 @@ def test_every_search_stops_within_its_budget(monkeypatch, name):
             refused.append(q)
             return 0
 
-    # prime_ideals and is_inert refuse with None
+    # prime_ideals, is_inert and make_couveignes_prime refuse with None
     monkeypatch.setattr(padic, "is_inert", refuse)
+    monkeypatch.setattr(couveignes, "make_couveignes_prime", refuse)
     for K in (K_generic, K15):
         monkeypatch.setattr(K, "prime_ideals", refuse)
     monkeypatch.setattr(K_generic, "discriminant", lambda: EveryPrimeDivides())
