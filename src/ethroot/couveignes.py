@@ -129,10 +129,11 @@ def couveignes_mod_p(y: FactoredElement, e: int, emb: SubfieldEmbedding,
     """
     K, p = emb.K, cp.p
     fbar = gfpoly.from_int_poly(list(K.f), p)
+    R = gfpoly._Packed(fbar, p)
+    R.keep_frobenius(gfpoly.rem([0] * (p % K.conductor) + [1], fbar, p))  # t^p
     ybar = [1]
     for u, exp in y.terms:
-        ubar = gfpoly.powmod(u.reduce_mod_prime(p), exp, fbar, p)
-        ybar = gfpoly.mulmod(ybar, ubar, fbar, p)
+        ybar = R.mul(ybar, R.power(u.reduce_mod_prime(p), exp))
     step = K.conductor // emb.L.conductor
     pushed = [0] * (step * (emb.L.n - 1) + 1)
     for i, c in enumerate(a.reduce_mod_prime(p)):
@@ -144,10 +145,9 @@ def couveignes_mod_p(y: FactoredElement, e: int, emb: SubfieldEmbedding,
     t = pow(E, -1, e)
     s = (1 - t * E) // e
     count("couveignes", "norm_checks")
-    if gfpoly.powmod(abar, e, fbar, p) != gfpoly.powmod(ybar, E, fbar, p):
+    if R.power(abar, e) != R.power(ybar, E):
         raise NormMismatch(f"anchor is not an e-th root of the norm mod {p}")
-    x = gfpoly.mulmod(gfpoly.powmod(ybar, (s - 1) % (Q - 1) + 1, fbar, p),
-                      gfpoly.powmod(abar, t, fbar, p), fbar, p)
+    x = R.mul(R.power(ybar, (s - 1) % (Q - 1) + 1), R.power(abar, t))
     return x + [0] * (K.n - len(x))
 
 

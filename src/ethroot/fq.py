@@ -58,7 +58,7 @@ class FqField:
         self.q = p ** self.d
         self.modulus = tuple(modulus)
         self._mod_list = modulus
-        self._packed = None  # gfpoly._Packed for powers, built on first use
+        self._packed = None  # gfpoly._Packed with Frobenius rows, built on first power
 
     def __eq__(self, other):
         return (
@@ -188,6 +188,7 @@ class FqElement:
             return self._wrap(gfpoly.powmod(self._poly(), n, f._mod_list, f.p))
         if f._packed is None:
             f._packed = gfpoly._Packed(f._mod_list, f.p)
+            f._packed.keep_frobenius()
         return self._wrap(f._packed.power(self._poly(), n))
 
     def __eq__(self, other):

@@ -13,6 +13,16 @@ its d-1 high slots back (each reduced mod p, times a reduced row of x^(d+k)
 mod f) adds at most (d-1)(p-1)^2 more, and (2d-1)(p-1)^2 < 2^w, so no slot
 ever carries into the next. One-off products (`mulmod`) stay schoolbook:
 building the fold table costs more than the product saves.
+
+For a prime p, a -> a^p is a ring endomorphism of F_p[t]/(g) for every monic
+g, reducible or not, fixing F_p: sum a_i t^i maps to sum a_i t^(p i). A
+`_Packed` that keeps the rows t^(p i) mod g, i < d (`keep_frobenius`), takes
+a^n for n = sum_j n_j p^j >= p as prod_j Frob^j(a)^(n_j). An image is d small
+multiples of the rows, whose slots stay below d (p-1)^2 < 2^w, and one
+reduction. One shared squaring chain (Straus, as `splitkernel._multi_pow`)
+over all images takes bit_length(p) steps, not bit_length(n) (Itoh-Tsujii,
+Inf. Comput. 1988; von zur Gathen-Shoup, Comput. Complexity 1992). Modulo a
+prime power p^a the map is no endomorphism, so `padic` never keeps the rows.
 """
 
 from __future__ import annotations
@@ -124,10 +134,11 @@ class _Packed:
 
     The slot width w and the fold table are those of the module docstring;
     p may be a prime power when mod is monic. Build one per modulus and reuse
-    it across steps.
+    it across steps. For a prime p, `keep_frobenius` adds the Frobenius rows
+    that `power` runs long exponents over.
     """
 
-    __slots__ = ("p", "w", "mask", "low", "shifts", "fold")
+    __slots__ = ("p", "w", "mask", "low", "shifts", "fold", "frob")
 
     def __init__(self, mod: list[int], p: int):
         d = deg(mod)
@@ -144,6 +155,7 @@ class _Packed:
             top = row[-1]
             row = [(c + top * t) % p for c, t in zip([0] + row[:-1], first)]
         self.fold = tuple(fold)
+        self.frob = None  # packed t^(p i) mod (mod, p), i < d, once kept
 
     def pack(self, a: list[int]) -> int:
         """Pack reduced coefficients in [0, p), at most d of them."""
@@ -157,8 +169,9 @@ class _Packed:
         return trim([(r >> s) & mask for s in reversed(self.shifts)])
 
     def reduce(self, prod: int) -> int:
-        """Packed residue of prod: a product of two packed residues, or such a
-        product plus a reduced constant."""
+        """Packed residue of prod: a product of two packed residues, such a
+        product plus a reduced constant, or a sum of at most d packed
+        residues times reduced constants."""
         p, mask = self.p, self.mask
         low = prod & self.low
         for s, row in self.fold:
@@ -168,15 +181,70 @@ class _Packed:
             r = (r << w) | ((low >> s) & mask) % p
         return r
 
+    def mul(self, a: list[int], b: list[int]) -> list[int]:
+        """a * b for reduced a and b."""
+        return self.unpack(self.reduce(self.pack(a) * self.pack(b)))
+
+    def keep_frobenius(self, xp: list[int] | None = None):
+        """Keep the rows t^(p i), i < d, for `power`; p must be prime, and xp
+        is t^p mod (mod, p) when the caller has it. Only for d >= 3: below,
+        building the rows cost about what they saved in measured runs."""
+        if len(self.shifts) < 3:
+            return
+        x = self.pack(xp if xp is not None else self.power([0, 1], self.p))
+        rows = [1]
+        for _ in self.shifts[1:]:
+            rows.append(self.reduce(rows[-1] * x))
+        self.frob = tuple(rows)
+
     def power(self, a: list[int], n: int) -> list[int]:
-        """a^n for reduced a and n >= 1, left-to-right square-and-multiply."""
-        reduce = self.reduce
-        r = base = self.pack(a)
+        """a^n for reduced a and n >= 0: over Frobenius images when the rows
+        are kept and n has two or more base-p digits, else by left-to-right
+        square-and-multiply."""
+        reduce, r = self.reduce, self.pack(a)
+        if self.frob is not None and n >= self.p:
+            return self.unpack(self._frobenius_power(r, n))
+        if n == 0:
+            return [1]
+        base = r
         for bit in bin(n)[3:]:
             r = reduce(r * r)
             if bit == "1":
                 r = reduce(r * base)
         return self.unpack(r)
+
+    def _frobenius_power(self, r: int, n: int) -> int:
+        """prod_j Frob^j(r)^(n_j) over the base-p digits n_j of n (module
+        docstring): the images with a nonzero digit go in groups of g, whose
+        joint tables hold the product over each subset of the group."""
+        p, mask, reduce = self.p, self.mask, self.reduce
+        slots = self.shifts[::-1]
+        terms = []  # (digit, image) for the nonzero digits
+        while True:
+            n, c = divmod(n, p)
+            if c:
+                terms.append((c, r))
+            if not n:
+                break
+            r = reduce(sum(((r >> s) & mask) * row for s, row in zip(slots, self.frob)))
+        top = max(c for c, _ in terms).bit_length()
+        g = max(1, top.bit_length() - 1)  # about the g minimising (2^g + top) / g
+        groups = []
+        for j in range(0, len(terms), g):
+            table, digits = [1], []
+            for c, image in terms[j:j + g]:
+                table += [image] + [reduce(t * image) for t in table[1:]]
+                digits.append(c)
+            groups.append((table, digits))
+        acc = 1
+        for b in range(top - 1, -1, -1):
+            if b < top - 1:
+                acc = reduce(acc * acc)
+            for table, digits in groups:
+                subset = sum(((c >> b) & 1) << i for i, c in enumerate(digits))
+                if subset:
+                    acc = reduce(acc * table[subset])
+        return acc
 
     def compose(self, g: list[int], h: list[int]) -> list[int]:
         """g(h) for reduced g and h, by Horner: one packed product per step."""

@@ -1,5 +1,8 @@
-"""Root verification: modular spot-checks plus an exact check when cheap.
+"""Root verification: an exact check when cheap, modular spot-checks otherwise.
 
+When the field is small and the expansion cheap, x^e == y in K decides alone:
+it proves the root, and a trial could only add a spurious failure at a q
+where a negative-exponent factor vanishes.
 Each trial takes a fresh unramified prime q from the shared prime stream and
 compares x^e with y mod q. Q(zeta_m) draws q = 1 mod m, where every ideal
 (alpha - r) above q has degree 1: both sides are values at r mod q. Any other
@@ -35,11 +38,12 @@ def _exact_affordable(x: FieldElement, y: FactoredElement, e: int,
 
 def verify_root(x: FieldElement, y: FactoredElement, e: int, K: NumberField,
                 trials: int = 3, seed: int = 0) -> bool:
-    """True iff x^e = prod u_i^{a_i} mod `trials` fresh unramified primes.
+    """True iff x^e = prod u_i^{a_i}: exactly in K when the field has degree
+    at most 8 and the expansion is estimated under 2^16 bits, else mod
+    `trials` fresh unramified primes.
 
-    Adds an exact polynomial comparison when the field is small and the
-    expansion is estimated under 2^16 bits. Negative exponents are allowed;
-    a factor with one that vanishes mod q is a pole of y, and fails the trial.
+    x = 0 fails. Negative exponents are allowed; in a trial, a factor with
+    one that vanishes mod q is a pole of y, and fails the trial.
 
     The primes are _VERIFY_BITS-bit draws of prime_stream that skip the
     divisors of avoid_integers(x, u_i); a ramified draw (q | m, or q | disc(f)
@@ -49,8 +53,8 @@ def verify_root(x: FieldElement, y: FactoredElement, e: int, K: NumberField,
     content of x^e - y, as at any prime; at most log_q(content) of the
     ~2^61 / (42 phi(m)) split primes there do, so a split trial is as strong.
     """
-    if _exact_affordable(x, y, e, K) and (x == K.zero or x ** e != y.value()):
-        return False
+    if _exact_affordable(x, y, e, K):
+        return x != K.zero and x ** e == y.value()
     rng = derive_rng(seed, "verify")
     avoid = avoid_integers([x] + [u for u, _ in y.terms])
     stream = prime_stream(rng, _VERIFY_BITS, K.conductor or 1, avoid,

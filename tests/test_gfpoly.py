@@ -3,8 +3,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ethroot import gfpoly
+from ethroot.numfield import cyclotomic_poly
 from helpers import random_irreducible
 
 
@@ -180,6 +183,51 @@ def test_packed_compose_matches_horner(p):
         g, h = (ref_trim([rng.randrange(p) for _ in range(d)]) for _ in range(2))
         for g, h in ((top, top), (g, h), ([], h), (g, [])):
             assert packed.compose(g, h) == ref_horner(g, h, mod, p), d
+
+
+# -- powers over Frobenius images ------------------------------------------------
+
+FROBENIUS_PRIMES = [3, 5, 65521, (1 << 62) - 57]
+# conductors m with phi(m) from 2 to 8
+CYCLOTOMIC = [3, 4, 5, 7, 8, 9, 12, 15, 16, 20, 24]
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.data())
+def test_frobenius_power_matches_square_and_multiply(data):
+    p = data.draw(st.sampled_from(FROBENIUS_PRIMES), label="p")
+    kind = data.draw(st.sampled_from(["irreducible", "reducible", "cyclotomic"]))
+    rng = random.Random(data.draw(st.integers(0, 1 << 32), label="seed"))
+    xp = None
+    if kind == "cyclotomic":
+        m = data.draw(st.sampled_from(CYCLOTOMIC), label="m")
+        mod = gfpoly.from_int_poly(cyclotomic_poly(m), p)
+        xp = gfpoly.rem([0] * (p % m) + [1], mod, p)  # t^p = t^(p mod m)
+    else:
+        d = data.draw(st.integers(2, 8), label="d")
+        if kind == "irreducible":
+            mod = random_irreducible(d, p, rng)
+        else:
+            k = rng.randrange(1, d)
+            mod = gfpoly.mul(rand_poly(rng, k, p, monic=True),
+                             rand_poly(rng, d - k, p, monic=True), p)
+    d = len(mod) - 1
+    a = data.draw(st.sampled_from([
+        [], [rng.randrange(1, p)], ref_trim([rng.randrange(p) for _ in range(d)])]))
+    top = p ** (2 * d)
+    n = data.draw(st.one_of(
+        st.integers(0, top),
+        st.sampled_from([p * p - 1, p * p, p ** d - 1, p ** d, top])), label="n")
+    plain = gfpoly._Packed(mod, p)
+    frob = gfpoly._Packed(mod, p)
+    frob.keep_frobenius()
+    assert (frob.frob is None) == (d < 3)
+    assert frob.power(a, n) == plain.power(a, n)
+    if xp is not None:
+        given_rows = gfpoly._Packed(mod, p)
+        given_rows.keep_frobenius(xp)
+        assert given_rows.frob == frob.frob
+        assert given_rows.power(a, n) == plain.power(a, n)
 
 
 # -- irreducibility -----------------------------------------------------------

@@ -233,6 +233,15 @@ def test_split_kernel_refuses_a_root_of_lower_order_and_generic_fields():
         split_roots_kernel([K.element([1, 1])], [3], [gp], 3, K)
 
 
+def test_frobenius_image_fits_its_slots():
+    # a Frobenius image sums d rows t^(p i), each times a coefficient below
+    # p, before one reduction: every slot stays below d (p - 1)^2
+    for p in (3, 5, 65521, (1 << 61) - 1, (1 << 62) - 57, (1 << 64) - 59):
+        for d in (3, 4, 8, 36, 112):
+            w = gfpoly._Packed([0] * d + [1], p).w
+            assert d * (p - 1) ** 2 < 1 << w, (p, d)
+
+
 def test_split_kernel_int64_headroom():
     # residues lie below q < 2^SPLIT_BITS, limbs below 2^_LIMB
     q, limb, top = 1 << SPLIT_BITS, 1 << _LIMB, 1 << 63

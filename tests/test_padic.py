@@ -125,6 +125,31 @@ def test_hensel_lift_fixed_point():
     assert hensel_lift([1], field.one, 3, ctx) == [1]
 
 
+def test_hensel_lift_builds_one_ring_per_step(monkeypatch):
+    # the update and the convergence check of a step share one packed ring
+    ctx = PadicContext(7, 3, (1, 0, 1))
+    field = FqField(7, [1, 0, 1])
+    x0 = field.element([2, 1])
+    a_poly = list((x0 ** 3).inverse().coeffs)
+    builds = []
+
+    class Counted(gfpoly._Packed):
+        __slots__ = ()
+
+        def __init__(self, mod, p):
+            builds.append(p)
+            super().__init__(mod, p)
+
+    monkeypatch.setattr(gfpoly, "_Packed", Counted)
+    with record() as counts:
+        x = hensel_lift(a_poly, x0, 3, ctx)
+    assert builds == [7 ** 2, 7 ** 4, 7 ** 8]
+    assert counts["padic"] == {"lift_steps": 3, "lift_checks": 3}
+    M = 7 ** 8
+    xe = gfpoly.powmod(x, 3, [1, 0, 1], M)
+    assert gfpoly.mulmod(a_poly, xe, [1, 0, 1], M) == [1]
+
+
 def test_hensel_lift_seed_invalid():
     ctx = PadicContext(7, 2, (1, 0, 1))
     field = FqField(7, [1, 0, 1])
@@ -224,15 +249,15 @@ def test_eth_root_padic_global_non_power():
 def test_convergence_check_raises_verification_failed():
     # a * x^e = 2 * 1 != 1 in Z[x]/(25, x^2 + 1)
     with pytest.raises(VerificationFailed):
-        padic._check_converged([2], [1], 3, [1, 0, 1], 25)
+        padic._check_converged([2], [1], 3, gfpoly._Packed([1, 0, 1], 25))
 
 
 def test_failed_convergence_check_falls_through_in_auto(monkeypatch):
     # a broken Newton check is a backend failure, not a crash of the dispatcher
     check = padic._check_converged
 
-    def skewed(a_mod, x, e, modpoly, M):
-        check(a_mod, gfpoly.add(x, [1], M), e, modpoly, M)
+    def skewed(a_mod, x, e, ring):
+        check(a_mod, gfpoly.add(x, [1], ring.p), e, ring)
 
     monkeypatch.setattr(padic, "_check_converged", skewed)
     K = NumberField.cyclotomic(9)

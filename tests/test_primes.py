@@ -283,6 +283,8 @@ def test_every_search_stops_within_its_budget(monkeypatch, name):
         monkeypatch.setattr(K, "prime_ideals", refuse)
     monkeypatch.setattr(K_generic, "discriminant", lambda: EveryPrimeDivides())
     monkeypatch.setattr(verify, "_VERIFY_BUDGET", BUDGET)
+    # verify_root's small input would be decided exactly, before any draw
+    monkeypatch.setattr(verify, "_exact_affordable", lambda *args: False)
     if outcome is SearchExhausted:
         with pytest.raises(SearchExhausted):
             search(K_generic)

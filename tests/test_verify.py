@@ -61,6 +61,45 @@ def test_large_field_modular_only():
     assert not verify_root(x * K.gen, y, 3, K)
 
 
+# -- the exact check decides small inputs alone -------------------------------
+
+
+@pytest.mark.parametrize("f", [None, [-1, -1, 0, 1]], ids=["Q(zeta_9)", "x^3-x-1"])
+def test_exact_check_decides_without_drawing_a_prime(monkeypatch, f):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an affordable input needs no prime")
+
+    monkeypatch.setattr(verify, "prime_stream", refuse)
+    K = NumberField.cyclotomic(9) if f is None else NumberField(f)
+    rng = random.Random(f"exact:{f}")
+    e = 3
+    u = K.random_element(rng, bits=12)
+    v = K.random_element(rng, bits=12, den=rng.randrange(2, 50))
+    planted = [
+        (u, [(u, e)]),
+        (v, [(v, e)]),  # denominator
+        (u * u, [(u, 2 * e)]),  # exponent above e
+        (u * v, [(u * v * v, e), (v, -e)]),  # negative exponent
+        (u / v, [(u, e), (v, -e)]),
+        (K.one, []),
+    ]
+    if f is None:
+        planted.append((u * K.gen ** 3, [(u, e)]))  # times a cube root of 1
+    misses = [
+        (u + K.one, [(u, e)]),
+        (u * K.gen, [(u, e)]),
+        (u * v, [(u, e), (v, e - 1)]),  # one exponent off by one
+        (u / v, [(u, e), (v, 1 - e)]),
+        (K.zero, [(u, e)]),
+        (K.zero, []),
+    ]
+    for expected, cases in ((True, planted), (False, misses)):
+        for x, terms in cases:
+            y = FactoredElement(K, terms)
+            assert verify._exact_affordable(x, y, e, K)
+            assert verify_root(x, y, e, K) is expected
+
+
 # -- split-prime trials on cyclotomic fields --------------------------------------
 
 # good and bad (rad(e) | m) conductors, small and above the exact-check degree
