@@ -325,17 +325,18 @@ def cmd_selftest(args) -> int:
     print(f"{'ok' if ok else 'FAIL'} non-power m=9 e=3 "
           f"({time.perf_counter() - t0:.2f}s)")
     failures += 0 if ok else 1
-    # saturation plant
-    K4 = NumberField.cyclotomic(4)
-    g = K4.element([2, 1])
-    G = GeneratingSet([g ** 3, K4.element([3, 2])], [[1, 0], [0, 1]])
-    t0 = time.perf_counter()
-    found = detect_eth_powers(G, 3, K4, seed=args.seed)
-    ok = [a for a, _ in found] == [(1, 0)]
-    print(f"{'ok' if ok else 'FAIL'} saturation m=4 e=3 "
-          f"({time.perf_counter() - t0:.2f}s)")
-    failures += 0 if ok else 1
-    total = len(checks) + 2
+    # saturation plants: character primes on Q(i) and on x^3 - x - 1
+    fields = (("m=4", NumberField.cyclotomic(4)), ("x^3-x-1", NumberField([-1, -1, 0, 1])))
+    for label, K in fields:
+        g = K.element([2, 1])
+        G = GeneratingSet([g ** 3, K.element([3, 2])], [[1, 0], [0, 1]])
+        t0 = time.perf_counter()
+        found = detect_eth_powers(G, 3, K, seed=args.seed)
+        ok = [a for a, _ in found] == [(1, 0)]
+        print(f"{'ok' if ok else 'FAIL'} saturation {label} e=3 "
+              f"({time.perf_counter() - t0:.2f}s)")
+        failures += 0 if ok else 1
+    total = len(checks) + 1 + len(fields)
     print(f"selftest: {total - failures}/{total} passed")
     return EXIT_OK if failures == 0 else 1
 

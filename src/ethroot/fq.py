@@ -271,15 +271,17 @@ def _bsgs(target: FqElement, base: FqElement, order: int) -> int:
 
 
 def dlog_mod_p(t: int, z: int, e: int, p: int) -> int:
-    """log_z t mod e in F_p*, z of exact order e: integer baby-step giant-step.
+    """log_z t mod e in F_p*, z of exact order e: one dlog_mod_p_base log."""
+    return dlog_mod_p_base(z, e, p)(t)
 
-    Raises BudgetExceeded for e above DLOG_BUDGET and NotInGroup for a t
-    outside <z>.
-    """
+
+def dlog_mod_p_base(z: int, e: int, p: int):
+    """t -> log_z t mod e in F_p*, z of exact order e, by integer baby-step
+    giant-step, the baby steps and z^-m taken once for every t. Raises
+    BudgetExceeded for e above DLOG_BUDGET; each log raises NotInGroup for a
+    t outside <z>."""
     if e > DLOG_BUDGET:
         raise BudgetExceeded(f"dlog order {e} above 2^40 budget")
-    if pow(t, e, p) != 1:
-        raise NotInGroup("element is not in the order-e subgroup")
     m = math.isqrt(e - 1) + 1
     baby: dict[int, int] = {}
     cur = 1
@@ -287,12 +289,18 @@ def dlog_mod_p(t: int, z: int, e: int, p: int) -> int:
         baby.setdefault(cur, j)
         cur = cur * z % p
     giant = pow(z, -m, p)
-    cur = t % p
-    for g in range(m + 1):
-        if cur in baby:
-            return (g * m + baby[cur]) % e
-        cur = cur * giant % p
-    raise NotInGroup("element outside the cyclic group")
+
+    def log(t: int) -> int:
+        if pow(t, e, p) != 1:
+            raise NotInGroup("element is not in the order-e subgroup")
+        cur = t % p
+        for g in range(m + 1):
+            if cur in baby:
+                return (g * m + baby[cur]) % e
+            cur = cur * giant % p
+        raise NotInGroup("element outside the cyclic group")
+
+    return log
 
 
 def _amm_ell_root(y: FqElement, ell: int) -> FqElement:

@@ -11,7 +11,8 @@ schoolbook product. With d = deg f, w = 2 bit_length(p) + bit_length(d) + 1:
 a product of two reduced residues has coefficients below d (p-1)^2, folding
 its d-1 high slots back (each reduced mod p, times a reduced row of x^(d+k)
 mod f) adds at most (d-1)(p-1)^2 more, and (2d-1)(p-1)^2 < 2^w, so no slot
-ever carries into the next. One-off products (`mulmod`) stay schoolbook:
+ever carries into the next; powers of t take only squarings, each product by
+t a shift (`_t_power`). One-off products (`mulmod`) stay schoolbook:
 building the fold table costs more than the product saves.
 
 For a prime p, a -> a^p is a ring endomorphism of F_p[t]/(g) for every monic
@@ -138,7 +139,7 @@ class _Packed:
     that `power` runs long exponents over.
     """
 
-    __slots__ = ("p", "w", "mask", "low", "shifts", "fold", "frob")
+    __slots__ = ("p", "w", "mask", "low", "shifts", "fold", "row_t", "frob")
 
     def __init__(self, mod: list[int], p: int):
         d = deg(mod)
@@ -155,6 +156,7 @@ class _Packed:
             top = row[-1]
             row = [(c + top * t) % p for c, t in zip([0] + row[:-1], first)]
         self.fold = tuple(fold)
+        self.row_t = None  # packed x^(2d-1) mod (mod, p), once a power of t needs it
         self.frob = None  # packed t^(p i) mod (mod, p), i < d, once kept
 
     def pack(self, a: list[int]) -> int:
@@ -200,18 +202,36 @@ class _Packed:
     def power(self, a: list[int], n: int) -> list[int]:
         """a^n for reduced a and n >= 0: over Frobenius images when the rows
         are kept and n has two or more base-p digits, else by left-to-right
-        square-and-multiply."""
+        square-and-multiply, whose products by t are shifts when a = t."""
         reduce, r = self.reduce, self.pack(a)
         if self.frob is not None and n >= self.p:
             return self.unpack(self._frobenius_power(r, n))
         if n == 0:
             return [1]
+        if a == [0, 1]:
+            return self.unpack(self._t_power(n))
         base = r
         for bit in bin(n)[3:]:
             r = reduce(r * r)
             if bit == "1":
                 r = reduce(r * base)
         return self.unpack(r)
+
+    def _t_power(self, n: int) -> int:
+        """t^n for n >= 1 by left-to-right square-and-multiply; a product by t
+        shifts the square up one slot, whose top slot, reduced mod p, folds
+        through the row of t^(2d-1): at most (p-1)^2 more in a low slot."""
+        p, w, reduce = self.p, self.w, self.reduce
+        top = (2 * len(self.shifts) - 2) * w  # slot 2d-2, a square's top
+        if self.row_t is None:
+            self.row_t = reduce(self.fold[-1][1] << w)  # t * t^(2d-2)
+        r, below, row = 1 << w, (1 << top) - 1, self.row_t
+        for bit in bin(n)[3:]:
+            r *= r
+            if bit == "1":
+                r = ((r & below) << w) + (r >> top) % p * row
+            r = reduce(r)
+        return r
 
     def _frobenius_power(self, r: int, n: int) -> int:
         """prod_j Frob^j(r)^(n_j) over the base-p digits n_j of n (module
@@ -409,6 +429,50 @@ def factor(f: list[int], p: int, seed: int = 0) -> list[tuple[list[int], int]]:
            for irr in split_squarefree(g, p, rng=rng)]
     out.sort(key=lambda t: (deg(t[0]), t[0]))
     return out
+
+
+def sqrt_mod(a: int, p: int) -> int:
+    """A square root of a mod the odd prime p, by Tonelli-Shanks; ValueError
+    when a is not a square."""
+    s = ((p - 1) & (1 - p)).bit_length() - 1
+    q = (p - 1) >> s  # p - 1 = q 2^s, q odd
+    z = next(z for z in range(2, p) if pow(z, (p - 1) >> 1, p) == p - 1)
+    m, c, t, r = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) >> 1, p)
+    while t > 1:  # r^2 = a t, t of order 2^i, c of order 2^m; t = 0 iff a = 0
+        i = next(i for i in range(1, m + 1) if pow(t, 1 << i, p) == 1)
+        if i == m:
+            raise ValueError(f"{a} is not a square mod {p}")
+        b = pow(c, 1 << (m - i - 1), p)
+        m, c = i, b * b % p
+        t, r = t * c % p, r * b % p
+    return r
+
+
+def roots(f: list[int], p: int) -> list[int]:
+    """The distinct roots in F_p of a nonzero f, ascending, for a prime p.
+
+    Only g = gcd(t^p - t, f), the product of the linear factors, is split, and
+    never beyond degree 2: a quadratic by its formula, a larger g by
+    gcd((t + a)^((p-1)/2) - 1, g) with a drawn from the fixed stream of
+    factor(seed=0), which moves no root.
+    """
+    if p == 2:
+        return [r for r in (0, 1) if not evaluate(f, r, 2)]
+    x = [0, 1]
+    return sorted(_linear_roots(gcd(sub(powmod(x, p, f, p), x, p), f, p), p))
+
+
+def _linear_roots(g: list[int], p: int, rng: random.Random | None = None) -> list[int]:
+    k = deg(g)
+    if k < 2:
+        return [-g[0] % p] if k else []
+    if k == 2:
+        s, half = sqrt_mod(g[1] * g[1] - 4 * g[0], p), (p + 1) >> 1
+        return [(s - g[1]) * half % p, (-s - g[1]) * half % p]
+    rng, h = rng or _rng(0), []
+    while not 0 < deg(h) < k:
+        h = gcd(sub(powmod([rng.randrange(p), 1], (p - 1) >> 1, g, p), [1], p), g, p)
+    return _linear_roots(h, p, rng) + _linear_roots(divmod_(g, h, p)[0], p, rng)
 
 
 def is_irreducible(f: list[int], p: int) -> bool:

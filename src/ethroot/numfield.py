@@ -208,6 +208,20 @@ class NumberField:
         gs.sort(key=lambda g: (len(g), g))
         return tuple(PrimeIdealRep(q, tuple(g), len(g) - 1) for g in gs)
 
+    def degree_one_roots(self, q: int) -> tuple:
+        """The roots r of f mod the prime q, one per degree-1 ideal
+        (q, alpha - r), in prime_ideals' order (g = (-r) % q ascending); ()
+        when q ramifies. Nothing is factored: Q(zeta_m) has the w^t of one
+        primitive m-th root w at q = 1 mod m and none at other q, a generic
+        f takes gfpoly.roots."""
+        m = self.conductor
+        if m is not None:
+            return tuple(split_roots(q, m, self.split_root(q))) if q % m == 1 else ()
+        if self.discriminant() % q == 0:
+            return ()
+        rs = gfpoly.roots(gfpoly.from_int_poly(list(self.f), q), q)
+        return tuple(sorted(rs, key=lambda r: (-r) % q))
+
     def split_root(self, q: int) -> int:
         """root_of_unity(q, m) for a prime q = 1 mod m on Q(zeta_m).
 

@@ -7,9 +7,10 @@ make the converse hold up to probability e^-r, so the left kernel of the
 character matrix names the powers. Roots are then extracted by the strategy
 layer without ever expanding a product.
 
-Character ideals have degree 1, so their residue field is F_q itself: the
-residues, the power u^((q-1)/e) and its discrete log base zeta are all
-computed in integers mod q (baby-step giant-step), with no F_q arithmetic.
+Character ideals have degree 1, so they are the roots r of f mod q and
+their residue field is F_q itself: the residues u(r), the power
+u^((q-1)/e) and its discrete log base zeta are all computed in integers mod
+q (baby-step giant-step, one table per prime), with no F_q arithmetic.
 """
 
 import math
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 
 from . import gfpoly
 from .errors import IncompatibleFields, NotUnit, RamifiedE, ZeroInput
-from .fq import DLOG_BUDGET, dlog_mod_p
+from .fq import DLOG_BUDGET, dlog_mod_p, dlog_mod_p_base
 from .fq import factor_mod_p  # noqa: F401, wrapped at this module by layerbench
 from .numfield import (
     FactoredElement,
@@ -25,7 +26,6 @@ from .numfield import (
     NumberField,
     PrimeIdealRep,
     avoid_integers,
-    split_roots,
 )
 from .primes import (
     OddPrimePower,
@@ -106,11 +106,10 @@ def select_character_primes(K: NumberField, e: int, count: int, U,
                             seed: int = 0, budget: int = SELECT_BUDGET) -> list:
     """Degree-1 primes Q with N(Q) = 1 mod e, units at every u_j, chi tables.
 
-    Cyclotomic fields sample q = 1 mod lcm(e, m), so f splits completely
-    at the powers w^u of one primitive m-th root w, in split_prime_ideals'
-    order, and nothing is factored; otherwise q = 1 mod e and whatever
-    linear factors of f mod q show up are used. An ideal is built only for
-    a prime that is kept.
+    Cyclotomic fields sample q = 1 mod lcm(e, m), so f splits completely;
+    otherwise q = 1 mod e. Either way the ideals are the roots of f mod q
+    that K.degree_one_roots reads without factoring, in prime_ideals' order.
+    An ideal is built only for a prime that is kept.
     SearchExhausted after `budget` prime draws.
     """
     ell, _ = check_odd_prime_power(e)
@@ -123,20 +122,16 @@ def select_character_primes(K: NumberField, e: int, count: int, U,
     out: list = []
     while len(out) < count:
         q = next(stream)
-        if K.conductor is not None:  # q = 1 mod m: the roots of Phi_m, from w
-            roots = split_roots(q, K.conductor, K.split_root(q))
-        else:
-            roots = [(-i.g[0]) % q for i in K.prime_ideals(q) or () if i.f_deg == 1]
+        roots = K.degree_one_roots(q)
         if not roots:
             continue
         z = _order_e_element(q, e, ell, rng)
+        exp, log = (q - 1) // e, dlog_mod_p_base(z, e, q)
         for r in roots:
             if len(out) >= count:
                 break
             try:
-                table = tuple(
-                    dlog_mod_p(pow(_unit_residue(u, r, q), (q - 1) // e, q), z, e, q)
-                    for u in U)
+                table = tuple(log(pow(_unit_residue(u, r, q), exp, q)) for u in U)
             except ValueError:
                 continue  # some u_j vanishes mod this ideal; its siblings may do
             out.append(CharacterPrime(PrimeIdealRep(q, ((-r) % q, 1), 1), z, table))

@@ -65,23 +65,21 @@ def verify_root(x: FieldElement, y: FactoredElement, e: int, K: NumberField,
         if K.conductor is None and K.discriminant() % q == 0:
             continue  # ramified; a q = 1 mod m never is
         if not (_check_in_ring(x, y, e, q, K) if K.conductor is None
-                else _check_at(x, y, e, q, K.prime_ideals(q))):
+                else _check_at(x, y, e, q, K.degree_one_roots(q))):
             return False
         passed += 1
     return True
 
 
-def _check_at(x: FieldElement, y: FactoredElement, e: int, q: int,
-              ideals) -> bool:
-    """x^e = y at every degree-1 ideal (alpha - r) above q: values at r mod q.
+def _check_at(x: FieldElement, y: FactoredElement, e: int, q: int, roots) -> bool:
+    """x^e = y at each degree-1 ideal (alpha - r) above q, r in roots: values at r.
 
     A factor of y with a negative exponent that vanishes at r is a pole of
     y mod q, and the trial fails whatever the other factors are.
     """
     xv = x.reduce_mod_prime(q)
     terms = [(u.reduce_mod_prime(q), a) for u, a in y.terms if a]
-    for ideal in ideals:
-        r = (-ideal.g[0]) % q
+    for r in roots:
         rhs = 1
         for v, a in terms:
             ur = gfpoly.evaluate(v, r, q)

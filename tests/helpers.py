@@ -1,11 +1,14 @@
 """Test-only helpers built on the library: code that only the tests call."""
 
+import math
+
 from ethroot import gfpoly
+from ethroot import saturation as sat
 from ethroot.crtroot import SEARCH_BUDGET, _cover, good_prime_stream
 from ethroot.errors import BudgetExceeded, IncompatibleFields, NotInGroup
-from ethroot.fq import DLOG_BUDGET, FqField, _bsgs, fq_eth_root
-from ethroot.numfield import crt_ideals
-from ethroot.primes import prime_stream
+from ethroot.fq import DLOG_BUDGET, FqField, _bsgs, dlog_mod_p, fq_eth_root
+from ethroot.numfield import avoid_integers, crt_ideals
+from ethroot.primes import derive_rng, prime_stream
 
 
 def select_crt_primes(K, e: int, B: int, seed: int = 0, avoid_divisors_of=(),
@@ -55,6 +58,34 @@ def fq_dlog_order_e(z, zeta, e: int) -> int:
     if z.is_zero() or z ** e != z.field.one:
         raise NotInGroup("element is not in the order-e subgroup")
     return _bsgs(z, zeta, e)
+
+
+def character_primes_from_ideals(K, e: int, count: int, U, seed: int) -> list:
+    """saturation.select_character_primes as read off the degree-1 ideals of
+    K.prime_ideals(q), with one dlog_mod_p per log: a reference on any field.
+    """
+    ell, M = sat.prime_power_split(e)[0], math.lcm(e, K.conductor or 1)
+    rng = derive_rng(seed, "characters")
+    stream = prime_stream(rng, max(sat.CHAR_BITS, M.bit_length() + 8), M,
+                          avoid_integers(U), sat.SELECT_BUDGET)
+    out = []
+    while len(out) < count:
+        q = next(stream)
+        ideals = [i for i in K.prime_ideals(q) or () if i.f_deg == 1]
+        if not ideals:
+            continue
+        z = sat._order_e_element(q, e, ell, rng)
+        for ideal in ideals:
+            if len(out) >= count:
+                break
+            r = (-ideal.g[0]) % q
+            try:
+                table = tuple(dlog_mod_p(pow(sat._unit_residue(u, r, q), (q - 1) // e, q),
+                                         z, e, q) for u in U)
+            except ValueError:
+                continue
+            out.append(sat.CharacterPrime(ideal, z, table))
+    return out
 
 
 def random_prime(rng, bits: int) -> int:

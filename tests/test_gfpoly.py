@@ -230,6 +230,71 @@ def test_frobenius_power_matches_square_and_multiply(data):
         assert given_rows.power(a, n) == plain.power(a, n)
 
 
+# -- powers of t by shifts ------------------------------------------------------
+
+# primes, one just below 2^62, and padic's p^a moduli
+T_POWER_MODULI = [3, 5, 65521, (1 << 62) - 57, 5 ** 7, 7 ** 8, 3 ** 40]
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.data())
+def test_t_power_matches_square_and_multiply(data):
+    p = data.draw(st.sampled_from(T_POWER_MODULI), label="p")
+    d = data.draw(st.integers(2, 8), label="d")
+    rng = random.Random(data.draw(st.integers(0, 1 << 32), label="seed"))
+    mod = modulus(rng, d, p)
+    n = data.draw(st.one_of(
+        st.integers(0, p * p),
+        st.sampled_from([0, 1, 2, 3, p - 1, p, p + 1, p * p])), label="n")
+    assert gfpoly._Packed(mod, p).power([0, 1], n) == ref_square_multiply([0, 1], n, mod, p)
+
+
+# -- roots and square roots ------------------------------------------------------
+
+# 97 = 3 * 2^5 + 1 and 193 = 3 * 2^6 + 1 take several Tonelli-Shanks rounds
+ROOT_PRIMES = [3, 5, 7, 11, 13, 17, 29, 97, 193]
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.data())
+def test_roots_match_brute_force(data):
+    # f = (planted linear factors) * (a random monic cofactor), degree 1-8
+    p = data.draw(st.sampled_from(ROOT_PRIMES), label="p")
+    d = data.draw(st.integers(1, 8), label="d")
+    planted = data.draw(st.lists(st.integers(0, p - 1), max_size=min(d, p), unique=True),
+                        label="planted")
+    rng = random.Random(data.draw(st.integers(0, 1 << 32), label="seed"))
+    f = rand_poly(rng, d - len(planted), p, monic=True)
+    for r in planted:
+        f = gfpoly.mul(f, [-r % p, 1], p)
+    assert gfpoly.roots(f, p) == [r for r in range(p) if gfpoly.evaluate(f, r, p) == 0]
+
+
+def test_roots_fixed_cases():
+    assert gfpoly.roots([0, 1], 7) == [0]
+    assert gfpoly.roots([0, 0, 1], 7) == [0]  # a repeated root counts once
+    assert gfpoly.roots([1, 0, 1], 7) == []  # t^2 + 1, 7 = 3 mod 4
+    assert gfpoly.roots([1, 0, 1], 13) == [5, 8]
+    assert gfpoly.roots([0, 12, 0, 1], 13) == [0, 1, 12]  # t^3 - t
+    assert gfpoly.roots([1, 1, 1], 2) == []
+    assert gfpoly.roots([0, 1, 1], 2) == [0, 1]
+
+
+@pytest.mark.parametrize("p,g", [(3, 2), (13, 2), (65537, 3), (998244353, 3),
+                                 ((1 << 61) - 1, 37)])
+def test_sqrt_mod(p, g):
+    # g generates F_p*: g^2 has the largest 2-power order a square can have,
+    # and g times a square is a non-residue
+    rng = random.Random(f"sqrt:{p}")
+    assert gfpoly.sqrt_mod(0, p) == 0
+    assert gfpoly.sqrt_mod(p, p) == 0
+    for a in [1, g, p - 1] + [rng.randrange(1, p) for _ in range(50)]:
+        r = gfpoly.sqrt_mod(a * a, p)
+        assert r * r % p == a * a % p
+        with pytest.raises(ValueError):
+            gfpoly.sqrt_mod(g * a * a, p)
+
+
 # -- irreducibility -----------------------------------------------------------
 
 

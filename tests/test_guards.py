@@ -242,6 +242,19 @@ def test_frobenius_image_fits_its_slots():
             assert d * (p - 1) ** 2 < 1 << w, (p, d)
 
 
+def test_shifted_square_fits_its_slots():
+    # a power of t multiplies a square by t as a one-slot shift: low slot
+    # j < d holds the square's slot j - 1, at most (d - 1)(p - 1)^2, plus at
+    # most (p - 1)^2 from the top slot folded through the row of t^(2d-1),
+    # and reduce's d - 1 folds add at most (d - 1)(p - 1)^2; p may be one of
+    # padic's prime powers
+    for p in (3, 5, 65521, (1 << 61) - 1, (1 << 62) - 57, (1 << 64) - 59,
+              5 ** 7, 7 ** 8, 3 ** 250):
+        for d in (2, 3, 4, 8, 36, 112):
+            w = gfpoly._Packed([0] * d + [1], p).w
+            assert d * (p - 1) ** 2 + (d - 1) * (p - 1) ** 2 < 1 << w, (p, d)
+
+
 def test_split_kernel_int64_headroom():
     # residues lie below q < 2^SPLIT_BITS, limbs below 2^_LIMB
     q, limb, top = 1 << SPLIT_BITS, 1 << _LIMB, 1 << 63

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ethroot import gfpoly
 from ethroot.errors import (
@@ -31,7 +33,7 @@ from ethroot.numfield import (
 from ethroot.couveignes import make_couveignes_prime
 from ethroot.fq import factor_mod_p
 from ethroot.primes import factorize, is_prime
-from helpers import fold_mod_p, from_subfield, reduce_mod_ideal
+from helpers import fold_mod_p, from_subfield, random_prime, reduce_mod_ideal
 
 
 # -- cyclotomic polynomials ------------------------------------------------------
@@ -431,6 +433,39 @@ def test_prime_ideals_equal_the_factorization_oracle(name):
         else:
             assert got == tuple(PrimeIdealRep(q, tuple(g), len(g) - 1)
                                 for g, _ in fac), q
+
+
+def _degree_one_roots_from_ideals(K, q):
+    return tuple((-i.g[0]) % q for i in K.prime_ideals(q) or () if i.f_deg == 1)
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_FIELDS))
+def test_degree_one_roots_equal_the_prime_ideal_oracle(name):
+    K = ORACLE_FIELDS[name]
+    disc = K.conductor or K.discriminant()
+    for q in sorted({*ORACLE_PRIMES, 2, 3, 5, 7, 23, *factorize(abs(disc))}):
+        assert K.degree_one_roots(q) == _degree_one_roots_from_ideals(K, q), q
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(st.data())
+def test_generic_degree_one_roots_at_large_primes(data):
+    # f = prod (x - r_i) * h + q g over Z, h monic: f mod q has the planted
+    # roots and whatever h adds, and q is unramified unless two roots meet
+    bits = data.draw(st.sampled_from([29, 62]), label="bits")
+    n = data.draw(st.integers(1, 8), label="n")
+    k = data.draw(st.integers(0, n), label="planted")
+    rng = random.Random(data.draw(st.integers(0, 1 << 32), label="seed"))
+    q = random_prime(rng, bits)
+    fq = [rng.randrange(q) for _ in range(n - k)] + [1]
+    for _ in range(k):
+        fq = gfpoly.mul(fq, [rng.randrange(q), 1], q)
+    K = NumberField([c + q * rng.randrange(-9, 10) for c in fq[:-1]] + [1])
+    got = K.degree_one_roots(q)
+    assert got == _degree_one_roots_from_ideals(K, q)
+    if K.discriminant() % q:
+        assert len(got) >= k
+        assert sorted(got) == gfpoly.roots(gfpoly.from_int_poly(list(K.f), q), q)
 
 
 @pytest.mark.parametrize("f, disc", [

@@ -1,6 +1,5 @@
 """Character, kernel, and saturation pipeline tests."""
 
-import math
 import random
 
 import pytest
@@ -30,7 +29,7 @@ from ethroot.saturation import (
     schirokauer_map,
     select_character_primes,
 )
-from helpers import fq_dlog_order_e
+from helpers import character_primes_from_ideals, fq_dlog_order_e
 
 Q = NumberField([0, 1])
 K4 = NumberField.cyclotomic(4)
@@ -178,32 +177,6 @@ def test_select_avoids_basis_divisors():
     assert all(cp.Q_ideal.p != q0 for cp in cps)
 
 
-def _character_primes_from_ideals(K, e, count, U, seed):
-    """select_character_primes on Q(zeta_m) as read off split_prime_ideals."""
-    from ethroot.numfield import avoid_integers, split_prime_ideals
-    from ethroot.primes import derive_rng, prime_stream
-
-    ell, M = sat.prime_power_split(e)[0], math.lcm(e, K.conductor)
-    rng = derive_rng(seed, "characters")
-    stream = prime_stream(rng, max(sat.CHAR_BITS, M.bit_length() + 8), M,
-                          avoid_integers(U), sat.SELECT_BUDGET)
-    out = []
-    while len(out) < count:
-        q = next(stream)
-        z = sat._order_e_element(q, e, ell, rng)
-        for ideal in split_prime_ideals(q, K.conductor):
-            if len(out) >= count:
-                break
-            r = (-ideal.g[0]) % q
-            try:
-                table = tuple(dlog_mod_p(pow(sat._unit_residue(u, r, q), (q - 1) // e, q),
-                                         z, e, q) for u in U)
-            except ValueError:
-                continue
-            out.append(CharacterPrime(ideal, z, table))
-    return out
-
-
 @pytest.mark.parametrize("m,e", [(4, 3), (4, 25), (16, 3), (16, 5)])
 def test_cyclotomic_character_primes_match_split_prime_ideals(m, e):
     # the roots come from one w per prime; primes, order and chi tables are
@@ -214,7 +187,21 @@ def test_cyclotomic_character_primes_match_split_prime_ideals(m, e):
         U = [K.random_element(rng, 12) for _ in range(3)]
         count = 2 * K.n + 3  # runs past one prime's ideals
         got = select_character_primes(K, e, count, U, seed=seed)
-        assert got == _character_primes_from_ideals(K, e, count, U, seed)
+        assert got == character_primes_from_ideals(K, e, count, U, seed)
+
+
+@pytest.mark.parametrize("f", [[-1, -1, 0, 1], [-1, -1, 0, 0, 1]], ids=["x^3-x-1", "x^4-x-1"])
+@pytest.mark.parametrize("e", [3, 5, 9, 25])
+def test_generic_character_primes_match_prime_ideals(f, e):
+    # the roots come from gfpoly.roots; primes, order and chi tables are
+    # those of the degree-1 ideals prime_ideals lists
+    K = NumberField(f)
+    for seed in range(4):
+        rng = random.Random(f"chars:{f}:{e}:{seed}")
+        U = [K.random_element(rng, 12) for _ in range(3)]
+        count = 2 * K.n + 3
+        got = select_character_primes(K, e, count, U, seed=seed)
+        assert got == character_primes_from_ideals(K, e, count, U, seed)
 
 
 def test_select_preconditions():
