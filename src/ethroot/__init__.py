@@ -1,7 +1,8 @@
 """e-th roots of number field elements kept in factored form.
 
-Public surface: finite-field arithmetic (fq), number fields and factored
-elements (numfield), the root backends (crtroot, padic, couveignes), the
+Public surface: factoring mod p and e-th roots in residue fields F_q, whose
+elements are coefficient lists in a `gfpoly._Packed` ring (fq), number fields
+and factored elements (numfield), the root backends (crtroot, padic, couveignes), the
 dispatcher (strategy) and the e-th power detection pipeline (saturation).
 """
 
@@ -30,7 +31,7 @@ from .errors import (
     VerificationFailed,
     ZeroInput,
 )
-from .fq import FqElement, FqField, factor_mod_p, fq_eth_root
+from .fq import factor_mod_p, fq_eth_root
 from .numfield import (
     FactoredElement,
     FieldElement,

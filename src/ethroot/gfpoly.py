@@ -23,7 +23,8 @@ multiples of the rows, whose slots stay below d (p-1)^2 < 2^w, and one
 reduction. One shared squaring chain (Straus, as `splitkernel._multi_pow`)
 over all images takes bit_length(p) steps, not bit_length(n) (Itoh-Tsujii,
 Inf. Comput. 1988; von zur Gathen-Shoup, Comput. Complexity 1992). Modulo a
-prime power p^a the map is no endomorphism, so `padic` never keeps the rows.
+prime power p^a the map is no endomorphism, so `padic` keeps the rows only
+on its ring mod p, the residue field.
 """
 
 from __future__ import annotations
@@ -131,19 +132,23 @@ def mulmod(a: list[int], b: list[int], mod: list[int], p: int) -> list[int]:
 
 
 class _Packed:
-    """Residues mod (mod, p) packed into one int, slot i holding coefficient i.
+    """The ring (Z/p)[t]/(mod), its residues packed into one int, slot i
+    holding coefficient i: the one ring type of the library, for the residue
+    fields F_q = F_p[t]/(g) as for the completions (Z/p^k)[t]/(g).
 
-    The slot width w and the fold table are those of the module docstring;
-    p may be a prime power when mod is monic. Build one per modulus and reuse
-    it across steps. For a prime p, `keep_frobenius` adds the Frobenius rows
-    that `power` runs long exponents over.
+    Its methods take and return reduced coefficient lists (this module's
+    convention, [] for zero). The slot width w and the fold table are those
+    of the module docstring; p may be a prime power when mod is monic. Build
+    one per modulus and reuse it across steps. For a prime p, `inverse`
+    inverts, and `keep_frobenius` adds the Frobenius rows that `power` runs
+    long exponents over.
     """
 
-    __slots__ = ("p", "w", "mask", "low", "shifts", "fold", "row_t", "frob")
+    __slots__ = ("p", "mod", "w", "mask", "low", "shifts", "fold", "row_t", "frob")
 
     def __init__(self, mod: list[int], p: int):
         d = deg(mod)
-        self.p = p
+        self.p, self.mod = p, mod
         self.w = w = 2 * p.bit_length() + d.bit_length() + 1
         self.mask, self.low = (1 << w) - 1, (1 << d * w) - 1
         self.shifts = tuple(range((d - 1) * w, -1, -w))  # low slots, top first
@@ -186,6 +191,10 @@ class _Packed:
     def mul(self, a: list[int], b: list[int]) -> list[int]:
         """a * b for reduced a and b."""
         return self.unpack(self.reduce(self.pack(a) * self.pack(b)))
+
+    def inverse(self, a: list[int]) -> list[int]:
+        """a^-1 for a reduced a prime to mod, p prime; else ZeroDivisionError."""
+        return invmod(a, self.mod, self.p)
 
     def keep_frobenius(self, xp: list[int] | None = None):
         """Keep the rows t^(p i), i < d, for `power`; p must be prime, and xp
@@ -374,12 +383,25 @@ def _ddf(f: list[int], p: int) -> list[tuple[list[int], int]]:
     return out
 
 
+# Random splits give up after this many failed draws. On a valid input one
+# draw fails with probability at most 2/3: at most 1/2 for a Cantor-Zassenhaus
+# draw in `_edf` (power map for odd p, trace map for p = 2; von zur
+# Gathen-Gerhard, Modern Computer Algebra, Sec. 14.3), and at most
+# (p+1)/(2p) <= 2/3 for a shift a in `_linear_roots`, since (p-1)/2 of the p
+# shifts separate any two given roots (a character sum). A valid input of
+# degree below 2^40 is split fewer than 2^40 times, so it fails with
+# probability below 2^40 (2/3)^256 < 2^-109; a broken precondition (a wrong
+# degree, a composite modulus) raises instead of drawing forever.
+SPLIT_DRAWS = 256
+
+
 def _edf(f: list[int], d: int, p: int, rng: random.Random) -> list[list[int]]:
-    """Equal-degree split of monic squarefree f, all factors of degree d."""
+    """Equal-degree split of monic squarefree f, all factors of degree d;
+    ArithmeticError after SPLIT_DRAWS failed draws."""
     n = deg(f)
     if n == d:
         return [f]
-    while True:
+    for _ in range(SPLIT_DRAWS):
         t = trim([rng.randrange(p) for _ in range(n)])
         if deg(t) < 1:
             continue
@@ -398,6 +420,7 @@ def _edf(f: list[int], d: int, p: int, rng: random.Random) -> list[list[int]]:
         if 0 < deg(g) < n:
             h = divmod_(f, g, p)[0]
             return _edf(g, d, p, rng) + _edf(h, d, p, rng)
+    raise ArithmeticError(f"no split into degree-{d} factors in {SPLIT_DRAWS} draws")
 
 
 def _rng(seed: int) -> random.Random:
@@ -469,10 +492,12 @@ def _linear_roots(g: list[int], p: int, rng: random.Random | None = None) -> lis
     if k == 2:
         s, half = sqrt_mod(g[1] * g[1] - 4 * g[0], p), (p + 1) >> 1
         return [(s - g[1]) * half % p, (-s - g[1]) * half % p]
-    rng, h = rng or _rng(0), []
-    while not 0 < deg(h) < k:
+    rng = rng or _rng(0)
+    for _ in range(SPLIT_DRAWS):
         h = gcd(sub(powmod([rng.randrange(p), 1], (p - 1) >> 1, g, p), [1], p), g, p)
-    return _linear_roots(h, p, rng) + _linear_roots(divmod_(g, h, p)[0], p, rng)
+        if 0 < deg(h) < k:
+            return _linear_roots(h, p, rng) + _linear_roots(divmod_(g, h, p)[0], p, rng)
+    raise ArithmeticError(f"no split into linear factors in {SPLIT_DRAWS} draws")
 
 
 def is_irreducible(f: list[int], p: int) -> bool:

@@ -11,12 +11,13 @@ symmetric rounding of each coordinate mod p^a. A non-power stops at the first
 precision where Babai's box test holds: there the rounding would have found
 every root the tried twists lead to, so doubling the precision cannot help.
 
-gfpoly is reused with a composite modulus: divmod_/rem/mulmod/powmod stay exact
-there as long as every divisor is monic (the leading-coefficient inverse is 1).
+gfpoly is reused with a composite modulus: divmod_/rem and the packed rings
+stay exact there as long as every divisor is monic (the leading-coefficient
+inverse is 1).
 """
 
+import dataclasses
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import gfpoly
@@ -29,7 +30,7 @@ from .errors import (
     SeedInvalid,
     VerificationFailed,
 )
-from .fq import FqElement, FqField, fq_eth_root
+from .fq import fq_eth_root
 from .numfield import (
     FactoredElement,
     FieldElement,
@@ -63,13 +64,23 @@ TWIST_BUDGET = 4096
 MAX_DOUBLINGS = 4  # precision doublings while the box test fails
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class PadicContext:
-    """Lifting parameters: all work happens in Z[x]/(p^{2^i}, f), i <= kappa."""
+    """Lifting parameters: all work happens in Z[x]/(p^{2^i}, f), i <= kappa.
+
+    rings[i] is the packed ring mod (p^{2^i}, f), built once here and shared
+    by every lift on this context; rings[0] is the residue field F_p[x]/(f).
+    """
 
     p: int
     kappa: int
     f: tuple  # monic modulus polynomial of the completion
+    rings: tuple = dataclasses.field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        mods = [self.p ** (1 << i) for i in range(self.kappa + 1)]
+        object.__setattr__(self, "rings", tuple(
+            gfpoly._Packed([c % M for c in self.f], M) for M in mods))
 
 
 def is_inert(K: NumberField, p: int) -> bool:
@@ -104,9 +115,10 @@ def find_inert_prime(K: NumberField, e: int, budget: int = INERT_BUDGET,
 # -- completion arithmetic -----------------------------------------------------
 
 
-def _fold_mod(terms, M: int, modpoly: list[int], p: int) -> list[int]:
-    """prod u_i^{a_i} in Z[x]/(M, modpoly); every term must be a unit above p."""
-    mp = [c % M for c in modpoly]
+def _fold_mod(terms, ring, p: int) -> list[int]:
+    """prod u_i^{a_i} in ring, the packed Z[x]/(p^a, g_a); every term must be
+    a unit above p."""
+    M, mp = ring.p, ring.mod
     acc = [1]
     for u, a in terms:
         if u.den % p == 0:
@@ -118,7 +130,7 @@ def _fold_mod(terms, M: int, modpoly: list[int], p: int) -> list[int]:
         vec = gfpoly.rem(gfpoly.trim(num), mp, M)
         if not any(c % p for c in vec):
             raise RootSeedMissing(f"term is not a unit above p={p}")
-        acc = gfpoly.mulmod(acc, gfpoly.powmod(vec, a, mp, M), mp, M)
+        acc = ring.mul(acc, ring.power(vec, a))
     return acc
 
 
@@ -134,26 +146,24 @@ def _check_converged(a_mod, x, e, ring):
         raise VerificationFailed(f"Newton convergence check failed at modulus {ring.p}")
 
 
-def hensel_lift(a_poly: list[int], x0: FqElement, e: int,
+def hensel_lift(a_poly: list[int], x0: list[int], e: int,
                 ctx: PadicContext) -> list[int]:
     """Lift the inverse e-th root of a_poly to precision p^{2^kappa}.
 
-    a_poly lives in Z[x]/(target_modulus, ctx.f); x0 is the seed, an element
-    of the residue field F_p[x]/(ctx.f mod p) with a * x0^e = 1. One update
+    a_poly lives in Z[x]/(target_modulus, ctx.f); x0 is the seed, a reduced
+    residue of the field F_p[x]/(ctx.f mod p) with a * x0^e = 1. One update
         x <- x - (1/e) x (a x^e - 1)
-    per doubling, 1/e recomputed mod each p^{2^i}; no other inversions.
+    per doubling, 1/e recomputed mod each p^{2^i}; no other inversions. Each
+    step and its check run in the context's ring of that step.
     """
-    p = ctx.p
-    field = x0.field
-    if field.p != p or list(field.modulus) != gfpoly.from_int_poly(list(ctx.f), p):
-        raise SeedInvalid("x0 does not live in F_p[x]/(f mod p)")
-    abar = field.element(gfpoly.from_int_poly(list(a_poly), p))
-    if abar * x0 ** e != field.one:
+    p, field = ctx.p, ctx.rings[0]
+    abar = gfpoly.rem(list(a_poly), field.mod, p)
+    if field.mul(abar, field.power(x0, e)) != [1]:
         raise SeedInvalid("a * x0^e != 1 in the residue field")
-    x = gfpoly.trim(list(x0.coeffs))
+    x = list(x0)
     for i in range(1, ctx.kappa + 1):
-        M = p ** (1 << i)
-        ring = gfpoly._Packed([c % M for c in ctx.f], M)  # for the step and its check
+        ring = ctx.rings[i]
+        M = ring.p
         ai = [c % M for c in a_poly]
         inv_e = modinv(e, M)
         t = gfpoly.sub(ring.mul(ai, ring.power(x, e)), [1], M)
@@ -163,24 +173,27 @@ def hensel_lift(a_poly: list[int], x0: FqElement, e: int,
     return x
 
 
-def _element_of_order(field: FqField, l: int, v: int, j: int, seed: int) -> FqElement:
-    # exact order l^j in F_q*, where l^v fully divides q - 1 and j <= v
+def _element_of_order(field, l: int, v: int, j: int, seed: int) -> list[int]:
+    # exact order l^j in F_q* (field: its packed ring), where l^v fully
+    # divides q - 1 and j <= v; each draw takes d coefficients
     rng = derive_rng(seed, "twist")
-    cof = (field.q - 1) // l ** v
+    d = gfpoly.deg(field.mod)
+    cof = (field.p ** d - 1) // l ** v
     while True:
-        z = field.random_element(rng)
-        if z.is_zero():
+        z = gfpoly.trim([rng.randrange(field.p) for _ in range(d)])
+        if not z:
             continue
-        z = z ** cof
-        if z ** (l ** (v - 1)) == field.one:
+        z = field.power(z, cof)
+        if field.power(z, l ** (v - 1)) == [1]:
             continue
-        return z ** (l ** (v - j))
+        return field.power(z, l ** (v - j))
 
 
-def _twist_candidates(x0: FqElement, field: FqField, l: int, k: int, seed: int):
-    """x0 times every e-th root of unity of the residue field, lazily."""
+def _twist_candidates(x0: list[int], field, l: int, k: int, seed: int):
+    """x0 times every e-th root of unity of the residue field (its packed
+    ring), lazily."""
     yield x0
-    v, N = 0, field.q - 1
+    v, N = 0, field.p ** gfpoly.deg(field.mod) - 1
     while N % l == 0:
         N //= l
         v += 1
@@ -188,10 +201,10 @@ def _twist_candidates(x0: FqElement, field: FqField, l: int, k: int, seed: int):
         return  # e-th roots are unique here: nothing to twist
     t = l ** min(k, v)
     omega = _element_of_order(field, l, v, min(k, v), seed)
-    w = field.one
+    w = [1]
     for _ in range(min(t - 1, TWIST_BUDGET)):
-        w = w * omega
-        yield x0 * w
+        w = field.mul(w, omega)
+        yield field.mul(x0, w)
 
 
 # -- prime-ideal reconstruction ------------------------------------------------
@@ -438,27 +451,26 @@ def eth_root_padic_reconstruct(y: FactoredElement, e: int, K: NumberField,
     Bp = coeff_bound_root(work, e, K)
     a = precision_estimate(K.n, pil.f_deg, p, Bp)
     inert = pil.f_deg == K.n
-    field = FqField.trusted(p, pil.g)
     for attempt in range(MAX_DOUBLINGS + 1):
         if attempt:
             a *= 2
             count("padic", "doublings")
         M = p ** a
         ga = list(K.f) if inert else hensel_factor_lift(list(pil.g), list(K.f), p, a)
-        mp = [c % M for c in ga]
         ctx = PadicContext(p, a.bit_length() - 1, tuple(ga))
-        Y = _fold_mod(work.terms, M, ga, p)
-        a_poly = gfpoly.powmod(Y, e - 1, mp, M)
-        abar = field.element(gfpoly.from_int_poly(a_poly, p))
+        field, top = ctx.rings[0], ctx.rings[-1]  # F_q = F_p[x]/(g), and mod p^a
+        field.keep_frobenius()
+        Y = _fold_mod(work.terms, top, p)
+        a_poly = top.power(Y, e - 1)
         try:
-            x0 = fq_eth_root(abar.inverse(), e)
+            x0 = fq_eth_root(field.inverse(gfpoly.from_int_poly(a_poly, p)), e, field)
         except NotAPower as exc:
             raise RootSeedMissing("y mod pil is not an e-th power residue") from exc
         if not inert:
             red = lll_reduce(build_ideal_lattice(pil, a, K, ga=ga))
         for tried, cand in enumerate(_twist_candidates(x0, field, l, k, seed), 1):
             xk = hensel_lift(a_poly, cand, e, ctx)
-            approx = gfpoly.mulmod(Y, xk, mp, M)
+            approx = top.mul(Y, xk)
             xhat = list(approx) + [0] * (K.n - len(approx))
             if inert:
                 coords = [_symmetric(c, M) for c in xhat]
@@ -482,7 +494,7 @@ def eth_root_padic_reconstruct(y: FactoredElement, e: int, K: NumberField,
            f"where the box test holds")
     if K.conductor is None:
         raise VerificationFailed(f"{msg}; no root lies in Z[alpha]/{T}")
-    if tried < math.gcd(e, field.q - 1):
+    if tried < math.gcd(e, p ** pil.f_deg - 1):
         raise VerificationFailed(f"{msg}; only {tried} twists were tried")
     raise VerificationFailed(f"certified: y is not an e-th power; {msg}")
 

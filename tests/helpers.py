@@ -6,7 +6,7 @@ from ethroot import gfpoly
 from ethroot import saturation as sat
 from ethroot.crtroot import SEARCH_BUDGET, _cover, good_prime_stream
 from ethroot.errors import BudgetExceeded, IncompatibleFields, NotInGroup
-from ethroot.fq import DLOG_BUDGET, FqField, _bsgs, dlog_mod_p, fq_eth_root
+from ethroot.fq import DLOG_BUDGET, _bsgs, dlog_mod_p, fq_eth_root
 from ethroot.numfield import avoid_integers, crt_ideals
 from ethroot.primes import derive_rng, prime_stream
 
@@ -29,35 +29,45 @@ def eth_root_mod_q_by_ideals(terms, e: int, q: int, K) -> list[int]:
     ideals = K.prime_ideals(q)
     residues = []
     for ideal in ideals:
-        field = FqField.trusted(q, ideal.g)
-        acc = field.one
+        g = list(ideal.g)
+        field = gfpoly._Packed(g, q)
+        acc = [1]
         for vec, a in terms:
             if a == 0:
                 continue
-            base = field.element(gfpoly.rem(gfpoly.trim(list(vec)),
-                                            list(ideal.g), q))
-            if base.is_zero():
+            base = gfpoly.rem(gfpoly.trim(list(vec)), g, q)
+            if not base:
                 acc = None
                 break
-            r = a % (field.q - 1)
+            r = a % (q ** ideal.f_deg - 1)
             if r:
-                acc = acc * base ** r
-        residues.append([0] if acc is None else list(fq_eth_root(acc, e).coeffs))
+                acc = field.mul(acc, field.power(base, r))
+        residues.append([0] if acc is None else fq_eth_root(acc, e, field))
     return crt_ideals(residues, ideals, K)
 
 
-def fq_dlog_order_e(z, zeta, e: int) -> int:
-    """Discrete log of z in <zeta> where zeta has exact order e (BSGS).
+def fq_dlog_order_e(z, zeta, e: int, field) -> int:
+    """Discrete log of z in <zeta> where zeta has exact order e (BSGS), both
+    reduced residues of the packed ring `field`.
 
     A reference for fq.dlog_mod_p, which takes the same logs on integers mod p.
     """
     if e > DLOG_BUDGET:
         raise BudgetExceeded(f"dlog order {e} above 2^40 budget")
-    if z.field != zeta.field:
-        raise IncompatibleFields("dlog operands in different fields")
-    if z.is_zero() or z ** e != z.field.one:
+    if not z or field.power(z, e) != [1]:
         raise NotInGroup("element is not in the order-e subgroup")
-    return _bsgs(z, zeta, e)
+    return _bsgs(z, zeta, e, field)
+
+
+def field_elements(p: int, d: int):
+    """Every element of a degree-d field over F_p as a reduced coefficient
+    list, index i read as its base-p digits: [] first."""
+    for i in range(p ** d):
+        digits = []
+        while i:
+            i, c = divmod(i, p)
+            digits.append(c)
+        yield digits
 
 
 def character_primes_from_ideals(K, e: int, count: int, U, seed: int) -> list:

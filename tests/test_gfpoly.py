@@ -280,6 +280,18 @@ def test_roots_fixed_cases():
     assert gfpoly.roots([0, 1, 1], 2) == [0, 1]
 
 
+def test_random_splits_raise_on_a_broken_precondition():
+    # an irreducible cubic handed to the split into linear factors, and an
+    # irreducible quartic to the split into quadratics: no draw can split
+    # them, so each split gives up after SPLIT_DRAWS draws
+    cubic, quartic = [1, 1, 0, 1], [1, 1, 0, 0, 1]
+    assert gfpoly.is_irreducible(cubic, 7) and gfpoly.is_irreducible(quartic, 7)
+    with pytest.raises(ArithmeticError):
+        gfpoly._linear_roots(cubic, 7)
+    with pytest.raises(ArithmeticError):
+        gfpoly._edf(quartic, 2, 7, random.Random(0))
+
+
 @pytest.mark.parametrize("p,g", [(3, 2), (13, 2), (65537, 3), (998244353, 3),
                                  ((1 << 61) - 1, 37)])
 def test_sqrt_mod(p, g):

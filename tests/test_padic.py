@@ -16,7 +16,7 @@ from ethroot.errors import (
     SeedInvalid,
     VerificationFailed,
 )
-from ethroot.fq import FqField, factor_mod_p
+from ethroot.fq import factor_mod_p
 from ethroot.numfield import FactoredElement, NumberField, PrimeIdealRep
 from ethroot.padic import (
     GAMMA,
@@ -121,16 +121,13 @@ def test_find_inert_prime_stops_when_the_budget_exceeds_the_primes():
 
 def test_hensel_lift_fixed_point():
     ctx = PadicContext(7, 3, (1, 0, 1))  # 7^8 > 2 * 10^6
-    field = FqField(7, [1, 0, 1])
-    assert hensel_lift([1], field.one, 3, ctx) == [1]
+    assert hensel_lift([1], [1], 3, ctx) == [1]
 
 
 def test_hensel_lift_builds_one_ring_per_step(monkeypatch):
-    # the update and the convergence check of a step share one packed ring
-    ctx = PadicContext(7, 3, (1, 0, 1))
-    field = FqField(7, [1, 0, 1])
-    x0 = field.element([2, 1])
-    a_poly = list((x0 ** 3).inverse().coeffs)
+    # the context builds one packed ring per precision, the residue field
+    # included, and every lift on it shares them: a step's update and its
+    # convergence check run in one ring
     builds = []
 
     class Counted(gfpoly._Packed):
@@ -141,27 +138,25 @@ def test_hensel_lift_builds_one_ring_per_step(monkeypatch):
             super().__init__(mod, p)
 
     monkeypatch.setattr(gfpoly, "_Packed", Counted)
+    ctx = PadicContext(7, 3, (1, 0, 1))
+    field, M = ctx.rings[0], 7 ** 8
     with record() as counts:
-        x = hensel_lift(a_poly, x0, 3, ctx)
-    assert builds == [7 ** 2, 7 ** 4, 7 ** 8]
-    assert counts["padic"] == {"lift_steps": 3, "lift_checks": 3}
-    M = 7 ** 8
-    xe = gfpoly.powmod(x, 3, [1, 0, 1], M)
-    assert gfpoly.mulmod(a_poly, xe, [1, 0, 1], M) == [1]
+        lifts = []
+        for x0 in ([2, 1], [3, 5]):
+            a_poly = field.inverse(field.power(x0, 3))
+            lifts.append((x0, a_poly, hensel_lift(a_poly, x0, 3, ctx)))
+    assert builds == [7, 7 ** 2, 7 ** 4, 7 ** 8]
+    assert counts["padic"] == {"lift_steps": 6, "lift_checks": 6}
+    for x0, a_poly, x in lifts:
+        xe = gfpoly.powmod(x, 3, [1, 0, 1], M)
+        assert gfpoly.mulmod(a_poly, xe, [1, 0, 1], M) == [1]
+        assert gfpoly.from_int_poly(x, 7) == x0
 
 
 def test_hensel_lift_seed_invalid():
     ctx = PadicContext(7, 2, (1, 0, 1))
-    field = FqField(7, [1, 0, 1])
     with pytest.raises(SeedInvalid):
-        hensel_lift([3], field.one, 3, ctx)
-
-
-def test_hensel_lift_refuses_a_seed_from_another_field():
-    ctx = PadicContext(7, 2, (1, 0, 1))
-    for field in (FqField(7, [3, 1, 1]), FqField(11, [1, 0, 1])):
-        with pytest.raises(SeedInvalid):
-            hensel_lift([1], field.one, 3, ctx)
+        hensel_lift([3], [1], 3, ctx)
 
 
 def test_hensel_lift_convergence_checked_every_step():
@@ -206,6 +201,52 @@ def test_eth_root_padic_round_trip_unity_ambiguity():
     assert root ** 3 == y.value()
     ratio = root / x
     assert ratio ** 3 == K.one
+
+
+def _planted(K, e, seed):
+    rng = random.Random(f"twist-pin:{K.conductor}:{e}:{seed}")
+    x = K.element([rng.randrange(-50, 50) for _ in range(K.n)])
+    return factored(K, [(x ** e, 1)])
+
+
+# On fields holding mu_3 the residue field has several e-th roots, and the
+# draws of fq._nonresidue (the seed root) and padic._element_of_order (the
+# twists) decide which global root comes back. The values are pinned.
+TWIST_PINS = {
+    (9, "padic"): [(0, -31, -3, -6, 10, -28), (25, -18, 6, 48, -39, -35),
+                   (-64, -6, 62, -15, -32, 27), (9, 13, 26, 31, 46, 60)],
+    (9, "reconstruct"): [(6, -10, 28, 6, -41, 25), (25, -18, 6, 48, -39, -35),
+                         (49, -26, -35, 64, 6, -62), (9, 13, 26, 31, 46, 60)],
+    (12, "reconstruct"): [(0, -24, 7, 29), (27, 22, 40, -19), (10, 5, -48, 13),
+                          (41, 26, -37, 15)],
+}
+
+
+@pytest.mark.parametrize("m,method", sorted(TWIST_PINS))
+def test_twist_order_pins_the_returned_root(m, method):
+    K = NumberField.cyclotomic(m)
+    got = [eth_root(RootRequest(K, 3, _planted(K, 3, s), method=method,
+                                seed=s)).root.num for s in range(4)]
+    assert got == TWIST_PINS[m, method]
+
+
+@pytest.mark.parametrize("q,pins", [
+    # (root, failed twists) at seeds 0-3; 9 | q^d - 1 but Q(zeta_12) holds
+    # only mu_3, so six of the nine local roots are no global root
+    (37, [((-40, 8, -17, -42), 0), ((9, -37, 28, 35), 1),
+          ((25, 33, -33, -82), 0), ((-20, -28, 10, 44), 1)]),
+    (17, [((-40, 8, -17, -42), 2), ((-37, 2, 9, -37), 0),
+          ((8, 49, 25, 33), 0), ((-20, -28, 10, 44), 0)]),
+])
+def test_twist_order_pins_ninth_roots_on_zeta12(q, pins):
+    K = NumberField.cyclotomic(12)
+    pil = K.prime_ideals(q)[0]
+    got = []
+    for s in range(4):
+        with record() as counts:
+            x = eth_root_padic_reconstruct(_planted(K, 9, s), 9, K, pil, seed=s)
+        got.append((x.num, counts["padic"].get("twists", 0)))
+    assert got == pins
 
 
 def test_eth_root_padic_multi_term_rational():

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ethroot import gfpoly
 from ethroot import saturation as sat
 from ethroot.errors import (
     BudgetExceeded,
@@ -16,7 +17,7 @@ from ethroot.errors import (
     SearchExhausted,
     ZeroInput,
 )
-from ethroot.fq import FqField, dlog_mod_p
+from ethroot.fq import dlog_mod_p
 from ethroot.numfield import NumberField, PrimeIdealRep
 from ethroot.saturation import (
     CharacterPrime,
@@ -132,12 +133,11 @@ def test_integer_character_log_matches_fq_dlog(e, g, a, j):
     z = pow(g, (q - 1) // e, q)
     if pow(z, e // ell, q) == 1:
         return  # z must have exact order e
-    field = FqField(q, [0, 1])
-    zeta = field.element([z])
+    field = gfpoly._Packed([0, 1], q)
     t = pow(z, j, q)  # a random element of the order-e subgroup
-    assert dlog_mod_p(t, z, e, q) == fq_dlog_order_e(field.element([t]), zeta, e)
+    assert dlog_mod_p(t, z, e, q) == fq_dlog_order_e([t], [z], e, field)
     cp = CharacterPrime(PrimeIdealRep(q, (0, 1), 1), z)
-    want = fq_dlog_order_e(field.element([pow(a, (q - 1) // e, q)]), zeta, e)
+    want = fq_dlog_order_e([pow(a, (q - 1) // e, q)], [z], e, field)
     assert chi(Q.element([a]), cp, e) == want
 
 
