@@ -291,6 +291,7 @@ def cmd_selftest(args) -> int:
         ("couveignes", 45, 3, "auto"),  # residue fields hold mu_9
         ("reconstruct", 16, 3, "reconstruct"),
         ("double_crt", None, 3, "auto"),
+        ("padic", None, 3, "padic"),  # an inert prime from the generic DDF
     ]
     failures = 0
     for want, m, e, method in checks:

@@ -26,13 +26,11 @@ from .numfield import (
     coeff_bound_root,
     crt_integers_symmetric,
     multi_reduce,
-    split_roots,
 )
 from .primes import (
     check_odd_prime_power,
     derive_rng,
     is_prime,
-    multiplicative_order,
     prime_power_split,
     prime_stream,
     t_range,
@@ -67,40 +65,18 @@ class GoodPrime(NamedTuple):
     """A good prime q for (K, e) and its distinct residue degrees, ascending.
 
     On Q(zeta_m) a q = 1 mod m also holds w, a primitive m-th root of 1 mod
-    q: the phi(m) roots of f mod q are the w^u, u a unit mod m. w and m are
-    0 for any other good prime.
+    q: the phi(m) roots of f mod q are the w^u, u a unit mod m. w is 0 for
+    any other good prime.
     """
 
     q: int
     degrees: tuple
     w: int = 0
-    m: int = 0
-
-    def split_roots(self) -> list[int]:
-        """The roots of f mod q, largest first; only for a q held with w."""
-        if not self.m:
-            raise ValueError(f"{self.q} is not held as a split prime (q, w)")
-        return split_roots(self.q, self.m, self.w)
 
 
 def _sees_mu(q: int, d: int, e: int) -> bool:
     """Whether F_{q^d} holds a primitive l-th root of 1, e = l^k."""
     return math.gcd(e, pow(q, d, e) - 1) > 1
-
-
-def _residue_degrees(q: int, K: NumberField) -> tuple | None:
-    """The distinct residue degrees above q, ascending, or None when f mod q
-    has a repeated factor: q | m on Q(zeta_m), q | disc(f) otherwise, as in
-    NumberField.prime_ideals. Every degree on Q(zeta_m) is ord_m(q); a
-    generic f mod q is squarefree, and its distinct-degree split names the
-    degrees without splitting any further.
-    """
-    m = K.conductor
-    if m is not None:
-        return None if m % q == 0 else (multiplicative_order(q, m),)
-    if K.discriminant() % q == 0:
-        return None
-    return tuple(d for _, d in gfpoly._ddf(gfpoly.from_int_poly(list(K.f), q), q))
 
 
 def check_good_prime(q: int, K: NumberField, e: int, w: int = 0):
@@ -114,7 +90,7 @@ def check_good_prime(q: int, K: NumberField, e: int, w: int = 0):
     field. A q = 1 mod m on Q(zeta_m) is then good, since it splits totally;
     it is returned with w, the primitive m-th root of 1 mod q the caller
     kept (K.split_root(q) when w is 0). Otherwise the residue degrees come
-    from _residue_degrees (None means "ramified"), each is tested once,
+    from K.residue_degrees (None means "ramified"), each is tested once,
     smallest first, and the Rejection names the d that failed.
     """
     if _sees_mu(q, 1, e):
@@ -122,8 +98,8 @@ def check_good_prime(q: int, K: NumberField, e: int, w: int = 0):
     m = K.conductor
     if m is not None and q % m == 1:
         # every residue field is F_q
-        return GoodPrime(q, (1,), w or K.split_root(q), m)
-    degrees = _residue_degrees(q, K)
+        return GoodPrime(q, (1,), w or K.split_root(q))
+    degrees = K.residue_degrees(q)
     if degrees is None:
         return Rejection("ramified")
     for d in degrees:
@@ -236,13 +212,12 @@ def eth_root_mod_q(terms, e: int, gp: GoodPrime, K: NumberField) -> list[int]:
     """
     q = gp.q
     L = math.lcm(*(q ** d - 1 for d in gp.degrees))
-    fq = gfpoly.from_int_poly(list(K.f), q)
+    ring = gfpoly._Packed(gfpoly.from_int_poly(list(K.f), q), q)
     acc = [1]
     for vec, a in terms:
         if a:
-            base = gfpoly.powmod(list(vec), _positive(a, L), fq, q)
-            acc = gfpoly.mulmod(acc, base, fq, q)
-    root = gfpoly.powmod(acc, _positive(pow(e, -1, L), L), fq, q)
+            acc = ring.mul(acc, ring.power(gfpoly.trim(list(vec)), _positive(a, L)))
+    root = ring.power(acc, _positive(pow(e, -1, L), L))
     return root + [0] * (K.n - len(root))
 
 

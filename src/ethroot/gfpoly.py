@@ -4,16 +4,16 @@ A polynomial is a list of ints in [0, p), index = degree, trailing zeros
 stripped; [] is the zero polynomial. The prime lives in the call, not the
 data, so callers must not mix moduli.
 
-Powers and compositions mod f (`powmod`, Rabin's test) run on residues
-packed into one int, w bits per coefficient (Kronecker substitution, Harvey,
-J. Symb. Comp. 2009), so that one big-int product does the work of a
-schoolbook product. With d = deg f, w = 2 bit_length(p) + bit_length(d) + 1:
-a product of two reduced residues has coefficients below d (p-1)^2, folding
-its d-1 high slots back (each reduced mod p, times a reduced row of x^(d+k)
-mod f) adds at most (d-1)(p-1)^2 more, and (2d-1)(p-1)^2 < 2^w, so no slot
-ever carries into the next; powers of t take only squarings, each product by
-t a shift (`_t_power`). One-off products (`mulmod`) stay schoolbook:
-building the fold table costs more than the product saves.
+Products and powers mod f run on a `_Packed` ring that the caller builds
+once per modulus: residues packed into one int, w bits per coefficient
+(Kronecker substitution, Harvey, J. Symb. Comp. 2009), so that one big-int
+product does the work of a schoolbook product. With d = deg f,
+w = 2 bit_length(p) + bit_length(d) + 1: a product of two reduced residues
+has coefficients below d (p-1)^2, folding its d-1 high slots back (each
+reduced mod p, times a reduced row of x^(d+k) mod f) adds at most
+(d-1)(p-1)^2 more, and (2d-1)(p-1)^2 < 2^w, so no slot ever carries into the
+next; powers of t take only squarings, each product by t a shift
+(`_t_power`).
 
 For a prime p, a -> a^p is a ring endomorphism of F_p[t]/(g) for every monic
 g, reducible or not, fixing F_p: sum a_i t^i maps to sum a_i t^(p i). A
@@ -24,7 +24,8 @@ reduction. One shared squaring chain (Straus, as `splitkernel._multi_pow`)
 over all images takes bit_length(p) steps, not bit_length(n) (Itoh-Tsujii,
 Inf. Comput. 1988; von zur Gathen-Shoup, Comput. Complexity 1992). Modulo a
 prime power p^a the map is no endomorphism, so `padic` keeps the rows only
-on its ring mod p, the residue field.
+on its ring mod p, the residue field. The distinct-degree split `_ddf` takes
+its repeated p-th powers as such images.
 """
 
 from __future__ import annotations
@@ -126,11 +127,6 @@ def gcd(a: list[int], b: list[int], p: int) -> list[int]:
     return monic(a, p)
 
 
-def mulmod(a: list[int], b: list[int], mod: list[int], p: int) -> list[int]:
-    """a * b mod (mod, p): the product is neither reduced nor trimmed first."""
-    return divmod_(_product(a, b), mod, p)[1]
-
-
 class _Packed:
     """The ring (Z/p)[t]/(mod), its residues packed into one int, slot i
     holding coefficient i: the one ring type of the library, for the residue
@@ -138,10 +134,12 @@ class _Packed:
 
     Its methods take and return reduced coefficient lists (this module's
     convention, [] for zero). The slot width w and the fold table are those
-    of the module docstring; p may be a prime power when mod is monic. Build
-    one per modulus and reuse it across steps. For a prime p, `inverse`
-    inverts, and `keep_frobenius` adds the Frobenius rows that `power` runs
-    long exponents over.
+    of the module docstring; p may be a prime power when mod is monic, as
+    for padic's completions and the Schirokauer map's ring mod e^2. Every
+    product and power mod f in the library runs here: callers build one ring
+    per modulus and reuse it across steps. For a prime p, `inverse` inverts,
+    and `keep_frobenius` adds the Frobenius rows that `power` runs long
+    exponents over.
     """
 
     __slots__ = ("p", "mod", "w", "mask", "low", "shifts", "fold", "row_t", "frob")
@@ -211,7 +209,10 @@ class _Packed:
     def power(self, a: list[int], n: int) -> list[int]:
         """a^n for reduced a and n >= 0: over Frobenius images when the rows
         are kept and n has two or more base-p digits, else by left-to-right
-        square-and-multiply, whose products by t are shifts when a = t."""
+        square-and-multiply, whose products by t are shifts when a = t.
+        ValueError for n < 0."""
+        if n < 0:
+            raise ValueError("power needs n >= 0")
         reduce, r = self.reduce, self.pack(a)
         if self.frob is not None and n >= self.p:
             return self.unpack(self._frobenius_power(r, n))
@@ -275,35 +276,6 @@ class _Packed:
                     acc = reduce(acc * table[subset])
         return acc
 
-    def compose(self, g: list[int], h: list[int]) -> list[int]:
-        """g(h) for reduced g and h, by Horner: one packed product per step."""
-        reduce = self.reduce
-        hp, acc = self.pack(h), 0
-        for c in reversed(g):
-            acc = reduce(acc * hp + c)
-        return self.unpack(acc)
-
-
-def powmod(a: list[int], n: int, mod: list[int], p: int) -> list[int]:
-    """a^n mod (mod, p), with [1] for n = 0; p may be a prime power if mod is
-    monic.
-
-    For deg mod = d >= 2 each step of a left-to-right square-and-multiply is
-    one product of ints holding the d coefficients in slots of
-    w = 2 bit_length(p) + bit_length(d) + 1 bits, then a fold of the d-1 high
-    slots through a table of x^(d+k) mod (mod, p) and a reduction of each low
-    slot mod p. Slot values stay below (2d-1)(p-1)^2 < 2^w (module
-    docstring), so the packed product is exact. d = 1 is an integer power.
-    """
-    if n < 0:
-        raise ValueError("powmod needs n >= 0")
-    if n == 0:
-        return [1]
-    a = rem(a, mod, p)
-    if deg(mod) < 2:
-        return trim([pow(a[0], n, p)]) if a else []
-    return _Packed(mod, p).power(a, n)
-
 
 def invmod(a: list[int], mod: list[int], p: int) -> list[int]:
     """Inverse of a modulo mod; raises ZeroDivisionError if not coprime."""
@@ -365,19 +337,29 @@ def _sqfree_rec(f: list[int], p: int, mult: int, out: list[tuple[list[int], int]
 
 
 def _ddf(f: list[int], p: int) -> list[tuple[list[int], int]]:
-    """Distinct-degree split of a monic squarefree f: list of (product, degree)."""
-    out = []
-    h = [0, 1]  # x
-    v = f[:]
-    d = 0
+    """Distinct-degree split of a monic squarefree f: list of (product, degree).
+
+    Step d takes h = t^(p^d) mod v as the p-th power of step d-1's h, on one
+    ring per v. From the second step on, that ring keeps the Frobenius rows
+    of the first step's t^p, so each p-th power is one image; a v of degree
+    below 4 takes at most one step and keeps none.
+    """
+    out, v, d = [], f[:], 0
+    ring, h, xp = None, [0, 1], None  # xp: t^p mod f, once taken
     while deg(v) >= 2 * (d + 1):
         d += 1
-        h = powmod(h, p, v, p)
+        if ring is None:
+            ring = _Packed(v, p)
+        if xp is not None and ring.frob is None:
+            ring.keep_frobenius(rem(xp, v, p))
+        h = ring.power(h, p)
+        if xp is None:
+            xp = h
         g = gcd(sub(h, [0, 1], p), v, p)
         if deg(g) > 0:
             out.append((g, d))
             v = divmod_(v, g, p)[0]
-            h = rem(h, v, p)
+            h, ring = rem(h, v, p), None
     if deg(v) > 0:
         out.append((v, deg(v)))
     return out
@@ -401,6 +383,7 @@ def _edf(f: list[int], d: int, p: int, rng: random.Random) -> list[list[int]]:
     n = deg(f)
     if n == d:
         return [f]
+    ring = _Packed(f, p)
     for _ in range(SPLIT_DRAWS):
         t = trim([rng.randrange(p) for _ in range(n)])
         if deg(t) < 1:
@@ -411,11 +394,11 @@ def _edf(f: list[int], d: int, p: int, rng: random.Random) -> list[list[int]]:
                 # trace map over F_{2^d}
                 u, acc = t[:], t[:]
                 for _ in range(d - 1):
-                    u = mulmod(u, u, f, p)
+                    u = ring.mul(u, u)
                     acc = add(acc, u, p)
                 g = gcd(acc, f, p)
             else:
-                s = powmod(t, (p ** d - 1) // 2, f, p)
+                s = ring.power(t, (p ** d - 1) // 2)
                 g = gcd(sub(s, [1], p), f, p)
         if 0 < deg(g) < n:
             h = divmod_(f, g, p)[0]
@@ -481,8 +464,8 @@ def roots(f: list[int], p: int) -> list[int]:
     """
     if p == 2:
         return [r for r in (0, 1) if not evaluate(f, r, 2)]
-    x = [0, 1]
-    return sorted(_linear_roots(gcd(sub(powmod(x, p, f, p), x, p), f, p), p))
+    xp = _Packed(f, p).power(rem([0, 1], f, p), p)
+    return sorted(_linear_roots(gcd(sub(xp, [0, 1], p), f, p), p))
 
 
 def _linear_roots(g: list[int], p: int, rng: random.Random | None = None) -> list[int]:
@@ -492,46 +475,10 @@ def _linear_roots(g: list[int], p: int, rng: random.Random | None = None) -> lis
     if k == 2:
         s, half = sqrt_mod(g[1] * g[1] - 4 * g[0], p), (p + 1) >> 1
         return [(s - g[1]) * half % p, (-s - g[1]) * half % p]
-    rng = rng or _rng(0)
+    rng, ring = rng or _rng(0), _Packed(g, p)
     for _ in range(SPLIT_DRAWS):
-        h = gcd(sub(powmod([rng.randrange(p), 1], (p - 1) >> 1, g, p), [1], p), g, p)
+        h = gcd(sub(ring.power([rng.randrange(p), 1], (p - 1) >> 1), [1], p), g, p)
         if 0 < deg(h) < k:
             return _linear_roots(h, p, rng) + _linear_roots(divmod_(g, h, p)[0], p, rng)
     raise ArithmeticError(f"no split into linear factors in {SPLIT_DRAWS} draws")
 
-
-def is_irreducible(f: list[int], p: int) -> bool:
-    """Rabin test: x^(p^n) = x mod f and gcd conditions at maximal subdegrees.
-
-    x^(p^i) is either a p-th power of x^(p^(i-1)) or, by von zur Gathen-Shoup,
-    x^p composed with it. Both run on one `_Packed` f, at one packed product
-    per step: the composition takes deg f - 1 of them, the power
-    bit_length(p) - 1 squarings and popcount(p) - 1 products, so each call
-    takes the one with fewer. Per Frobenius step, composition / power, the
-    crossover measured on random monic f (2-core x86-64, CPython 3.11)
-    falls where the counts say: p = 3 composes only at deg 2 (3.7 / 3.9 us;
-    deg 3: 5.3 / 4.6 us); p = 101 up to deg 9 (41 / 44 us; deg 10:
-    51 / 49 us); p = 65521 up to deg 27 (550 / 561 us; deg 28: 606 / 585 us);
-    p = 2^61 - 1 at every deg up to 36 (3.4 / 12.4 ms there).
-    """
-    n = deg(f)
-    if n < 1:
-        return False
-    if n == 1:
-        return True
-    from .primes import factorize
-
-    x = [0, 1]
-    packed = _Packed(f, p)
-    frob = packed.power(x, p)
-    compose = n - 1 < p.bit_length() + bin(p).count("1") - 2
-    powers = {1: frob}
-    for i in range(2, n + 1):
-        prev = powers[i - 1]
-        powers[i] = packed.compose(frob, prev) if compose else packed.power(prev, p)
-    if sub(powers[n], x, p):
-        return False
-    for q in factorize(n):
-        if deg(gcd(sub(powers[n // q], x, p), f, p)) > 0:
-            return False
-    return True

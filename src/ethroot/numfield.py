@@ -199,7 +199,8 @@ class NumberField:
             if m % q == 0:
                 return None
             if q % m == 1:
-                return split_prime_ideals(q, m, self.split_root(q))
+                return tuple(PrimeIdealRep(q, (q - r, 1), 1)
+                             for r in split_roots(q, m, self.split_root(q)))
         elif self.discriminant() % q == 0:
             return None
         fq = gfpoly.from_int_poly(list(self.f), q)
@@ -207,6 +208,20 @@ class NumberField:
         gs = [fq] if d == self.n else gfpoly.split_squarefree(fq, q, degree=d)
         gs.sort(key=lambda g: (len(g), g))
         return tuple(PrimeIdealRep(q, tuple(g), len(g) - 1) for g in gs)
+
+    def residue_degrees(self, q: int) -> tuple | None:
+        """The distinct residue degrees above the prime q, ascending, or None
+        when f mod q has a repeated factor, as in prime_ideals. Every degree
+        on Q(zeta_m) is ord_m(q); a generic f mod q is squarefree, and its
+        distinct-degree split names the degrees without splitting any
+        further.
+        """
+        m = self.conductor
+        if m is not None:
+            return None if m % q == 0 else (multiplicative_order(q, m),)
+        if self.discriminant() % q == 0:
+            return None
+        return tuple(d for _, d in gfpoly._ddf(gfpoly.from_int_poly(list(self.f), q), q))
 
     def degree_one_roots(self, q: int) -> tuple:
         """The roots r of f mod the prime q, one per degree-1 ideal
@@ -670,7 +685,7 @@ def split_roots(q: int, m: int, w: int) -> list[int]:
     """The phi(m) primitive m-th roots of 1 mod q, largest first.
 
     w has order m, so they are the w^t with gcd(t, m) = 1. Largest first is
-    split_prime_ideals' order, whose g = q - r ascend.
+    the order of NumberField.prime_ideals, whose g = q - r ascend.
     """
     roots, acc = [], 1
     for t in range(1, m):
@@ -679,17 +694,6 @@ def split_roots(q: int, m: int, w: int) -> list[int]:
             roots.append(acc)
     roots.sort(reverse=True)
     return roots
-
-
-def split_prime_ideals(q: int, m: int, w: int | None = None) -> tuple:
-    """The phi(m) ideals (q, zeta_m - r), r primitive m-th roots of 1 mod prime q.
-
-    Sorted by g = (-r) % q, the order factor_mod_p lists Phi_m mod q in. w, a
-    primitive m-th root of 1 mod q, is found when not given.
-    """
-    if w is None:
-        w = root_of_unity(q, m)
-    return tuple(PrimeIdealRep(q, (q - r, 1), 1) for r in split_roots(q, m, w))
 
 
 def crt_ideals(residues: list[list[int]], ideals: list[PrimeIdealRep],
@@ -706,7 +710,8 @@ def crt_ideals(residues: list[list[int]], ideals: list[PrimeIdealRep],
         g = list(ideal.g)
         mi = gfpoly.divmod_(fbar, g, p)[0]
         ti = gfpoly.invmod(mi, g, p)
-        term = gfpoly.mul(gfpoly.mulmod(ti, gfpoly.trim(list(r)), g, p), mi, p)
+        r = gfpoly.rem(gfpoly.trim(list(r)), g, p)
+        term = gfpoly.mul(gfpoly._Packed(g, p).mul(ti, r), mi, p)
         z = gfpoly.add(z, term, p)
     z = gfpoly.rem(z, fbar, p)
     return list(z) + [0] * (K.n - len(z))

@@ -45,7 +45,6 @@ from .primes import (
     is_cyclic_unit_group,
     is_prime,
     modinv,
-    multiplicative_order,
     prime_power_split,
     prime_stream,
 )
@@ -84,13 +83,9 @@ class PadicContext:
 
 
 def is_inert(K: NumberField, p: int) -> bool:
-    """True when pO is prime, i.e. f stays irreducible mod p."""
-    if not is_prime(p):
-        return False
-    if K.conductor is not None:
-        m = K.conductor
-        return m % p != 0 and multiplicative_order(p % m, m) == K.n
-    return gfpoly.is_irreducible(gfpoly.from_int_poly(list(K.f), p), p)
+    """True when pO is prime, i.e. f stays irreducible mod p: p is prime and
+    unramified, and its one residue degree is deg f (K.residue_degrees)."""
+    return is_prime(p) and K.residue_degrees(p) == (K.n,)
 
 
 def find_inert_prime(K: NumberField, e: int, budget: int = INERT_BUDGET,

@@ -162,20 +162,20 @@ def schirokauer_map(u: FieldElement, e: int, K: NumberField) -> list:
     to e and the division is exact; e-th powers land on the zero vector.
     """
     ell, k = check_odd_prime_power(e)
-    ideals = K.prime_ideals(ell)
-    if ideals is None:
+    degrees = K.residue_degrees(ell)
+    if degrees is None:
         raise RamifiedE(f"{ell} ramifies in K (f not squarefree mod {ell})")
     # exponent of (O/eO)*: the ell-part ell^(k-1) times lcm of the residue
-    # field orders ell^deg(g) - 1
-    rho = ell ** (k - 1)
-    for ideal in ideals:
-        rho = math.lcm(rho, ell ** ideal.f_deg - 1)
+    # field orders ell^d - 1
+    rho = math.lcm(ell ** (k - 1), *(ell ** d - 1 for d in degrees))
     e2 = e * e
     if u.den % ell == 0:
         raise NotUnit("denominator is divisible by e's prime")
     dinv = modinv(u.den % e2, e2)
     coeffs = [c * dinv % e2 for c in u.num]
-    w = gfpoly.powmod(gfpoly.trim(coeffs), rho, list(K.f), e2)
+    # f is monic, so the packed ring holds mod the prime power e^2
+    ring = gfpoly._Packed(gfpoly.from_int_poly(list(K.f), e2), e2)
+    w = ring.power(gfpoly.trim(coeffs), rho)
     w = w + [0] * (K.n - len(w))
     w[0] = (w[0] - 1) % e2
     out = []

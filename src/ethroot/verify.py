@@ -98,13 +98,13 @@ def _check_in_ring(x: FieldElement, y: FactoredElement, e: int, q: int,
     A factor with a negative exponent is inverted there; one that is not a
     unit vanishes at some ideal above q, a pole of y: the trial fails.
     """
-    fq = gfpoly.from_int_poly(list(K.f), q)
+    ring = gfpoly._Packed(gfpoly.from_int_poly(list(K.f), q), q)
     rhs = [1]
     for u, a in y.terms:
         v = u.reduce_mod_prime(q)
         try:
-            v = gfpoly.invmod(v, fq, q) if a < 0 else v
+            v = ring.inverse(v) if a < 0 else v
         except ZeroDivisionError:
             return False
-        rhs = gfpoly.mulmod(rhs, gfpoly.powmod(v, abs(a), fq, q), fq, q)
-    return gfpoly.powmod(x.reduce_mod_prime(q), e, fq, q) == rhs
+        rhs = ring.mul(rhs, ring.power(v, abs(a)))
+    return ring.power(x.reduce_mod_prime(q), e) == rhs

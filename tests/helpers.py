@@ -103,11 +103,23 @@ def random_prime(rng, bits: int) -> int:
     return next(prime_stream(rng, bits))
 
 
+def is_irreducible(f: list[int], p: int) -> bool:
+    """Whether the reduced f is irreducible over F_p: squarefree, with one
+    distinct-degree part, of degree deg f."""
+    n = gfpoly.deg(f)
+    if n < 1:
+        return False
+    f = gfpoly.monic(f, p)
+    if gfpoly.deg(gfpoly.gcd(f, gfpoly.derivative(f, p), p)) > 0:
+        return False
+    return gfpoly._ddf(f, p) == [(f, n)]
+
+
 def random_irreducible(d: int, p: int, rng) -> list[int]:
     """Random monic irreducible of degree d over F_p."""
     while True:
         f = [rng.randrange(p) for _ in range(d)] + [1]
-        if gfpoly.is_irreducible(f, p):
+        if is_irreducible(f, p):
             return f
 
 
@@ -118,11 +130,10 @@ def reduce_mod_ideal(coeffs_mod_p: list[int], ideal) -> list[int]:
 
 def fold_mod_p(y, p: int) -> list[int]:
     """The factored element y mod (p, f) in F_p[t]/(f mod p), trimmed."""
-    fbar = gfpoly.from_int_poly(list(y.field.f), p)
+    ring = gfpoly._Packed(gfpoly.from_int_poly(list(y.field.f), p), p)
     out = [1]
     for u, a in y.terms:
-        ubar = gfpoly.powmod(u.reduce_mod_prime(p), a, fbar, p)
-        out = gfpoly.mulmod(out, ubar, fbar, p)
+        out = ring.mul(out, ring.power(u.reduce_mod_prime(p), a))
     return out
 
 

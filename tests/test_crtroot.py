@@ -40,8 +40,8 @@ def test_check_good_prime_examples():
     assert rej.degree == 2
 
     gp5 = check_good_prime(5, Ki, 3)
-    assert isinstance(gp5, GoodPrime) and gp5.degrees == (1,) and gp5.m == 4
-    assert sorted(gp5.split_roots()) == [2, 3]
+    assert isinstance(gp5, GoodPrime) and gp5.degrees == (1,) and gp5.w in (2, 3)
+    assert Ki.degree_one_roots(5) == (3, 2)
 
 
 def test_check_good_prime_ramified():
@@ -109,7 +109,7 @@ def test_check_good_prime_q_one_mod_l_needs_no_factoring(monkeypatch):
 
 def test_split_good_prime_is_q_and_w(monkeypatch):
     # q = 1 mod m on Q(zeta_m): good from _sees_mu(q, 1, e) alone, held as
-    # (q, w); its roots are those of the linear factors of f mod q, in
+    # (q, w); the roots of f mod q are those of its linear factors, in
     # factor_mod_p's order
     for m, e in ((4, 3), (9, 5), (20, 3), (31, 3)):
         K = NumberField.cyclotomic(m)
@@ -117,17 +117,17 @@ def test_split_good_prime_is_q_and_w(monkeypatch):
         stream = good_prime_stream(K, e, seed=m)
         for gp in [next(stream) for _ in range(4)]:
             q, w = gp.q, gp.w
-            assert gp.m == m and gp.degrees == (1,)
+            assert gp.degrees == (1,)
             assert pow(w, m, q) == 1 and all(pow(w, m // p, q) != 1
                                              for p in factorize(m))
             fac = factor_mod_p(list(K.f), q, seed=1)
             want = reference_good_prime(q, K, e, fac)
-            assert gp.split_roots() == [(-g[0]) % q for g, _ in fac]
-            assert gp == want._replace(w=w, m=m)
+            assert K.degree_one_roots(q) == tuple((-g[0]) % q for g, _ in fac)
+            assert gp == want._replace(w=w)
     # a good prime that is not 1 mod m has the one degree ord_m(q), with no
     # ideal listed: 2 has order 5 mod 31, and 2^5 = 2 mod 3
     gp = check_good_prime(2, K, 3)
-    assert gp == GoodPrime(2, (5,)) and gp.w == gp.m == 0
+    assert gp == GoodPrime(2, (5,)) and gp.w == 0
     monkeypatch.undo()
     assert [i.f_deg for i in K.prime_ideals(2)] == [5] * 6
 
@@ -170,7 +170,7 @@ def test_select_primes_congruences():
     prod = 1
     for gp in primes:
         assert gp.q % 16 == 1 and gp.q % 3 == 2
-        assert gp.degrees == (1,) and len(gp.split_roots()) == 8
+        assert gp.degrees == (1,) and len(K.degree_one_roots(gp.q)) == 8
         again = check_good_prime(gp.q, K, 3)
         assert isinstance(again, GoodPrime)
         prod *= gp.q
@@ -629,7 +629,7 @@ def test_split_kernel_zero_residue():
     K = NumberField.cyclotomic(4)
     stream = good_prime_stream(K, 3, seed=12)
     gp = next(stream)
-    r = gp.split_roots()[0]
+    r = K.degree_one_roots(gp.q)[0]
     base = K.element([-r, 1])  # vanishes at the node r
     from ethroot.splitkernel import split_roots_kernel
 

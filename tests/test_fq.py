@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from ethroot import gfpoly
+from ethroot import gfpoly, padic
 from ethroot.errors import (
     BudgetExceeded,
     NotAPower,
@@ -69,7 +69,7 @@ def test_factor_deterministic_and_reconstructs():
         assert fac1 == fac2
         prod = [1]
         for g, mult in fac1:
-            assert gfpoly.is_irreducible(g, p)
+            assert gfpoly._ddf(g, p) == [(g, len(g) - 1)]
             for _ in range(mult):
                 prod = gfpoly.mul(prod, g, p)
         assert prod == gfpoly.from_int_poly(f, p)
@@ -84,12 +84,14 @@ def test_factor_requires_monic():
 
 
 def test_residue_fields_of_prime_ideals_are_not_rechecked(monkeypatch):
-    """double_crt and verify_root on a generic field work mod prime_ideals
-    output with no Rabin test."""
-    def refuse(*args):
-        raise AssertionError("re-checked a known residue field")
+    """double_crt and verify_root on a generic field name no residue field:
+    they neither split f mod q into irreducibles nor test one for
+    irreducibility."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("named a residue field")
 
-    monkeypatch.setattr(gfpoly, "is_irreducible", refuse)
+    monkeypatch.setattr(gfpoly, "split_squarefree", refuse)
+    monkeypatch.setattr(padic, "is_inert", refuse)
     K = NumberField([-1, -1, 0, 1])
     x = K.element([5, -3, 2])
     y = FactoredElement(K, [(x, 3)])
@@ -113,7 +115,7 @@ def test_pow_matches_powmod_and_keeps_one_table(p, d):
         x = random_residue(F, rng)
         n = rng.choice([0, 1, 2, q - 1, q + 5, rng.randrange(1, 10 ** 30)])
         if x:
-            want = gfpoly.powmod(x, n % (q - 1), F.mod, p)
+            want = gfpoly._Packed(F.mod, p).power(x, n % (q - 1))  # no rows kept
             assert F.power(x, n) == F.power(x, n % (q - 1)) == want
     assert F.frob is table
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from ethroot import gfpoly
 from ethroot.numfield import cyclotomic_poly
-from helpers import random_irreducible
+from helpers import is_irreducible, random_irreducible
 
 
 def ref_trim(a):
@@ -76,12 +76,14 @@ def test_mulmod_powmod_match_schoolbook(p, monic):
         mod = rand_poly(rng, d, p, monic or rng.random() < 0.5)
         a = ref_trim([rng.randrange(p) for _ in range(rng.randrange(0, 2 * d))])
         b = ref_trim([rng.randrange(p) for _ in range(rng.randrange(0, 2 * d))])
-        assert gfpoly.mulmod(a, b, mod, p) == ref_divmod(ref_mul(a, b, p), mod, p)[1]
+        ring = gfpoly._Packed(mod, p)
+        a, b = ref_divmod(a, mod, p)[1], ref_divmod(b, mod, p)[1]  # reduced operands
+        assert ring.mul(a, b) == ref_divmod(ref_mul(a, b, p), mod, p)[1]
         n = rng.randrange(0, 12)
-        assert gfpoly.powmod(a, n, mod, p) == ref_powmod(a, n, mod, p)
+        assert ring.power(a, n) == ref_powmod(a, n, mod, p)
 
 
-# -- packed powers and compositions ------------------------------------------
+# -- packed powers --------------------------------------------------------------
 
 PRIMES = [2, 3, 65521, (1 << 61) - 1, (1 << 62) - 57]
 # prime powers in padic's shape (M = l^kappa): monic divisors only
@@ -104,15 +106,6 @@ def ref_square_multiply(a, n, mod, p):
         a = ref_mulmod(a, a, mod, p)
         n >>= 1
     return result
-
-
-def ref_horner(g, h, mod, p):
-    acc = []
-    for c in reversed(g):
-        acc = ref_mulmod(acc, h, mod, p) + [0]
-        acc[0] = (acc[0] + c) % p
-        acc = ref_trim(acc)
-    return acc
 
 
 def modulus(rng, d, p):
@@ -139,9 +132,11 @@ def test_powmod_small_exponents_every_degree(p):
     rng = random.Random(f"powmod:small:{p}")
     for d in range(41):
         mod = modulus(rng, d, p)
+        ring = gfpoly._Packed(mod, p)
         for a in bases(rng, d, p):
+            reduced = ref_divmod(a, mod, p)[1]
             for n in (0, 1, 2, 3):
-                assert gfpoly.powmod(a, n, mod, p) == ref_square_multiply(a, n, mod, p), (d, n)
+                assert ring.power(reduced, n) == ref_square_multiply(a, n, mod, p), (d, n)
 
 
 @PACKED
@@ -157,9 +152,11 @@ def test_powmod_large_exponents(p):
                 exps.append(p)
         if d * p.bit_length() <= 192:
             exps.append(p ** d - 1)
+        ring = gfpoly._Packed(mod, p)
         for n in exps:
             for a in bases(rng, d, p)[1:] if d <= 8 else bases(rng, d, p)[3:4]:
-                assert gfpoly.powmod(a, n, mod, p) == ref_square_multiply(a, n, mod, p), (d, n)
+                reduced = ref_divmod(a, mod, p)[1]
+                assert ring.power(reduced, n) == ref_square_multiply(a, n, mod, p), (d, n)
 
 
 @pytest.mark.parametrize("p,d", [(65521, 36), ((1 << 61) - 1, 6), (3, 40)])
@@ -168,21 +165,12 @@ def test_powmod_multiplicative_group_order(p, d):
     rng = random.Random(f"powmod:order:{p}:{d}")
     f = random_irreducible(d, p, rng)
     assert gfpoly.factor(f, p) == [(f, 1)]
+    plain, frob = gfpoly._Packed(f, p), gfpoly._Packed(f, p)
+    frob.keep_frobenius()
     for a in ([p - 1] * d, ref_trim([rng.randrange(p) for _ in range(d)])):
-        assert gfpoly.powmod(a, p ** d - 1, f, p) == [1]
-        assert gfpoly.powmod(a, p ** d, f, p) == a
-
-
-@PACKED
-def test_packed_compose_matches_horner(p):
-    rng = random.Random(f"compose:{p}")
-    for d in range(1, 41, 1 if p.bit_length() <= 64 else 3):
-        mod = modulus(rng, d, p)
-        packed = gfpoly._Packed(mod, p)
-        top = [p - 1] * d  # largest reduced operands
-        g, h = (ref_trim([rng.randrange(p) for _ in range(d)]) for _ in range(2))
-        for g, h in ((top, top), (g, h), ([], h), (g, [])):
-            assert packed.compose(g, h) == ref_horner(g, h, mod, p), d
+        for ring in (plain, frob):
+            assert ring.power(a, p ** d - 1) == [1]
+            assert ring.power(a, p ** d) == a
 
 
 # -- powers over Frobenius images ------------------------------------------------
@@ -285,7 +273,7 @@ def test_random_splits_raise_on_a_broken_precondition():
     # irreducible quartic to the split into quadratics: no draw can split
     # them, so each split gives up after SPLIT_DRAWS draws
     cubic, quartic = [1, 1, 0, 1], [1, 1, 0, 0, 1]
-    assert gfpoly.is_irreducible(cubic, 7) and gfpoly.is_irreducible(quartic, 7)
+    assert is_irreducible(cubic, 7) and is_irreducible(quartic, 7)
     with pytest.raises(ArithmeticError):
         gfpoly._linear_roots(cubic, 7)
     with pytest.raises(ArithmeticError):
@@ -330,9 +318,10 @@ def trial_division_irreducible(f, p):
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_is_irreducible_matches_trial_division(p):
+    # the distinct-degree split of every monic f of degree below 5
     for n in range(5):
         for f in monic_polys(n, p):
-            assert gfpoly.is_irreducible(f, p) == trial_division_irreducible(f, p), f
+            assert is_irreducible(f, p) == trial_division_irreducible(f, p), f
 
 
 def test_is_irreducible_large_prime_products():
@@ -342,25 +331,26 @@ def test_is_irreducible_large_prime_products():
         d1, d2 = rng.randrange(1, 4), rng.randrange(1, 4)
         g = random_irreducible(d1, p, rng)
         h = random_irreducible(d2, p, rng)
-        # the factorization's DDF takes its own Frobenius powers, not the test's
+        # the factorization's EDF draws its own splits, not the DDF's steps
         assert gfpoly.factor(g, p) == [(g, 1)]
-        assert gfpoly.is_irreducible(h, p)
-        assert not gfpoly.is_irreducible(gfpoly.mul(g, h, p), p)
+        assert gfpoly._ddf(h, p) == [(h, d2)]
+        assert [d for _, d in gfpoly._ddf(gfpoly.mul(g, h, p), p)] == sorted({d1, d2})
     for _ in range(30):
         f = rand_poly(rng, rng.randrange(2, 7), p, monic=True)
-        assert gfpoly.is_irreducible(f, p) == (gfpoly.factor(f, p) == [(f, 1)])
+        assert is_irreducible(f, p) == (gfpoly.factor(f, p) == [(f, 1)])
 
 
 @pytest.mark.parametrize("p", [2, 101])
 def test_is_irreducible_both_frobenius_steps(p):
-    # p = 101 composes up to degree 9 and takes p-th powers above it; p = 2
-    # always squares. Either way the answers must match factor().
+    # the DDF's first step is a power of t; from degree 4 on, each later
+    # step is a Frobenius image of the one before. Either way the answers
+    # must match factor().
     rng = random.Random(f"irreducible:both:{p}")
     for n in range(2, 15):
         g = random_irreducible(n, p, rng)
         assert gfpoly.factor(g, p) == [(g, 1)]
         h = random_irreducible(rng.randrange(1, n), p, rng)
-        assert not gfpoly.is_irreducible(gfpoly.mul(g, h, p), p)
+        assert not is_irreducible(gfpoly.mul(g, h, p), p)
         for _ in range(4):
             f = rand_poly(rng, n, p, monic=True)
-            assert gfpoly.is_irreducible(f, p) == (gfpoly.factor(f, p) == [(f, 1)])
+            assert is_irreducible(f, p) == (gfpoly.factor(f, p) == [(f, 1)])

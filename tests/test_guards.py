@@ -201,22 +201,24 @@ def test_factorize_rejects_zero():
 
 
 def test_powmod_rejects_negative_exponent():
-    with pytest.raises(ValueError):
-        gfpoly.powmod([1, 1], -1, [1, 0, 1], 7)
-
-
-def test_split_roots_needs_an_all_split_prime():
-    K = NumberField.cyclotomic(4)
-    gp = check_good_prime(7, K, 5)  # 7 = 3 mod 4 is inert in Q(i)
-    assert gp == GoodPrime(7, (2,))
-    with pytest.raises(ValueError):
-        gp.split_roots()
+    # the ring's power once read n < 0 silently: (1 + t)^-1 mod (t^2 + 1, 7)
+    # came out [5, 2], where the inverse is [4, 3]
+    plain = gfpoly._Packed([1, 0, 1], 7)
+    assert plain.inverse([1, 1]) == [4, 3]
+    frob = gfpoly._Packed([1, 1, 0, 1], 7)  # t^3 + t + 1, irreducible mod 7
+    frob.keep_frobenius()
+    assert plain.frob is None and frob.frob is not None
+    for ring in (plain, frob):
+        for base in ([0, 1], [1, 1]):  # t takes shifts, 1 + t products
+            for n in (-1, -8):
+                with pytest.raises(ValueError):
+                    ring.power(base, n)
 
 
 def test_split_kernel_rejects_primes_of_another_field():
     K4, K8 = NumberField.cyclotomic(4), NumberField.cyclotomic(8)
     gp = check_good_prime(17, K8, 3)  # four roots where Q(i) needs two
-    assert isinstance(gp, GoodPrime) and gp.degrees == (1,) and gp.m == 8
+    assert isinstance(gp, GoodPrime) and gp.degrees == (1,)
     with pytest.raises(ValueError):
         split_roots_kernel([K4.element([1, 1])], [3], [gp], 3, K4)
 
@@ -225,7 +227,7 @@ def test_split_kernel_refuses_a_root_of_lower_order_and_generic_fields():
     # 17 = 1 mod 8, but 4 has order 4 mod 17: not a root of Phi_8
     K8 = NumberField.cyclotomic(8)
     with pytest.raises(ValueError):
-        split_roots_kernel([K8.element([1, 1])], [3], [GoodPrime(17, (1,), 4, 8)], 3, K8)
+        split_roots_kernel([K8.element([1, 1])], [3], [GoodPrime(17, (1,), 4)], 3, K8)
     K = NumberField([2, 0, 1])  # x^2 + 2: 11 splits, and 11 = 2 mod 3 is good
     gp = check_good_prime(11, K, 3)
     assert gp == GoodPrime(11, (1,))

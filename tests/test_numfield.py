@@ -28,7 +28,7 @@ from ethroot.numfield import (
     multi_reduce,
     normalize_exponents,
     relative_norm,
-    split_prime_ideals,
+    root_of_unity,
 )
 from ethroot.couveignes import make_couveignes_prime
 from ethroot.fq import factor_mod_p
@@ -371,6 +371,7 @@ def test_crt_ideals_round_trip():
 @pytest.mark.parametrize("m", [3, 4, 5, 8, 9, 12, 15, 16, 31])
 def test_split_prime_ideals_match_factor_mod_p(m):
     rng = random.Random(f"split:{m}")
+    K = NumberField.cyclotomic(m)
     f = cyclotomic_poly(m)
     found = 0
     while found < 3:
@@ -381,7 +382,7 @@ def test_split_prime_ideals_match_factor_mod_p(m):
         fac = factor_mod_p(f, q)
         assert all(len(g) == 2 and mult == 1 for g, mult in fac)
         want = tuple(PrimeIdealRep(q, tuple(g), 1) for g, _ in fac)
-        assert split_prime_ideals(q, m) == want
+        assert K.prime_ideals(q) == want
 
 
 PRIME_IDEAL_FIELDS = {
@@ -433,6 +434,17 @@ def test_prime_ideals_equal_the_factorization_oracle(name):
         else:
             assert got == tuple(PrimeIdealRep(q, tuple(g), len(g) - 1)
                                 for g, _ in fac), q
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_FIELDS))
+def test_residue_degrees_are_those_of_the_prime_ideals(name):
+    # ramified primes included: both are None there
+    K = ORACLE_FIELDS[name]
+    disc = K.conductor or K.discriminant()
+    for q in sorted({*(q for q in range(2, 200) if is_prime(q)), *factorize(abs(disc))}):
+        ideals = K.prime_ideals(q)
+        want = None if ideals is None else tuple(sorted({i.f_deg for i in ideals}))
+        assert K.residue_degrees(q) == want, q
 
 
 def _degree_one_roots_from_ideals(K, q):
@@ -506,15 +518,18 @@ def test_prime_ideals_of_split_cyclotomic_primes_need_no_factoring(monkeypatch):
     K = NumberField.cyclotomic(31)
     q = 31 * 2 ** 40 + 31 * 4 + 1
     q = next(t for t in range(q, q + 31 * 10 ** 4, 31) if is_prime(t))
-    assert K.prime_ideals(q) == split_prime_ideals(q, 31)
+    w = root_of_unity(q, 31)
+    assert K.prime_ideals(q) == tuple(sorted(
+        (PrimeIdealRep(q, (q - pow(w, t, q), 1), 1) for t in range(1, 31)),
+        key=lambda i: i.g))
     assert K.prime_ideals(31) is None
 
 
-def test_split_prime_ideals_reject_non_split_primes():
+def test_root_of_unity_rejects_non_split_primes():
     with pytest.raises(ValueError):
-        split_prime_ideals(7, 4)  # 7 = 3 mod 4
+        root_of_unity(7, 4)  # 7 = 3 mod 4
     with pytest.raises(ValueError):
-        split_prime_ideals(13, 5)  # 13 = 3 mod 5
+        root_of_unity(13, 5)  # 13 = 3 mod 5
 
 
 def test_crt_ideals_incomplete():
@@ -685,7 +700,8 @@ def test_relative_norm_matches_finite_field_norms(m, m_sub):
         n = relative_norm(y, emb)
         assert n.field == L and [a for _, a in n.terms] == [a for _, a in y.terms]
         pushed = FactoredElement(K, [(from_subfield(emb, v), a) for v, a in n.terms])
-        want = gfpoly.powmod(fold_mod_p(y, p), E, list(K.f), p)
+        ring = gfpoly._Packed(gfpoly.from_int_poly(list(K.f), p), p)
+        want = ring.power(fold_mod_p(y, p), E)
         assert fold_mod_p(pushed, p) == want
 
 

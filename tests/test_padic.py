@@ -35,7 +35,7 @@ from ethroot.padic import (
     lll_reduce,
     precision_estimate,
 )
-from ethroot.primes import multiplicative_order
+from ethroot.primes import is_prime, multiplicative_order
 from ethroot.strategy import RootRequest, eth_root, pick_reconstruct_ideal
 from helpers import hnf
 
@@ -79,6 +79,18 @@ def test_is_inert_examples():
     Kg = NumberField([2, 0, 1])  # x^2 + 2
     assert is_inert(Kg, 5)
     assert not is_inert(Kg, 11)
+
+
+@pytest.mark.parametrize("f", [[-1, -1, 0, 1], [-8, -2, -1, 1], [1, 0, -10, 0, 1],
+                               [-1, -1, 0, 0, 0, 0, 1]],
+                         ids=["x^3-x-1", "dedekind", "x^4-10x^2+1", "x^6-x-1"])
+def test_is_inert_matches_factoring_on_generic_fields(f):
+    # inert iff f mod p is irreducible, ramified p and index divisors included
+    K = NumberField(f)
+    for p in [p for p in range(2, 400) if is_prime(p)] + [2 ** 61 - 1]:
+        fp = gfpoly.from_int_poly(f, p)
+        assert is_inert(K, p) == (gfpoly.factor(fp, p) == [(fp, 1)]), p
+    assert not is_inert(K, 1) and not is_inert(K, 91)
 
 
 def test_find_inert_prime_cyclotomic():
@@ -147,9 +159,9 @@ def test_hensel_lift_builds_one_ring_per_step(monkeypatch):
             lifts.append((x0, a_poly, hensel_lift(a_poly, x0, 3, ctx)))
     assert builds == [7, 7 ** 2, 7 ** 4, 7 ** 8]
     assert counts["padic"] == {"lift_steps": 6, "lift_checks": 6}
+    ring = gfpoly._Packed([1, 0, 1], M)
     for x0, a_poly, x in lifts:
-        xe = gfpoly.powmod(x, 3, [1, 0, 1], M)
-        assert gfpoly.mulmod(a_poly, xe, [1, 0, 1], M) == [1]
+        assert ring.mul(a_poly, ring.power(x, 3)) == [1]
         assert gfpoly.from_int_poly(x, 7) == x0
 
 

@@ -180,7 +180,7 @@ def test_select_avoids_basis_divisors():
 @pytest.mark.parametrize("m,e", [(4, 3), (4, 25), (16, 3), (16, 5)])
 def test_cyclotomic_character_primes_match_split_prime_ideals(m, e):
     # the roots come from one w per prime; primes, order and chi tables are
-    # those of the ideals split_prime_ideals lists
+    # those of the split ideals prime_ideals lists
     K = NumberField.cyclotomic(m)
     for seed in range(4):
         rng = random.Random(f"chars:{m}:{e}:{seed}")

@@ -22,7 +22,7 @@ def _terms(K, gp, rng, k):
         bases.append(K.random_element(rng, bits=rng.choice([5, 40, 90]), den=den))
         exps.append(rng.choice([0, -rng.randrange(1, 10 ** 6), rng.randrange(1, 50),
                                 gp.q - 1, 3 * gp.q + rng.randrange(10 ** 9)]))
-    r = gp.split_roots()[rng.randrange(K.n)]
+    r = K.degree_one_roots(gp.q)[rng.randrange(K.n)]
     bases.append(K.element([-r, 1]))  # alpha - r vanishes at the node r
     exps.append(rng.choice([1, -2, gp.q - 1, 2 * gp.q]))
     return bases, exps
