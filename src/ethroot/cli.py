@@ -326,18 +326,24 @@ def cmd_selftest(args) -> int:
     print(f"{'ok' if ok else 'FAIL'} non-power m=9 e=3 "
           f"({time.perf_counter() - t0:.2f}s)")
     failures += 0 if ok else 1
-    # saturation plants: character primes on Q(i) and on x^3 - x - 1
-    fields = (("m=4", NumberField.cyclotomic(4)), ("x^3-x-1", NumberField([-1, -1, 0, 1])))
-    for label, K in fields:
+    # saturation plants: character primes on Q(i) and on x^3 - x - 1, and at
+    # e = 2^31 - 1, whose character primes lie above 40 bits
+    plants = (("m=4", NumberField.cyclotomic(4), 3),
+              ("x^3-x-1", NumberField([-1, -1, 0, 1]), 3),
+              ("x^3-x-1", NumberField([-1, -1, 0, 1]), 2 ** 31 - 1))
+    for label, K, e in plants:
         g = K.element([2, 1])
-        G = GeneratingSet([g ** 3, K.element([3, 2])], [[1, 0], [0, 1]])
+        if e == 3:
+            G = GeneratingSet([g ** 3, K.element([3, 2])], [[1, 0], [0, 1]])
+        else:  # g^e stays factored
+            G = GeneratingSet([g, K.element([3, 2])], [[e, 0], [0, 1]])
         t0 = time.perf_counter()
-        found = detect_eth_powers(G, 3, K, seed=args.seed)
+        found = detect_eth_powers(G, e, K, seed=args.seed)
         ok = [a for a, _ in found] == [(1, 0)]
-        print(f"{'ok' if ok else 'FAIL'} saturation {label} e=3 "
+        print(f"{'ok' if ok else 'FAIL'} saturation {label} e={e} "
               f"({time.perf_counter() - t0:.2f}s)")
         failures += 0 if ok else 1
-    total = len(checks) + 1 + len(fields)
+    total = len(checks) + 1 + len(plants)
     print(f"selftest: {total - failures}/{total} passed")
     return EXIT_OK if failures == 0 else 1
 

@@ -6,6 +6,11 @@ every residue degree d. Then raising to the e-th power is a bijection on
 every residue field, so on Z[alpha]/q = F_q[t]/(f mod q), their product: the
 local root is unique and costs one exponentiation there, with no prime ideal
 named. The global root is assembled by CRT over the primes.
+
+The candidates are walked on the field's kept table (NumberField.walk_primes)
+with what decides them kept beside each prime: w on Q(zeta_m), the residue
+degrees on a generic K. Repeated roots on one field, as saturation asks,
+pay for a prime once.
 """
 
 import math
@@ -30,10 +35,8 @@ from .numfield import (
 from .primes import (
     check_odd_prime_power,
     derive_rng,
-    is_prime,
     prime_power_split,
     prime_stream,
-    t_range,
 )
 from .verify import verify_root
 
@@ -44,13 +47,6 @@ SEARCH_BUDGET = 10 ** 6
 # of two residues inside int64; generic primes use most of the word
 SPLIT_BITS = 29
 GENERIC_BITS = 62
-
-# the split primes q = m t + 1 of Q(zeta_m) are kept on the field in blocks
-# of SPLIT_BLOCK consecutive t; a walk starts at one of the first
-# SPLIT_STARTS blocks, picked by its seed; a field keeps at most SPLIT_CAP
-SPLIT_BLOCK = 128
-SPLIT_STARTS = 256
-SPLIT_CAP = 4096
 
 
 @dataclass(frozen=True)
@@ -79,7 +75,7 @@ def _sees_mu(q: int, d: int, e: int) -> bool:
     return math.gcd(e, pow(q, d, e) - 1) > 1
 
 
-def check_good_prime(q: int, K: NumberField, e: int, w: int = 0):
+def check_good_prime(q: int, K: NumberField, e: int, kept=None):
     """GoodPrime if q is unramified and no residue field sees mu_l.
 
     Returns a Rejection (never raises) when q fails. For e = l^k a residue
@@ -87,20 +83,21 @@ def check_good_prime(q: int, K: NumberField, e: int, w: int = 0):
     needs no factoring of e. A q = 1 mod l is refused first, with no look at
     f mod q: F_q, and so every residue field, already holds mu_l.
     Rejection.degree is then 1, the degree of F_q, not that of a residue
-    field. A q = 1 mod m on Q(zeta_m) is then good, since it splits totally;
-    it is returned with w, the primitive m-th root of 1 mod q the caller
-    kept (K.split_root(q) when w is 0). Otherwise the residue degrees come
-    from K.residue_degrees (None means "ramified"), each is tested once,
-    smallest first, and the Rejection names the d that failed.
+    field. kept is what the caller's walk kept for q, or None. A q = 1 mod m
+    on Q(zeta_m) is then good, since it splits totally; it is returned with
+    w, the primitive m-th root of 1 mod q kept (K.split_root(q) when None).
+    Otherwise the residue degrees are the kept ones or K.residue_degrees'
+    (None or () means "ramified"), each is tested once, smallest first, and
+    the Rejection names the d that failed.
     """
     if _sees_mu(q, 1, e):
         return Rejection("root-of-unity", 1)
     m = K.conductor
     if m is not None and q % m == 1:
         # every residue field is F_q
-        return GoodPrime(q, (1,), w or K.split_root(q))
-    degrees = K.residue_degrees(q)
-    if degrees is None:
+        return GoodPrime(q, (1,), kept or K.split_root(q))
+    degrees = K.residue_degrees(q) if kept is None else kept
+    if not degrees:
         return Rejection("ramified")
     for d in degrees:
         if _sees_mu(q, d, e):
@@ -108,76 +105,35 @@ def check_good_prime(q: int, K: NumberField, e: int, w: int = 0):
     return GoodPrime(q, degrees)
 
 
-def _split_block(K: NumberField, b: int, lo: int, hi: int):
-    """The primes q = m t + 1 of Q(zeta_m), t in block b of [lo, hi),
-    ascending and interleaved with their w: q0, w0, q1, w1, ...
-
-    w is 0 until a walk first reaches q. A block is scanned once and kept
-    on K while K holds at most SPLIT_CAP primes, so w is found at most once
-    per kept prime; a block past the cap is scanned again by each walk that
-    reaches it.
-    """
-    block = K.split_blocks.get(b)
-    if block is None:
-        m, t0 = K.conductor, lo + b * SPLIT_BLOCK
-        block = [x for q in range(m * t0 + 1, m * min(t0 + SPLIT_BLOCK, hi) + 1, m)
-                 if is_prime(q) for x in (q, 0)]
-        if sum(map(len, K.split_blocks.values())) + len(block) <= 2 * SPLIT_CAP:
-            # loaded with the first kept block, so import ethroot stays lean
-            from array import array
-
-            # C ints: q, w < 2^SPLIT_BITS
-            block = K.split_blocks[b] = array("i", block)
-    return block
-
-
-def _walk_split_primes(K: NumberField, rng, avoid, budget: int):
-    """(q, w) for the split primes of Q(zeta_m), ascending from a block
-    picked by rng. Raises SearchExhausted after budget primes or at the end
-    of the SPLIT_BITS range."""
-    lo, hi = t_range(SPLIT_BITS, K.conductor)
-    blocks = -(-(hi - lo) // SPLIT_BLOCK)
-    walked = 0
-    for b in range(rng.randrange(min(SPLIT_STARTS, blocks)), blocks):
-        block = _split_block(K, b, lo, hi)
-        for i in range(0, len(block), 2):
-            if walked == budget:
-                raise SearchExhausted(f"no usable prime in {budget} split primes")
-            walked += 1
-            q = block[i]
-            if not any(a % q == 0 for a in avoid):
-                if not block[i + 1]:
-                    block[i + 1] = K.split_root(q)
-                yield q, block[i + 1]
-    raise SearchExhausted(f"the {SPLIT_BITS}-bit split primes ran out")
-
-
 def good_prime_stream(K: NumberField, e: int, seed: int = 0,
                       avoid_divisors_of=(), budget: int = SEARCH_BUDGET):
     """Yield distinct good primes, deterministic under seed.
 
-    On Q(zeta_m) the candidates are consecutive split primes q = m t + 1 just
-    under SPLIT_BITS (residue fields are all F_q, the kernel-friendly shape),
-    taken from the field's kept table from a start block the seed picks, so
-    they depend on the seed alone, whatever ran on the field before; a field
-    with gcd(m, e) > 1 has no good split prime and raises SearchExhausted at
-    once. Other fields draw random GENERIC_BITS primes. Primes dividing an
-    integer of avoid_divisors_of are skipped. Raises SearchExhausted after
-    budget primes (table primes walked, or prime draws).
+    The candidates are consecutive primes of the field's kept table
+    (K.walk_primes), from a start block the seed picks, so they depend on the
+    seed alone, whatever ran on the field before. On Q(zeta_m) they are the
+    split primes q = m t + 1 just under SPLIT_BITS (residue fields are all
+    F_q, the kernel-friendly shape), each kept with its w; a field with
+    gcd(m, e) > 1 has no good split prime and raises SearchExhausted at
+    once. On other fields they are the odd GENERIC_BITS primes, each kept
+    with its residue degrees, so a prime is split into degrees once per
+    field, whatever e asks. Primes dividing an integer of
+    avoid_divisors_of are skipped. Raises SearchExhausted after budget
+    table primes walked.
     """
     rng = derive_rng(seed, "crt-primes")
     m = K.conductor
     if m is None:
-        pairs = ((q, 0) for q in prime_stream(rng, GENERIC_BITS, 1,
-                                              avoid_divisors_of, budget))
+        pairs = K.walk_primes(2, GENERIC_BITS, lambda q: K.residue_degrees(q) or (),
+                              rng, avoid_divisors_of, budget)
     elif math.gcd(m, e) > 1:
         raise SearchExhausted(f"gcd({m}, {e}) > 1: every split prime sees mu_l")
     else:
-        pairs = _walk_split_primes(K, rng, [a for a in avoid_divisors_of if a],
-                                   budget)
-    for q, w in pairs:
+        pairs = K.walk_primes(m, SPLIT_BITS, K.split_root, rng, avoid_divisors_of,
+                              budget)
+    for q, kept in pairs:
         count("crt", "candidates")
-        gp = check_good_prime(q, K, e, w)
+        gp = check_good_prime(q, K, e, kept)
         if isinstance(gp, GoodPrime):
             count("crt", "accepted")
             yield gp

@@ -384,6 +384,8 @@ def _edf(f: list[int], d: int, p: int, rng: random.Random) -> list[list[int]]:
     if n == d:
         return [f]
     ring = _Packed(f, p)
+    if p > 2 and d >= 3:
+        ring.keep_frobenius()  # (p^d - 1)/2 then runs over d images
     for _ in range(SPLIT_DRAWS):
         t = trim([rng.randrange(p) for _ in range(n)])
         if deg(t) < 1:

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import chain
 from typing import NamedTuple
 
 from . import gfpoly
@@ -32,9 +33,18 @@ from .errors import (
     IncompatibleFields,
     IncompleteCover,
     NotInSubfield,
+    SearchExhausted,
     ZeroInput,
 )
-from .primes import factorize, iroot, modinv, multiplicative_order
+from .primes import factorize, iroot, is_prime, modinv, multiplicative_order, t_range
+
+# a field keeps the primes q = M t + 1 its walks reach in blocks of
+# SPLIT_BLOCK consecutive t; a walk starts at one of the first SPLIT_STARTS
+# blocks, picked by its seed; a field keeps at most SPLIT_CAP primes over
+# all its tables
+SPLIT_BLOCK = 128
+SPLIT_STARTS = 256
+SPLIT_CAP = 4096
 
 # -- integer polynomial helpers (index = degree, stripped, [] = 0) ------------
 
@@ -115,8 +125,8 @@ class NumberField:
         self._cinf = None
         self._disc = None
         self._conductor_primes = None  # see split_root()
-        # split primes kept by crtroot.good_prime_stream: block -> (q, w)s
-        self.split_blocks: dict = {}
+        # primes kept by walk_primes: (M, bits, block) -> [q, fact, ...]
+        self.prime_blocks: dict = {}
         # primes l with a good prime seen for e = l^k: crtroot.is_bad_field
         self.good_ells: set[int] = set()
         self._radius = None
@@ -245,6 +255,46 @@ class NumberField:
         if self._conductor_primes is None:
             self._conductor_primes = tuple(factorize(self.conductor))
         return root_of_unity(q, self.conductor, self._conductor_primes)
+
+    def walk_primes(self, M: int, bits: int, fact, rng, avoid, budget: int):
+        """(q, fact(q)) for the primes q = M t + 1 of `bits` bits, ascending
+        from a block rng picks to the end of the range, then from its start
+        up to that block. Primes dividing an integer of avoid are skipped.
+        Raises SearchExhausted after budget primes walked (skipped ones
+        included) or once the whole range is walked.
+
+        The library's one kept-prime table. Its callers fix one fact per
+        (M, bits): w = split_root(q) on Q(zeta_m), whose M are multiples of
+        m; on a generic K the residue degrees for odd q (M = 2) and the
+        degree-1 roots for M = e. A block is scanned once, by is_prime, and
+        kept while K holds at most SPLIT_CAP primes over all tables, so a
+        fact is computed at most once per kept prime, when a walk first
+        reaches it; a block past the cap is scanned again by each walk that
+        reaches it. The primes depend on rng alone, whatever ran on K before.
+        """
+        lo, hi = t_range(bits, M)
+        blocks = -(-(hi - lo) // SPLIT_BLOCK)
+        start = rng.randrange(min(SPLIT_STARTS, blocks))
+        avoid = [a for a in avoid if a]
+        walked = 0
+        for b in chain(range(start, blocks), range(start)):
+            block = self.prime_blocks.get((M, bits, b))
+            if block is None:
+                t0 = lo + b * SPLIT_BLOCK
+                block = [x for q in range(M * t0 + 1, M * min(t0 + SPLIT_BLOCK, hi) + 1, M)
+                         if is_prime(q) for x in (q, None)]
+                if sum(map(len, self.prime_blocks.values())) + len(block) <= 2 * SPLIT_CAP:
+                    self.prime_blocks[M, bits, b] = block
+            for i in range(0, len(block), 2):
+                if walked == budget:
+                    raise SearchExhausted(f"no usable prime in {budget} walked primes")
+                walked += 1
+                q = block[i]
+                if not any(a % q == 0 for a in avoid):
+                    if block[i + 1] is None:
+                        block[i + 1] = fact(q)
+                    yield q, block[i + 1]
+        raise SearchExhausted(f"the {bits}-bit primes q = 1 mod {M} ran out")
 
     def discriminant(self) -> int:
         """disc(f) = (-1)^(n(n-1)/2) N(f'(alpha)), exact, computed once.

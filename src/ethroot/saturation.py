@@ -11,6 +11,9 @@ Character ideals have degree 1, so they are the roots r of f mod q and
 their residue field is F_q itself: the residues u(r), the power
 u^((q-1)/e) and its discrete log base zeta are all computed in integers mod
 q (baby-step giant-step, one table per prime), with no F_q arithmetic.
+The primes and their roots are kept on the field (NumberField.walk_primes),
+so the detection of a saturation loop, which calls it again and again on
+one field, finds each prime's roots once.
 """
 
 import math
@@ -26,6 +29,7 @@ from .numfield import (
     NumberField,
     PrimeIdealRep,
     avoid_integers,
+    split_roots,
 )
 from .primes import (
     OddPrimePower,
@@ -33,7 +37,6 @@ from .primes import (
     derive_rng,
     modinv,
     prime_power_split,
-    prime_stream,
 )
 from .strategy import RootRequest, eth_root
 
@@ -106,36 +109,43 @@ def select_character_primes(K: NumberField, e: int, count: int, U,
                             seed: int = 0, budget: int = SELECT_BUDGET) -> list:
     """Degree-1 primes Q with N(Q) = 1 mod e, units at every u_j, chi tables.
 
-    Cyclotomic fields sample q = 1 mod lcm(e, m), so f splits completely;
-    otherwise q = 1 mod e. Either way the ideals are the roots of f mod q
-    that K.degree_one_roots reads without factoring, in prime_ideals' order.
-    An ideal is built only for a prime that is kept.
-    SearchExhausted after `budget` prime draws.
+    The primes are q = 1 mod M, M = lcm(e, m) on Q(zeta_m), so f splits
+    completely, and M = e otherwise, walked on the field's kept table
+    (K.walk_primes) from a block the seed picks. Their range has
+    count.bit_length() + 8 bits above M, at least CHAR_BITS, so it holds
+    count ideals even for a large M. The ideals are the roots of f mod q, in
+    prime_ideals' order: split_roots of the kept w on Q(zeta_m), and the
+    kept K.degree_one_roots otherwise, so repeated calls on one field find
+    them once. An ideal is built only for a prime that is kept.
+    SearchExhausted after `budget` primes walked.
     """
     ell, _ = check_odd_prime_power(e)
     if count < 1:
         raise ValueError("count must be at least 1")
-    M = e if K.conductor is None else math.lcm(e, K.conductor)
+    m = K.conductor
+    M = e if m is None else math.lcm(e, m)
     rng = derive_rng(seed, "characters")
-    bits = max(CHAR_BITS, M.bit_length() + 8)
-    stream = prime_stream(rng, bits, M, avoid_integers(U), budget)
+    bits = max(CHAR_BITS, M.bit_length() + 8 + count.bit_length())
+    avoid = avoid_integers(U)
+    if m is None:
+        walk = K.walk_primes(M, bits, K.degree_one_roots, rng, avoid, budget)
+    else:
+        walk = ((q, split_roots(q, m, w))
+                for q, w in K.walk_primes(M, bits, K.split_root, rng, avoid, budget))
     out: list = []
-    while len(out) < count:
-        q = next(stream)
-        roots = K.degree_one_roots(q)
+    for q, roots in walk:
         if not roots:
             continue
         z = _order_e_element(q, e, ell, rng)
         exp, log = (q - 1) // e, dlog_mod_p_base(z, e, q)
         for r in roots:
-            if len(out) >= count:
-                break
             try:
                 table = tuple(log(pow(_unit_residue(u, r, q), exp, q)) for u in U)
             except ValueError:
                 continue  # some u_j vanishes mod this ideal; its siblings may do
             out.append(CharacterPrime(PrimeIdealRep(q, ((-r) % q, 1), 1), z, table))
-    return out
+            if len(out) == count:
+                return out
 
 
 def chi(u: FieldElement, cp: CharacterPrime, e: int) -> int:

@@ -73,11 +73,14 @@ def field_elements(p: int, d: int):
 def character_primes_from_ideals(K, e: int, count: int, U, seed: int) -> list:
     """saturation.select_character_primes as read off the degree-1 ideals of
     K.prime_ideals(q), with one dlog_mod_p per log: a reference on any field.
+    The q are those of the same walk of K's kept table; its kept facts are
+    neither read nor written.
     """
     ell, M = sat.prime_power_split(e)[0], math.lcm(e, K.conductor or 1)
     rng = derive_rng(seed, "characters")
-    stream = prime_stream(rng, max(sat.CHAR_BITS, M.bit_length() + 8), M,
-                          avoid_integers(U), sat.SELECT_BUDGET)
+    bits = max(sat.CHAR_BITS, M.bit_length() + 8 + count.bit_length())
+    stream = (q for q, _ in K.walk_primes(M, bits, lambda q: None, rng,
+                                          avoid_integers(U), sat.SELECT_BUDGET))
     out = []
     while len(out) < count:
         q = next(stream)

@@ -270,4 +270,4 @@ def test_bench_caps_workers_at_the_grid_size(capsys, monkeypatch):
 def test_selftest_passes(capsys):
     code, out = run(capsys, ["selftest"])
     assert code == 0
-    assert "10/10 passed" in out
+    assert "11/11 passed" in out

@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from ethroot import cli, crtroot, gfpoly
+from ethroot import cli, crtroot, gfpoly, numfield
 from ethroot.crtroot import (
     GoodPrime,
     Rejection,
@@ -18,7 +18,8 @@ from ethroot.crtroot import (
 from ethroot.errors import NotApplicable, SearchExhausted, VerificationFailed
 from ethroot.fq import factor_mod_p
 from ethroot.numfield import FactoredElement, NumberField, multi_reduce
-from ethroot.primes import factorize, is_prime
+from ethroot.primes import derive_rng, factorize, is_prime
+from ethroot.saturation import select_character_primes
 from helpers import eth_root_mod_q_by_ideals, random_prime, select_crt_primes
 
 
@@ -200,7 +201,7 @@ def test_bad_cyclotomic_field_exhausts_at_once_with_no_table():
         with pytest.raises(SearchExhausted):
             next(good_prime_stream(K, e))
         assert time.perf_counter() - t0 < 0.1
-        assert K.split_blocks == {}
+        assert K.prime_blocks == {}
 
 
 # -- the kept table of split primes ------------------------------------------------
@@ -233,32 +234,39 @@ def test_walked_primes_are_a_scan_of_the_covered_range(m, e):
         avoid = plain[3].q * plain[10].q
         walked = list(itertools.islice(
             good_prime_stream(K, e, seed=seed, avoid_divisors_of=(avoid,)), 60))
-        lo, _ = crtroot.t_range(crtroot.SPLIT_BITS, m)
-        start = crtroot.derive_rng(seed, "crt-primes").randrange(crtroot.SPLIT_STARTS)
-        t_first, t_last = lo + start * crtroot.SPLIT_BLOCK, walked[-1].q // m
+        lo, _ = numfield.t_range(crtroot.SPLIT_BITS, m)
+        start = crtroot.derive_rng(seed, "crt-primes").randrange(numfield.SPLIT_STARTS)
+        t_first, t_last = lo + start * numfield.SPLIT_BLOCK, walked[-1].q // m
         want = [q for q in primes_between(m * t_first + 1, m * t_last + 2)
                 if q % m == 1 and q % e != 1 and avoid % q]
         assert [gp.q for gp in walked] == want
         assert all(has_order(gp.w, m, gp.q) for gp in walked)
     # the blocks a walk passes through are kept, ascending within each
-    for b, block in K.split_blocks.items():
-        qs = list(block[::2])
+    for (M, bits, b), block in K.prime_blocks.items():
+        qs = block[::2]
+        assert (M, bits) == (m, crtroot.SPLIT_BITS)
         assert qs == sorted(qs) and all((q - 1) // m - lo in
-                                        range(b * crtroot.SPLIT_BLOCK,
-                                              (b + 1) * crtroot.SPLIT_BLOCK)
+                                        range(b * numfield.SPLIT_BLOCK,
+                                              (b + 1) * numfield.SPLIT_BLOCK)
                                         for q in qs)
 
 
 def test_walked_primes_depend_on_the_seed_alone():
+    # on Q(zeta_m) and on a generic field, whatever walks of other seeds, e
+    # or M (the character primes') ran on the field before
     def walk(K, e, seed):
-        return [(gp.q, gp.w) for gp in itertools.islice(
-            good_prime_stream(K, e, seed=seed), 40)]
+        return list(itertools.islice(good_prime_stream(K, e, seed=seed), 40))
 
-    fresh = walk(NumberField.cyclotomic(16), 5, 3)
-    K = NumberField.cyclotomic(16)
-    for seed, e in itertools.product(range(6), (3, 7, 25)):
-        walk(K, e, seed)
-    assert walk(K, 5, 3) == fresh
+    for make in (lambda: NumberField.cyclotomic(16), lambda: NumberField([-1, -1, 0, 1])):
+        fresh = walk(make(), 5, 3)
+        K = make()
+        for seed, e in itertools.product(range(6), (3, 7, 25)):
+            walk(K, e, seed)
+            select_character_primes(K, e, 4, [K.element([2, 1])], seed=seed)
+        assert walk(K, 5, 3) == fresh
+    # generic: odd 62-bit table primes, each kept with its residue degrees
+    assert all(gp.q % 2 and gp.q >> 61 == 1 and gp.degrees == K.residue_degrees(gp.q)
+               for gp in fresh)
 
 
 def test_split_root_runs_once_per_kept_prime(monkeypatch):
@@ -270,23 +278,29 @@ def test_split_root_runs_once_per_kept_prime(monkeypatch):
         for gp in itertools.islice(good_prime_stream(K, e, seed=seed), 30):
             assert has_order(gp.w, 20, gp.q)
     # w is found once, for the kept primes a walk reached
-    found = [block[i] for block in K.split_blocks.values()
-             for i in range(0, len(block), 2) if block[i + 1]]
+    found = [block[i] for block in K.prime_blocks.values()
+             for i in range(0, len(block), 2) if block[i + 1] is not None]
     assert sorted(calls) == sorted(found) and len(set(calls)) == len(calls)
 
 
 def test_the_table_keeps_at_most_the_cap_and_walks_past_it(monkeypatch):
+    # the cap counts the primes of every table of the field: the double
+    # CRT's (M = m) and the character primes' (M = lcm(e, m))
     def walk(K, seed):
-        return [(gp.q, gp.w) for gp in itertools.islice(
-            good_prime_stream(K, 3, seed=seed), 120)]
+        return ([(gp.q, gp.w) for gp in itertools.islice(
+            good_prime_stream(K, 3, seed=seed), 120)],
+            select_character_primes(K, 5, 60, U, seed=seed))
 
+    U = [NumberField.cyclotomic(16).element([2, 1])]
     want = [walk(NumberField.cyclotomic(16), seed) for seed in (1, 2)]
-    monkeypatch.setattr(crtroot, "SPLIT_CAP", 50)
+    monkeypatch.setattr(numfield, "SPLIT_CAP", 50)
     K = NumberField.cyclotomic(16)
+    U = [K.element([2, 1])]
     assert [walk(K, seed) for seed in (1, 2)] == want
     assert [walk(K, seed) for seed in (1, 2)] == want
-    kept = sum(len(block) for block in K.split_blocks.values()) // 2
+    kept = sum(len(block) for block in K.prime_blocks.values()) // 2
     assert 0 < kept <= 50
+    assert {M for M, _, _ in K.prime_blocks} <= {16, 80}
 
 
 def test_split_walk_budget_counts_walked_primes(monkeypatch):
@@ -310,11 +324,52 @@ def test_split_walk_ends_with_the_range(monkeypatch):
     with pytest.raises(SearchExhausted):
         for gp in stream:
             got.append(gp.q)
-    lo, hi = crtroot.t_range(12, 16)
+    lo, hi = numfield.t_range(12, 16)
     assert lo * 16 + 1 >= 2 ** 11 and (hi - 1) * 16 + 1 < 2 ** 12
     # one block covers the 12-bit range, so the walk is all of it
     assert got == [q for q in primes_between(2 ** 11, 2 ** 12)
                    if q % 16 == 1 and q % 3 != 1 and (q - 1) // 16 < hi]
+
+
+
+def walk_to_the_end(walk) -> list:
+    got = []
+    with pytest.raises(SearchExhausted):
+        for q, _ in walk:
+            got.append(q)
+    return got
+
+
+class LastBlock:
+    """An rng that starts every walk at the range's last block."""
+
+    def randrange(self, n):
+        return n - 1
+
+
+@pytest.mark.parametrize("M", [2, 3, 10, 16])
+def test_a_walk_passes_once_over_its_whole_range(M):
+    # every walked q is prime and 1 mod M; the walk ascends from its start
+    # block to the range's end, then from block 0 up to the start block
+    K = NumberField([-1, -1, 0, 1])
+    lo, hi = numfield.t_range(14, M)
+    want = [q for q in primes_between(2 ** 13, 2 ** 14)
+            if q % M == 1 and (q - 1) // M < hi]
+    facts = []
+
+    def block(q):
+        return ((q - 1) // M - lo) // numfield.SPLIT_BLOCK
+
+    for rng in (*(derive_rng(seed, "walk") for seed in range(3)), LastBlock()):
+        got = walk_to_the_end(K.walk_primes(
+            M, 14, lambda q: facts.append(q) or -q, rng, (), 10 ** 6))
+        i = want.index(got[0])
+        assert got == want[i:] + want[:i]
+        assert i == 0 or block(want[i - 1]) < block(want[i])  # a block's first
+    # the last walk started in the last block
+    assert i > 0 and block(want[i]) == block(want[-1])
+    # each kept prime's fact was computed once, by the walk that reached it first
+    assert sorted(facts) == want
 
 
 def test_is_bad_field():

@@ -1,6 +1,7 @@
 """gfpoly division, modular products and powers against schoolbook references."""
 
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -216,6 +217,34 @@ def test_frobenius_power_matches_square_and_multiply(data):
         given_rows.keep_frobenius(xp)
         assert given_rows.frob == frob.frob
         assert given_rows.power(a, n) == plain.power(a, n)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(st.data())
+def test_equal_degree_split_over_frobenius_images_matches_the_rowless_ring(data):
+    # at d >= 3 _edf keeps the Frobenius rows of its ring; the factors, and
+    # their order, are those of plain square-and-multiply
+    p = data.draw(st.sampled_from([3, 5, 7, 31, 65521, (1 << 31) - 1]), label="p")
+    d = data.draw(st.integers(3, 5), label="d")
+    k = data.draw(st.integers(2, 4), label="factors")
+    rng = random.Random(data.draw(st.integers(0, 1 << 32), label="seed"))
+    factors = []
+    while len(factors) < k:
+        g = random_irreducible(d, p, rng)
+        if g not in factors:
+            factors.append(g)
+    f = [1]
+    for g in factors:
+        f = gfpoly.mul(f, g, p)
+    seed = rng.random()
+    keep = gfpoly._Packed.keep_frobenius
+    with mock.patch.object(gfpoly._Packed, "keep_frobenius", autospec=True,
+                           side_effect=keep) as kept:
+        got = gfpoly._edf(f, d, p, random.Random(seed))
+    assert kept.called
+    with mock.patch.object(gfpoly._Packed, "keep_frobenius", lambda self, xp=None: None):
+        assert gfpoly._edf(f, d, p, random.Random(seed)) == got
+    assert sorted(got) == sorted(factors)
 
 
 # -- powers of t by shifts ------------------------------------------------------

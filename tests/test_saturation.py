@@ -1,5 +1,6 @@
 """Character, kernel, and saturation pipeline tests."""
 
+import itertools
 import random
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from ethroot import gfpoly
 from ethroot import saturation as sat
+from ethroot.crtroot import good_prime_stream
 from ethroot.errors import (
     BudgetExceeded,
     IncompatibleFields,
@@ -203,6 +205,56 @@ def test_generic_character_primes_match_prime_ideals(f, e):
         got = select_character_primes(K, e, count, U, seed=seed)
         assert got == character_primes_from_ideals(K, e, count, U, seed)
 
+
+
+def test_character_primes_depend_on_the_seed_alone():
+    # whatever walks of other seeds, e or M (and the double CRT's) ran on
+    # the field before, a call reads the same primes from its kept table
+    def select(K, e, seed):
+        U = [K.element([2, 1]), K.element([3, -1])]
+        return select_character_primes(K, e, 2 * K.n + 3, U, seed=seed)
+
+    for make in (lambda: NumberField([-1, -1, 0, 1]), lambda: NumberField.cyclotomic(16)):
+        fresh = select(make(), 5, 3)
+        K = make()
+        for seed, e in itertools.product(range(5), (3, 7, 25)):
+            select(K, e, seed)
+            next(good_prime_stream(K, e, seed=seed))
+        assert select(K, 5, 3) == fresh
+
+
+def test_character_primes_of_a_large_e_fill_their_range(monkeypatch):
+    # Q(zeta_4), e = 3^25: M = 4e leaves about 2^12 values of t for 23
+    # ideals, two per prime, and every seed's walk finds them. The dlog
+    # tables (2^20 baby steps a prime) are stubbed: only the primes count.
+    monkeypatch.setattr(sat, "dlog_mod_p_base", lambda z, e, q: lambda t: 0)
+    e = 3 ** 25
+    for seed in range(4):
+        cps = select_character_primes(K4, e, 23, U4, seed=seed)
+        assert len(cps) == 23
+        assert all(cp.Q_ideal.p % (4 * e) == 1 for cp in cps)
+
+
+def test_character_walk_wraps_past_the_end_of_its_range():
+    # x^3 - x - 1, e = 2^31 - 1: 32 blocks of t, and seed 4 starts in the
+    # last one, so the walk goes on from the range's first block
+    K = NumberField([-1, -1, 0, 1])
+    e = 2 ** 31 - 1
+    U = [K.element([2, 1]), K.element([3, 2])]
+    cps = select_character_primes(K, e, 23, U, seed=4)
+    qs = [cp.Q_ideal.p for cp in cps]
+    assert len(cps) == 23 and qs != sorted(qs)
+    assert cps == character_primes_from_ideals(K, e, 23, U, 4)
+    assert all(chi(u, cp, e) == cp.table[j] for cp in cps[:3] for j, u in enumerate(U))
+
+
+def test_detect_planted_relation_at_a_31_bit_e():
+    # e = 2^31 - 1 on x^3 - x - 1: the character primes lie above 40 bits
+    K = NumberField([-1, -1, 0, 1])
+    e = 2 ** 31 - 1
+    G = GeneratingSet([K.element([2, 1]), K.element([3, 2])], [[e, 0], [0, 1]])
+    for seed in (0, 4):
+        assert [alpha for alpha, _ in detect_eth_powers(G, e, K, seed=seed)] == [(1, 0)]
 
 def test_select_preconditions():
     with pytest.raises(ValueError):
