@@ -16,7 +16,7 @@ from concurrent.futures import ProcessPoolExecutor
 from .errors import BudgetExceeded, EthrootError, NotAnEthPower, SearchExhausted
 from .crtroot import eth_root_double_crt
 from .numfield import FactoredElement, NumberField
-from .primes import check_odd_prime_power, derive_rng
+from .primes import OddPrimePower, derive_rng
 from .saturation import GeneratingSet, detect_eth_powers
 from .strategy import METHODS, RootRequest, eth_root
 from .verify import verify_root
@@ -246,7 +246,7 @@ def _bench_specs(args) -> list:
     for m in ms:
         NumberField.cyclotomic(m)
     for e in es:
-        check_odd_prime_power(e)
+        OddPrimePower(e)
     return [(args.suite, method, m, e, b, args.seed + rep)
             for m in ms for e in es for b in _grid(args.bits_grid, bits)
             for rep in range(args.reps)]

@@ -41,7 +41,7 @@ from .numfield import (
     relative_norm,
 )
 from .primes import (
-    check_odd_prime_power,
+    OddPrimePower,
     derive_rng,
     euler_phi,
     factorize,
@@ -91,19 +91,18 @@ def make_couveignes_prime(K: NumberField, emb: SubfieldEmbedding, p: int):
 
 
 def select_couveignes_primes(K: NumberField, emb: SubfieldEmbedding, e: int,
-                             B: int, seed: int = 0, avoid=(),
-                             budget: int = PRIME_BUDGET) -> list:
+                             B: int, seed: int = 0, avoid=()) -> list:
     """Distinct admissible primes with prod p > 2B.
 
     Candidates are CRT_BITS-bit primes prime to m and to avoid, which lists
     integers whose prime factors must be skipped (denominators, numerator
     contents of the eventual reductions); make_couveignes_prime tests each.
-    SearchExhausted after `budget` prime draws.
+    SearchExhausted after PRIME_BUDGET prime draws.
     """
     if math.gcd(emb.degree, e) != 1:
         raise ValueError("[K:L] must be prime to e")
     rng = derive_rng(seed, "couveignes")
-    stream = prime_stream(rng, CRT_BITS, avoid=(*avoid, K.conductor), budget=budget)
+    stream = prime_stream(rng, CRT_BITS, avoid=(*avoid, K.conductor), budget=PRIME_BUDGET)
     chosen: list[CouveignesPrime] = []
     product = 1
     while product <= 2 * B:
@@ -161,7 +160,7 @@ def eth_root_couveignes(y: FactoredElement, e: int, K: NumberField,
     root decides which of the e conjugates x*zeta_e^j comes back. Callers
     therefore compare e-th powers, never roots.
     """
-    check_odd_prime_power(e)
+    e = OddPrimePower(e)
     if y.field != K or emb.K != K:
         raise IncompatibleFields("y and emb must both live over K")
     if math.gcd(emb.degree, e) != 1:
@@ -235,7 +234,7 @@ def build_tower(K: NumberField, e: int) -> TowerPlan:
     when already the first step fails (the strategy then falls back to
     lattice reconstruction in K itself).
     """
-    l, _ = check_odd_prime_power(e)
+    l, _ = OddPrimePower(e).split
     m = K.conductor
     if m is None:
         raise ValueError("tower construction needs a cyclotomic field")

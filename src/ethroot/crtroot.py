@@ -32,16 +32,12 @@ from .numfield import (
     crt_integers_symmetric,
     multi_reduce,
 )
-from .primes import (
-    check_odd_prime_power,
-    derive_rng,
-    prime_power_split,
-    prime_stream,
-)
+from .primes import OddPrimePower, derive_rng, prime_stream
 from .verify import verify_root
 
-# prime draws for prime selection before giving up
+# table primes the double CRT walks before giving up
 SEARCH_BUDGET = 10 ** 6
+BAD_FIELD_CANDIDATES = 200  # random primes is_bad_field tries on a generic K
 
 # split primes stay below 29 bits so the vectorized kernel can keep products
 # of two residues inside int64; generic primes use most of the word
@@ -106,7 +102,7 @@ def check_good_prime(q: int, K: NumberField, e: int, kept=None):
 
 
 def good_prime_stream(K: NumberField, e: int, seed: int = 0,
-                      avoid_divisors_of=(), budget: int = SEARCH_BUDGET):
+                      avoid_divisors_of=()):
     """Yield distinct good primes, deterministic under seed.
 
     The candidates are consecutive primes of the field's kept table
@@ -118,19 +114,19 @@ def good_prime_stream(K: NumberField, e: int, seed: int = 0,
     once. On other fields they are the odd GENERIC_BITS primes, each kept
     with its residue degrees, so a prime is split into degrees once per
     field, whatever e asks. Primes dividing an integer of
-    avoid_divisors_of are skipped. Raises SearchExhausted after budget
-    table primes walked.
+    avoid_divisors_of are skipped. Raises SearchExhausted after
+    SEARCH_BUDGET table primes walked.
     """
     rng = derive_rng(seed, "crt-primes")
     m = K.conductor
     if m is None:
         pairs = K.walk_primes(2, GENERIC_BITS, lambda q: K.residue_degrees(q) or (),
-                              rng, avoid_divisors_of, budget)
+                              rng, avoid_divisors_of, SEARCH_BUDGET)
     elif math.gcd(m, e) > 1:
         raise SearchExhausted(f"gcd({m}, {e}) > 1: every split prime sees mu_l")
     else:
         pairs = K.walk_primes(m, SPLIT_BITS, K.split_root, rng, avoid_divisors_of,
-                              budget)
+                              SEARCH_BUDGET)
     for q, kept in pairs:
         count("crt", "candidates")
         gp = check_good_prime(q, K, e, kept)
@@ -188,7 +184,7 @@ def eth_root_double_crt(y: FactoredElement, e: int, K: NumberField,
     split kernel that check is three more good primes, which ride in the
     kernel's grid; elsewhere it is one verify_root, which needs no factoring.
     """
-    check_odd_prime_power(e)
+    e = OddPrimePower(e)
     terms = [(u, a) for u, a in y.terms if a != 0]
     if not terms:
         return K.one
@@ -233,27 +229,26 @@ def eth_root_double_crt(y: FactoredElement, e: int, K: NumberField,
     return x
 
 
-def is_bad_field(K: NumberField, e: int, seed: int = 0,
-                 candidates: int = 200) -> bool:
+def is_bad_field(K: NumberField, e: int, seed: int = 0) -> bool:
     """True when no good primes exist (or none found heuristically).
 
-    For e = l^k. Cyclotomic fields are decided exactly: bad iff l divides m,
+    For odd e = l^k. Cyclotomic fields are decided exactly: bad iff l | m,
     i.e. gcd(m, e) > 1, since that puts a primitive l-th root of unity in K
     and hence in every residue field. Generic fields fall back to scanning
-    `candidates` random primes. Whether q is good depends on l alone, so one
-    good prime certifies "good" for every e = l^k and every seed:
+    BAD_FIELD_CANDIDATES random primes. Whether q is good depends on l alone,
+    so one good prime certifies "good" for every e = l^k and every seed:
     K.good_ells keeps that answer. A "bad" verdict is only heuristic and is
     not kept.
     """
+    l, _ = OddPrimePower(e).split
     if K.conductor is not None:
         return math.gcd(K.conductor, e) > 1
-    l, _ = prime_power_split(e)
     if l in K.good_ells:
         return False
     rng = derive_rng(seed, "badfield")
     try:
-        good = any(isinstance(check_good_prime(q, K, e), GoodPrime)
-                   for q in prime_stream(rng, GENERIC_BITS, budget=candidates))
+        stream = prime_stream(rng, GENERIC_BITS, budget=BAD_FIELD_CANDIDATES)
+        good = any(isinstance(check_good_prime(q, K, e), GoodPrime) for q in stream)
     except SearchExhausted:
         good = False
     if good:

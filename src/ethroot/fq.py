@@ -19,9 +19,10 @@ import random
 
 from . import gfpoly
 from .errors import BudgetExceeded, NotAPower, NotInGroup, ZeroInput
-from .primes import check_odd_prime_power, modinv
+from .primes import OddPrimePower, modinv
 
-DLOG_BUDGET = 1 << 40  # largest order a baby-step giant-step log may take
+DLOG_BUDGET = 1 << 40  # largest order a discrete log may take
+DLOG_DIGIT = 1 << 20  # largest order one baby-step giant-step table covers
 
 
 def factor_mod_p(f: list[int], p: int, seed: int = 0) -> list[tuple[list[int], int]]:
@@ -91,35 +92,52 @@ def _bsgs(target: list[int], base: list[int], order: int, ring) -> int:
     raise NotInGroup("element outside the cyclic group")
 
 
-def dlog_mod_p(t: int, z: int, e: int, p: int) -> int:
-    """log_z t mod e in F_p*, z of exact order e: one dlog_mod_p_base log."""
-    return dlog_mod_p_base(z, e, p)(t)
-
-
 def dlog_mod_p_base(z: int, e: int, p: int):
-    """t -> log_z t mod e in F_p*, z of exact order e, by integer baby-step
-    giant-step, the baby steps and z^-m taken once for every t. Raises
-    BudgetExceeded for e above DLOG_BUDGET; each log raises NotInGroup for a
-    t outside <z>."""
+    """t -> log_z t mod e in F_p*, z of exact order e = l^k, in base-D
+    digits (Pohlig-Hellman 1978), D the largest power of l up to DLOG_DIGIT
+    (l itself when l is larger; e when e is below it), each digit by integer
+    baby-step giant-step in <z^(e/D)>, whose baby steps and giant step are
+    taken once for every t. Raises BudgetExceeded for e above DLOG_BUDGET;
+    each log raises NotInGroup for a t outside <z>."""
     if e > DLOG_BUDGET:
         raise BudgetExceeded(f"dlog order {e} above 2^40 budget")
-    m = math.isqrt(e - 1) + 1
+    D = e
+    if e > DLOG_DIGIT:
+        ell, _ = OddPrimePower(e).split
+        D = ell
+        while D * ell <= DLOG_DIGIT:  # so D * ell divides e
+            D *= ell
+    m = math.isqrt(D - 1) + 1
+    gamma = pow(z, e // D, p)
     baby: dict[int, int] = {}
     cur = 1
     for j in range(m):
         baby.setdefault(cur, j)
-        cur = cur * z % p
-    giant = pow(z, -m, p)
+        cur = cur * gamma % p
+    giant = pow(gamma, -m, p)
+
+    def digit(h: int) -> int:
+        # log_gamma h mod D
+        for g in range(m + 1):
+            if h in baby:
+                return (g * m + baby[h]) % D
+            h = h * giant % p
+        raise NotInGroup("element outside the cyclic group")
 
     def log(t: int) -> int:
         if pow(t, e, p) != 1:
             raise NotInGroup("element is not in the order-e subgroup")
-        cur = t % p
-        for g in range(m + 1):
-            if cur in baby:
-                return (g * m + baby[cur]) % e
-            cur = cur * giant % p
-        raise NotInGroup("element outside the cyclic group")
+        if D == e:
+            return digit(t % p)
+        # x is log_z t mod `known`; the next digit b = min(D, e/known) is
+        # the log of (t z^-x)^(e/(known b)), of order b, in <gamma^(D/b)>
+        x, known = 0, 1
+        while known < e:
+            b = min(D, e // known)
+            h = pow(t * pow(z, -x, p) % p, e // (known * b), p)
+            x += digit(h) // (D // b) * known
+            known *= b
+        return x
 
     return log
 
@@ -159,7 +177,7 @@ def fq_eth_root(y: list[int], e: int, ring) -> list[int]:
     y is a coefficient list, reduced here; x comes back reduced. In the
     unique-root case (gcd(e, q-1) = 1) the returned x is that root.
     """
-    ell, k = check_odd_prime_power(e)
+    ell, k = OddPrimePower(e).split
     y = gfpoly.rem(y, ring.mod, ring.p)
     if not y:
         raise ZeroInput("e-th root of zero requested")

@@ -40,12 +40,11 @@ from .numfield import (
     coeff_bound_root,
 )
 from .primes import (
-    check_odd_prime_power,
+    OddPrimePower,
     derive_rng,
     is_cyclic_unit_group,
     is_prime,
     modinv,
-    prime_power_split,
     prime_stream,
 )
 from .verify import verify_root
@@ -88,20 +87,20 @@ def is_inert(K: NumberField, p: int) -> bool:
     return is_prime(p) and K.residue_degrees(p) == (K.n,)
 
 
-def find_inert_prime(K: NumberField, e: int, budget: int = INERT_BUDGET,
-                     seed: int = 0, avoid=()) -> int | None:
+def find_inert_prime(K: NumberField, e: int, seed: int = 0,
+                     avoid=()) -> int | None:
     """Random 16-bit prime p with f irreducible mod p, p prime to e and avoid.
 
     Returns None when none exists (non-cyclic Galois group, e.g. Q(zeta_8))
-    or after `budget` prime draws, repeats included: there are only 3,030
-    primes of 16 bits.
+    or after INERT_BUDGET prime draws, repeats included: there are only
+    3,030 primes of 16 bits.
     """
     if K.conductor is not None and not is_cyclic_unit_group(K.conductor):
         return None
     rng = derive_rng(seed, "inert")
     try:
         return next(p for p in prime_stream(rng, INERT_BITS, avoid=(*avoid, e),
-                                             budget=budget)
+                                             budget=INERT_BUDGET)
                     if is_inert(K, p))
     except SearchExhausted:
         return None
@@ -134,11 +133,11 @@ def _symmetric(c: int, M: int) -> int:
     return c - M if 2 * c > M else c
 
 
-def _check_converged(a_mod, x, e, ring):
-    # quadratic convergence contract: a * x^e = 1 in the step's packed ring
+def _check_converged(t, M):
+    # quadratic convergence contract: t = a * x^e - 1 is 0 mod (M, f)
     count("padic", "lift_checks")
-    if ring.mul(a_mod, ring.power(x, e)) != [1]:
-        raise VerificationFailed(f"Newton convergence check failed at modulus {ring.p}")
+    if any(c % M for c in t):
+        raise VerificationFailed(f"Newton convergence check failed at modulus {M}")
 
 
 def hensel_lift(a_poly: list[int], x0: list[int], e: int,
@@ -149,7 +148,8 @@ def hensel_lift(a_poly: list[int], x0: list[int], e: int,
     residue of the field F_p[x]/(ctx.f mod p) with a * x0^e = 1. One update
         x <- x - (1/e) x (a x^e - 1)
     per doubling, 1/e recomputed mod each p^{2^i}; no other inversions. Each
-    step and its check run in the context's ring of that step.
+    step runs in the context's ring of that step, and its residual a x^e - 1
+    is 0 mod the last step's modulus iff that step converged: its check.
     """
     p, field = ctx.p, ctx.rings[0]
     abar = gfpoly.rem(list(a_poly), field.mod, p)
@@ -162,9 +162,12 @@ def hensel_lift(a_poly: list[int], x0: list[int], e: int,
         ai = [c % M for c in a_poly]
         inv_e = modinv(e, M)
         t = gfpoly.sub(ring.mul(ai, ring.power(x, e)), [1], M)
+        if i > 1:
+            _check_converged(t, ctx.rings[i - 1].p)
         x = gfpoly.sub(x, gfpoly.scale(ring.mul(x, t), inv_e, M), M)
         count("padic", "lift_steps")
-        _check_converged(ai, x, e, ring)
+    if ctx.kappa:
+        _check_converged(gfpoly.sub(ring.mul(ai, ring.power(x, e)), [1], M), M)
     return x
 
 
@@ -285,17 +288,15 @@ def hensel_factor_lift(g: list[int], f: list[int], p: int, a: int) -> list[int]:
 
 
 def build_ideal_lattice(pil: PrimeIdealRep, a: int, K: NumberField,
-                        ga: list[int] | None = None) -> list[list[int]]:
+                        ga: list[int]) -> list[list[int]]:
     """Lower-triangular row basis of pil^a = (p^a, g_a(alpha)), n x n.
 
     The rows are p^a e_i for i < f, then the coefficient rows of x^j g_a for
-    j < n - f; g_a is monic of degree f, so the diagonal is f times p^a and
-    then n - f ones.
+    j < n - f; g_a, from hensel_factor_lift, is monic of degree f, so the
+    diagonal is f times p^a and then n - f ones.
     """
     p, n, f = pil.p, K.n, pil.f_deg
     pa = p ** a
-    if ga is None:
-        ga = hensel_factor_lift(list(pil.g), list(K.f), p, a)
     basis = [[pa if i == j else 0 for i in range(n)] for j in range(f)]
     basis += [[0] * j + list(ga) + [0] * (n - f - 1 - j) for j in range(n - f)]
     if math.prod(basis[i][i] for i in range(n)) != p ** (a * f):
@@ -432,8 +433,8 @@ def eth_root_padic_reconstruct(y: FactoredElement, e: int, K: NumberField,
     nearest-plane residual is the symmetric residue of each coordinate. That
     rounding is exact once p^a > 2B', so the box test always holds there.
     """
-    check_odd_prime_power(e)
-    l, k = prime_power_split(e)
+    e = OddPrimePower(e)
+    l, k = e.split
     p = pil.p
     terms = [(u, aa) for u, aa in y.terms if aa != 0]
     if not terms:
@@ -462,7 +463,7 @@ def eth_root_padic_reconstruct(y: FactoredElement, e: int, K: NumberField,
         except NotAPower as exc:
             raise RootSeedMissing("y mod pil is not an e-th power residue") from exc
         if not inert:
-            red = lll_reduce(build_ideal_lattice(pil, a, K, ga=ga))
+            red = lll_reduce(build_ideal_lattice(pil, a, K, ga))
         for tried, cand in enumerate(_twist_candidates(x0, field, l, k, seed), 1):
             xk = hensel_lift(a_poly, cand, e, ctx)
             approx = top.mul(Y, xk)

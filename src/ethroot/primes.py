@@ -113,17 +113,17 @@ def _strong_lucas(n: int) -> bool:
     return False
 
 
-def prime_stream(rng: random.Random, bits: int, modulus: int = 1, avoid=(),
-                 budget: int | None = None):
+def prime_stream(rng: random.Random, bits: int, modulus: int = 1, avoid=(), *,
+                 budget: int):
     """Yield distinct random primes q in [2^(bits-1), 2^bits), q = 1 mod modulus.
 
     The one candidate loop of the package. With modulus 1 a candidate is an
     odd number of the range; otherwise it is modulus * t + 1 with t drawn so
     that q stays in the range. Primes dividing a nonzero integer of avoid
     are skipped. After budget primes have been drawn (repeats and skipped
-    ones included; composites are not counted) SearchExhausted is raised;
-    None means no limit. The draws stay on rng, so a caller may draw from
-    it between two yields and the stream still replays under a seed.
+    ones included; composites are not counted) SearchExhausted is raised.
+    The draws stay on rng, so a caller may draw from it between two yields
+    and the stream still replays under a seed.
     """
     if bits < 2:
         raise ValueError("prime_stream needs bits >= 2")
@@ -140,7 +140,7 @@ def prime_stream(rng: random.Random, bits: int, modulus: int = 1, avoid=(),
     avoid = [a for a in avoid if a]
     seen = set()
     drawn = 0
-    while budget is None or drawn < budget:
+    while drawn < budget:
         q = draw()
         if not is_prime(q):
             continue
@@ -176,40 +176,26 @@ def iroot(n: int, k: int) -> int:
         x = y
 
 
-def prime_power_split(e: int) -> tuple[int, int]:
-    """Return (l, k) with e = l^k, l prime. Raises Unsupported otherwise."""
-    if isinstance(e, OddPrimePower):
-        return e.split
-    if e < 2:
-        raise Unsupported(f"e = {e} is not a prime power")
-    if is_prime(e):
-        return e, 1
-    for k in range(e.bit_length(), 1, -1):
-        r = iroot(e, k)
-        if r ** k == e and is_prime(r):
-            return r, k
-    raise Unsupported(f"e = {e} is not a prime power")
-
-
-def check_odd_prime_power(e: int) -> tuple[int, int]:
-    l, k = prime_power_split(e)
-    if l == 2:
-        raise Unsupported("even e is out of scope")
-    return l, k
-
-
 class OddPrimePower(int):
-    """An exponent e = l^k, l an odd prime, checked once when made.
+    """An exponent e = l^k, l an odd prime: the one test and split of e.
 
-    prime_power_split and check_odd_prime_power return its (l, k) with no
-    primality test, so a caller that validates e and passes this down spares
-    every layer below the test. Arithmetic on it gives plain ints.
+    The test runs once, when the value is made, and split holds (l, k), so a
+    caller that validates e and passes this down spares every layer below
+    the test. Raises Unsupported for any other e. Arithmetic on it gives
+    plain ints.
     """
 
     def __new__(cls, e: int) -> "OddPrimePower":
         if isinstance(e, OddPrimePower):
             return e
-        split = check_odd_prime_power(e)
+        # k = 1 first: a prime e costs one is_prime; a prime power has one split
+        ks = range(1, e.bit_length() + 1) if e > 1 else ()
+        split = next(((r, k) for k in ks
+                      if (r := iroot(e, k)) ** k == e and is_prime(r)), None)
+        if split is None:
+            raise Unsupported(f"e = {e} is not a prime power")
+        if split[0] == 2:
+            raise Unsupported("even e is out of scope")
         self = super().__new__(cls, e)
         self.split = split
         return self

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from . import gfpoly
 from .errors import IncompatibleFields, NotUnit, RamifiedE, ZeroInput
-from .fq import DLOG_BUDGET, dlog_mod_p, dlog_mod_p_base
+from .fq import DLOG_BUDGET, dlog_mod_p_base
 from .fq import factor_mod_p  # noqa: F401, wrapped at this module by layerbench
 from .numfield import (
     FactoredElement,
@@ -31,13 +31,7 @@ from .numfield import (
     avoid_integers,
     split_roots,
 )
-from .primes import (
-    OddPrimePower,
-    check_odd_prime_power,
-    derive_rng,
-    modinv,
-    prime_power_split,
-)
+from .primes import OddPrimePower, derive_rng, modinv
 from .strategy import RootRequest, eth_root
 
 CHAR_BITS = 29
@@ -106,7 +100,7 @@ def _order_e_element(q: int, e: int, ell: int, rng) -> int:
 
 
 def select_character_primes(K: NumberField, e: int, count: int, U,
-                            seed: int = 0, budget: int = SELECT_BUDGET) -> list:
+                            seed: int = 0) -> list:
     """Degree-1 primes Q with N(Q) = 1 mod e, units at every u_j, chi tables.
 
     The primes are q = 1 mod M, M = lcm(e, m) on Q(zeta_m), so f splits
@@ -117,9 +111,9 @@ def select_character_primes(K: NumberField, e: int, count: int, U,
     prime_ideals' order: split_roots of the kept w on Q(zeta_m), and the
     kept K.degree_one_roots otherwise, so repeated calls on one field find
     them once. An ideal is built only for a prime that is kept.
-    SearchExhausted after `budget` primes walked.
+    SearchExhausted after SELECT_BUDGET primes walked.
     """
-    ell, _ = check_odd_prime_power(e)
+    ell, _ = OddPrimePower(e).split
     if count < 1:
         raise ValueError("count must be at least 1")
     m = K.conductor
@@ -128,10 +122,11 @@ def select_character_primes(K: NumberField, e: int, count: int, U,
     bits = max(CHAR_BITS, M.bit_length() + 8 + count.bit_length())
     avoid = avoid_integers(U)
     if m is None:
-        walk = K.walk_primes(M, bits, K.degree_one_roots, rng, avoid, budget)
+        walk = K.walk_primes(M, bits, K.degree_one_roots, rng, avoid, SELECT_BUDGET)
     else:
         walk = ((q, split_roots(q, m, w))
-                for q, w in K.walk_primes(M, bits, K.split_root, rng, avoid, budget))
+                for q, w in K.walk_primes(M, bits, K.split_root, rng, avoid,
+                                          SELECT_BUDGET))
     out: list = []
     for q, roots in walk:
         if not roots:
@@ -151,18 +146,19 @@ def select_character_primes(K: NumberField, e: int, count: int, U,
 def chi(u: FieldElement, cp: CharacterPrime, e: int) -> int:
     """Power residue symbol as a residue mod e: log_zeta of u^((Q-1)/e) mod Q.
 
-    Zero exactly on the e-th power residues; u must be a unit at the ideal.
-    IncompatibleFields unless zeta has exact order e mod Q.
+    Zero exactly on the e-th power residues; u must be a unit at the ideal,
+    e an odd prime power. IncompatibleFields unless zeta has exact order e
+    mod Q.
     """
     ideal = cp.Q_ideal
     if ideal.f_deg != 1:
         raise ValueError("character ideals must have degree 1")
     q, z = ideal.p, cp.zeta
-    ell, _ = prime_power_split(e)
+    ell, _ = OddPrimePower(e).split
     if pow(z, e, q) != 1 or pow(z, e // ell, q) == 1:
         raise IncompatibleFields(f"zeta does not have order {e} mod {q}")
     val = _unit_residue(u, (-ideal.g[0]) % q, q)
-    return dlog_mod_p(pow(val, (q - 1) // e, q), z, e, q)
+    return dlog_mod_p_base(z, e, q)(pow(val, (q - 1) // e, q))
 
 
 def schirokauer_map(u: FieldElement, e: int, K: NumberField) -> list:
@@ -171,7 +167,7 @@ def schirokauer_map(u: FieldElement, e: int, K: NumberField) -> list:
     rho is the exponent of (O/eO)*, so u^rho = 1 mod e for every u coprime
     to e and the division is exact; e-th powers land on the zero vector.
     """
-    ell, k = check_odd_prime_power(e)
+    ell, k = OddPrimePower(e).split
     degrees = K.residue_degrees(ell)
     if degrees is None:
         raise RamifiedE(f"{ell} ramifies in K (f not squarefree mod {ell})")
@@ -247,13 +243,13 @@ def _val_ell(a: int, ell: int, k: int) -> int:
 
 
 def kernel_mod_e(M, e: int) -> list:
-    """Generators of the left kernel over Z/eZ, e a prime power.
+    """Generators of the left kernel over Z/eZ, e an odd prime power.
 
     Howell-style elimination on [M | I]: pivots are normalized to ell^v, and
     ell^(k-v) times each pivot row is kept in play so kernel vectors hiding
     above a non-unit pivot are not lost. Redundant generators are fine.
     """
-    ell, k = prime_power_split(e)
+    ell, k = OddPrimePower(e).split
     rows = M.M if isinstance(M, CharacterMatrix) else M
     s = len(rows)
     width = len(rows[0]) if s else 0
@@ -307,7 +303,7 @@ def detect_eth_powers(G: GeneratingSet, e: int, K: NumberField,
     power residue characters; above it only Schirokauer and valuation
     columns are used, exactly the cheap large-e recipe.
     """
-    check_odd_prime_power(e)
+    e = OddPrimePower(e)
     s, r = len(G.E), len(G.U)
     columns: list = []
     if G.valuations is not None:

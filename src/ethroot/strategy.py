@@ -39,6 +39,7 @@ from .primes import OddPrimePower, derive_rng, prime_stream
 METHODS = ("auto", "double_crt", "padic", "reconstruct", "couveignes")
 
 RECONSTRUCT_PRIME_BITS = 16
+RECONSTRUCT_BUDGET = 200  # prime draws of pick_reconstruct_ideal
 
 
 @dataclass
@@ -78,16 +79,17 @@ class RootResult:
 
 
 def pick_reconstruct_ideal(K: NumberField, e: int, seed: int = 0,
-                           avoid=(), budget: int = 200) -> PrimeIdealRep:
+                           avoid=()) -> PrimeIdealRep:
     """An unramified prime ideal for the lattice backend.
 
     Samples small primes prime to e and avoid, and returns the last (largest
     degree) ideal above the first unramified one: larger residue degree means
     lower p-adic precision for the same lattice volume. SearchExhausted after
-    `budget` prime draws.
+    RECONSTRUCT_BUDGET prime draws.
     """
     rng = derive_rng(seed, "reconstruct-ideal")
-    for p in prime_stream(rng, RECONSTRUCT_PRIME_BITS, avoid=(*avoid, e), budget=budget):
+    for p in prime_stream(rng, RECONSTRUCT_PRIME_BITS, avoid=(*avoid, e),
+                          budget=RECONSTRUCT_BUDGET):
         ideals = K.prime_ideals(p)
         if ideals is not None:
             return ideals[-1]

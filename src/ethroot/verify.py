@@ -58,7 +58,7 @@ def verify_root(x: FieldElement, y: FactoredElement, e: int, K: NumberField,
     rng = derive_rng(seed, "verify")
     avoid = avoid_integers([x] + [u for u, _ in y.terms])
     stream = prime_stream(rng, _VERIFY_BITS, K.conductor or 1, avoid,
-                          _VERIFY_BUDGET)
+                          budget=_VERIFY_BUDGET)
     passed = 0
     while passed < trials:
         q = next(stream)

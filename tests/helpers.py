@@ -4,17 +4,16 @@ import math
 
 from ethroot import gfpoly
 from ethroot import saturation as sat
-from ethroot.crtroot import SEARCH_BUDGET, _cover, good_prime_stream
+from ethroot.crtroot import _cover, good_prime_stream
 from ethroot.errors import BudgetExceeded, IncompatibleFields, NotInGroup
-from ethroot.fq import DLOG_BUDGET, _bsgs, dlog_mod_p, fq_eth_root
+from ethroot.fq import DLOG_BUDGET, _bsgs, dlog_mod_p_base, fq_eth_root
 from ethroot.numfield import avoid_integers, crt_ideals
-from ethroot.primes import derive_rng, prime_stream
+from ethroot.primes import OddPrimePower, derive_rng, prime_stream
 
 
-def select_crt_primes(K, e: int, B: int, seed: int = 0, avoid_divisors_of=(),
-                      budget: int = SEARCH_BUDGET):
+def select_crt_primes(K, e: int, B: int, seed: int = 0, avoid_divisors_of=()):
     """Good primes whose product exceeds 2B."""
-    return _cover(good_prime_stream(K, e, seed, avoid_divisors_of, budget), B)
+    return _cover(good_prime_stream(K, e, seed, avoid_divisors_of), B)
 
 
 def eth_root_mod_q_by_ideals(terms, e: int, q: int, K) -> list[int]:
@@ -50,7 +49,8 @@ def fq_dlog_order_e(z, zeta, e: int, field) -> int:
     """Discrete log of z in <zeta> where zeta has exact order e (BSGS), both
     reduced residues of the packed ring `field`.
 
-    A reference for fq.dlog_mod_p, which takes the same logs on integers mod p.
+    A reference for fq.dlog_mod_p_base, which takes the same logs on
+    integers mod p.
     """
     if e > DLOG_BUDGET:
         raise BudgetExceeded(f"dlog order {e} above 2^40 budget")
@@ -72,11 +72,12 @@ def field_elements(p: int, d: int):
 
 def character_primes_from_ideals(K, e: int, count: int, U, seed: int) -> list:
     """saturation.select_character_primes as read off the degree-1 ideals of
-    K.prime_ideals(q), with one dlog_mod_p per log: a reference on any field.
+    K.prime_ideals(q), with one dlog_mod_p_base table per prime: a reference
+    on any field.
     The q are those of the same walk of K's kept table; its kept facts are
     neither read nor written.
     """
-    ell, M = sat.prime_power_split(e)[0], math.lcm(e, K.conductor or 1)
+    ell, M = OddPrimePower(e).split[0], math.lcm(e, K.conductor or 1)
     rng = derive_rng(seed, "characters")
     bits = max(sat.CHAR_BITS, M.bit_length() + 8 + count.bit_length())
     stream = (q for q, _ in K.walk_primes(M, bits, lambda q: None, rng,
@@ -88,13 +89,14 @@ def character_primes_from_ideals(K, e: int, count: int, U, seed: int) -> list:
         if not ideals:
             continue
         z = sat._order_e_element(q, e, ell, rng)
+        log = dlog_mod_p_base(z, e, q)
         for ideal in ideals:
             if len(out) >= count:
                 break
             r = (-ideal.g[0]) % q
             try:
-                table = tuple(dlog_mod_p(pow(sat._unit_residue(u, r, q), (q - 1) // e, q),
-                                         z, e, q) for u in U)
+                table = tuple(log(pow(sat._unit_residue(u, r, q), (q - 1) // e, q))
+                              for u in U)
             except ValueError:
                 continue
             out.append(sat.CharacterPrime(ideal, z, table))
@@ -103,7 +105,7 @@ def character_primes_from_ideals(K, e: int, count: int, U, seed: int) -> list:
 
 def random_prime(rng, bits: int) -> int:
     """Random prime in [2^(bits-1), 2^bits)."""
-    return next(prime_stream(rng, bits))
+    return next(prime_stream(rng, bits, budget=1))
 
 
 def is_irreducible(f: list[int], p: int) -> bool:

@@ -19,7 +19,7 @@ from ethroot.crtroot import eth_root_double_crt
 from ethroot.errors import NotAPower, NotUnit, ZeroInput
 from ethroot.fq import fq_eth_root
 from ethroot.numfield import FactoredElement, NumberField
-from ethroot.primes import derive_rng, is_prime, prime_power_split
+from ethroot.primes import OddPrimePower, derive_rng, is_prime
 from ethroot.saturation import (
     GeneratingSet,
     chi,
@@ -61,7 +61,7 @@ def _in_span(alpha, gens, e):
     # last coordinate is a unit mod ell
     if not gens:
         return not any(a % e for a in alpha)
-    ell, _ = prime_power_split(e)
+    ell, _ = OddPrimePower(e).split
     stacked = [list(g) for g in gens] + [list(alpha)]
     return any(v[-1] % ell != 0 for v in kernel_mod_e(stacked, e))
 

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from ethroot import gfpoly
+from ethroot import couveignes, gfpoly
 from ethroot.counters import record
 from ethroot.couveignes import (
     CouveignesPrime,
@@ -89,12 +89,13 @@ def test_select_primes_gcd_precondition():
         select_couveignes_primes(K35, EMB35, 3, 100, seed=0)
 
 
-def test_select_primes_search_exhausted():
+def test_select_primes_search_exhausted(monkeypatch):
     # Gal(Q(zeta_24)/Q(zeta_3)) is Klein four: no prime is inert relative to L
     K24 = NumberField.cyclotomic(24)
     emb = SubfieldEmbedding.cyclotomic(K24, 3)
+    monkeypatch.setattr(couveignes, "PRIME_BUDGET", 150)
     with pytest.raises(SearchExhausted):
-        select_couveignes_primes(K24, emb, 5, 10 ** 6, seed=0, budget=150)
+        select_couveignes_primes(K24, emb, 5, 10 ** 6, seed=0)
 
 
 def test_couveignes_mod_p_trivial():

@@ -15,7 +15,7 @@ from ethroot.crtroot import (
     good_prime_stream,
     is_bad_field,
 )
-from ethroot.errors import NotApplicable, SearchExhausted, VerificationFailed
+from ethroot.errors import NotApplicable, SearchExhausted, Unsupported, VerificationFailed
 from ethroot.fq import factor_mod_p
 from ethroot.numfield import FactoredElement, NumberField, multi_reduce
 from ethroot.primes import derive_rng, factorize, is_prime
@@ -187,10 +187,11 @@ def test_select_primes_deterministic():
     assert [gp.q for gp in a] != [gp.q for gp in c]
 
 
-def test_select_primes_bad_field_exhausts():
+def test_select_primes_bad_field_exhausts(monkeypatch):
     K = NumberField.cyclotomic(9)
+    monkeypatch.setattr(crtroot, "SEARCH_BUDGET", 400)
     with pytest.raises(SearchExhausted):
-        select_crt_primes(K, 3, 100, seed=1, budget=400)
+        select_crt_primes(K, 3, 100, seed=1)
 
 
 def test_bad_cyclotomic_field_exhausts_at_once_with_no_table():
@@ -308,8 +309,8 @@ def test_split_walk_budget_counts_walked_primes(monkeypatch):
     K = NumberField.cyclotomic(4)
     first = [gp.q for gp in itertools.islice(good_prime_stream(K, 3), 2)]
     calls.clear()
-    stream = good_prime_stream(K, 3, avoid_divisors_of=(first[0] * first[1],),
-                               budget=12)
+    monkeypatch.setattr(crtroot, "SEARCH_BUDGET", 12)
+    stream = good_prime_stream(K, 3, avoid_divisors_of=(first[0] * first[1],))
     with pytest.raises(SearchExhausted):
         list(stream)
     # the two avoided primes count against the budget but are never checked
@@ -372,13 +373,22 @@ def test_a_walk_passes_once_over_its_whole_range(M):
     assert sorted(facts) == want
 
 
-def test_is_bad_field():
+def test_is_bad_field(monkeypatch):
     assert is_bad_field(NumberField.cyclotomic(9), 3)
     assert is_bad_field(NumberField.cyclotomic(15), 25)  # zeta_5 in K
     assert not is_bad_field(NumberField.cyclotomic(15), 7)
     assert not is_bad_field(NumberField.cyclotomic(4), 3)
     # x^2 + 1 generic: mu_3 not in Q(i)
-    assert not is_bad_field(NumberField([1, 0, 1]), 3, candidates=40)
+    monkeypatch.setattr(crtroot, "BAD_FIELD_CANDIDATES", 40)
+    assert not is_bad_field(NumberField([1, 0, 1]), 3)
+
+
+def test_is_bad_field_rejects_an_even_e():
+    # even e is out of scope, as at eth_root: no verdict, on any field
+    for K in (NumberField.cyclotomic(5), NumberField([1, 0, 1])):
+        for e in (2, 8):
+            with pytest.raises(Unsupported):
+                is_bad_field(K, e)
 
 
 def _count_checks(monkeypatch):
@@ -409,9 +419,10 @@ def test_good_generic_field_keeps_its_answer(monkeypatch):
 def test_bad_generic_verdict_is_not_kept(monkeypatch):
     calls = _count_checks(monkeypatch)
     K = NumberField([1, 1, 1])  # Q(zeta_3) given by its polynomial: mu_3 in K
+    monkeypatch.setattr(crtroot, "BAD_FIELD_CANDIDATES", 30)
     for _ in range(2):
         calls.clear()
-        assert is_bad_field(K, 3, candidates=30)
+        assert is_bad_field(K, 3)
         assert len(calls) == 30
 
 

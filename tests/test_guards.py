@@ -138,6 +138,25 @@ def cache(k, v):
 WRAPPED = "# noqa: F401, wrapped at this module by layerbench"
 
 
+# the two primitives that take a budget; every search above them reads its
+# bound from a module constant, which a test sets with monkeypatch
+BUDGETED = {"prime_stream", "walk_primes"}
+
+
+def test_searches_take_no_budget_argument():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            args = node.args
+            names = {a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs)}
+            if names & {"budget", "candidates"} and node.name not in BUDGETED:
+                found.append(f"{path.name}:{node.lineno} {node.name}")
+    assert found == []
+
+
 def test_layerbench_imports_name_wrapped_functions_and_nothing_else():
     # an import kept only for layerbench must name a function that
     # spans.LAYERS wraps at that module, and must have no other use there,
@@ -200,7 +219,7 @@ def test_factorize_rejects_zero():
         factorize(0)
 
 
-def test_powmod_rejects_negative_exponent():
+def test_packed_power_rejects_negative_exponent():
     # the ring's power once read n < 0 silently: (1 + t)^-1 mod (t^2 + 1, 7)
     # came out [5, 2], where the inverse is [4, 3]
     plain = gfpoly._Packed([1, 0, 1], 7)

@@ -65,10 +65,10 @@ def test_is_prime_accepts_primes(n):
     assert primes.is_prime(n)
 
 
-def test_prime_power_split_rejects_psi_12():
-    assert primes.prime_power_split((2 ** 89 - 1) ** 3) == (2 ** 89 - 1, 3)
+def test_odd_prime_power_rejects_psi_12():
+    assert primes.OddPrimePower((2 ** 89 - 1) ** 3).split == (2 ** 89 - 1, 3)
     with pytest.raises(Unsupported):
-        primes.prime_power_split(PSI_12)
+        primes.OddPrimePower(PSI_12)
 
 
 def test_odd_prime_power_carries_its_split(monkeypatch):
@@ -76,9 +76,9 @@ def test_odd_prime_power_carries_its_split(monkeypatch):
     assert e == 243 and e.split == (3, 5) and type(e * 2 + 1) is int
     monkeypatch.setattr(primes, "is_prime", None)  # no test after the first
     assert primes.OddPrimePower(e) is e
-    assert primes.prime_power_split(e) == primes.check_odd_prime_power(e) == (3, 5)
+    assert primes.OddPrimePower(e).split == (3, 5)
     monkeypatch.undo()
-    for bad in (1, 8, 45, PSI_12):
+    for bad in (-27, 0, 1, 2, 8, 45, PSI_12):
         with pytest.raises(Unsupported):
             primes.OddPrimePower(bad)
 
@@ -167,10 +167,13 @@ def test_is_prime_agrees_with_twelve_bases(bits):
 
 # -- the shared prime stream ------------------------------------------------------
 
+DRAWS = 10 ** 4  # a budget far above the prime draws of any stream below
+
 
 @pytest.mark.parametrize("bits,modulus", [(16, 1), (29, 31), (62, 12), (20, 7)])
 def test_prime_stream_yields_distinct_primes_in_range(bits, modulus):
-    stream = primes.prime_stream(random.Random(f"{bits}:{modulus}"), bits, modulus)
+    stream = primes.prime_stream(random.Random(f"{bits}:{modulus}"), bits, modulus,
+                                 budget=DRAWS)
     qs = list(itertools.islice(stream, 300))
     assert len(set(qs)) == len(qs)
     assert all(primes.is_prime(q) and (q - 1) % modulus == 0 for q in qs)
@@ -179,15 +182,16 @@ def test_prime_stream_yields_distinct_primes_in_range(bits, modulus):
 
 def test_prime_stream_never_repeats_when_the_range_runs_dry():
     eight_bit = [q for q in range(128, 256) if primes.is_prime(q)]
-    stream = primes.prime_stream(random.Random(1), 8)
+    stream = primes.prime_stream(random.Random(1), 8, budget=DRAWS)
     assert sorted(itertools.islice(stream, len(eight_bit))) == eight_bit
 
 
 def test_prime_stream_skips_divisors_of_avoid():
-    first = list(itertools.islice(primes.prime_stream(random.Random(2), 16), 5))
+    first = list(itertools.islice(
+        primes.prime_stream(random.Random(2), 16, budget=DRAWS), 5))
     avoid = (first[0] * first[1], first[2], 0, 1)
     rest = list(itertools.islice(
-        primes.prime_stream(random.Random(2), 16, avoid=avoid), 10))
+        primes.prime_stream(random.Random(2), 16, avoid=avoid, budget=DRAWS), 10))
     assert rest[:2] == first[3:]
     assert not set(rest) & set(first[:3])
 
@@ -212,9 +216,9 @@ def test_prime_stream_gives_up_after_budget_prime_draws(monkeypatch, budget):
 
 def test_prime_stream_needs_room_for_its_residue_class():
     with pytest.raises(ValueError):
-        next(primes.prime_stream(random.Random(0), 8, modulus=1000))
+        next(primes.prime_stream(random.Random(0), 8, modulus=1000, budget=DRAWS))
     with pytest.raises(ValueError):
-        next(primes.prime_stream(random.Random(0), 1))
+        next(primes.prime_stream(random.Random(0), 1, budget=DRAWS))
 
 
 def test_random_prime_values_are_pinned():
@@ -231,38 +235,41 @@ BUDGET = 40
 GENERIC_F = [-1, -1, 0, 1]  # x^3 - x - 1
 K15 = NumberField.cyclotomic(15)
 
-# name -> (search on a generic field K, what it ends with when every prime is
-# refused)
+# name -> (module and name of the search's budget constant, search on a
+# generic field K, what it ends with when every prime is refused)
 SEARCHES = {
     "good_prime_stream": (
-        lambda K: next(crtroot.good_prime_stream(K, 5, budget=BUDGET)),
-        SearchExhausted),
+        crtroot, "SEARCH_BUDGET",
+        lambda K: next(crtroot.good_prime_stream(K, 5)), SearchExhausted),
     "is_bad_field": (
-        lambda K: crtroot.is_bad_field(K, 5, candidates=BUDGET), True),
+        crtroot, "BAD_FIELD_CANDIDATES", lambda K: crtroot.is_bad_field(K, 5), True),
     "verify_root": (
+        verify, "_VERIFY_BUDGET",
         lambda K: verify.verify_root(
             K.element([2, -1, 3], 5),
             FactoredElement(K, [(K.element([2, -1, 3], 5), 3)]), 3, K),
         SearchExhausted),
     "find_inert_prime": (
-        lambda K: padic.find_inert_prime(K, 3, budget=BUDGET), None),
+        padic, "INERT_BUDGET", lambda K: padic.find_inert_prime(K, 3), None),
     "pick_reconstruct_ideal": (
-        lambda K: strategy.pick_reconstruct_ideal(K, 3, budget=BUDGET),
-        SearchExhausted),
+        strategy, "RECONSTRUCT_BUDGET",
+        lambda K: strategy.pick_reconstruct_ideal(K, 3), SearchExhausted),
     "select_couveignes_primes": (
+        couveignes, "PRIME_BUDGET",
         lambda K: couveignes.select_couveignes_primes(
-            K15, SubfieldEmbedding.cyclotomic(K15, 3), 3, 10 ** 30, budget=BUDGET),
+            K15, SubfieldEmbedding.cyclotomic(K15, 3), 3, 10 ** 30),
         SearchExhausted),
     "select_character_primes": (
-        lambda K: saturation.select_character_primes(
-            K, 3, 4, [K.element([2, 1])], budget=BUDGET),
+        saturation, "SELECT_BUDGET",
+        lambda K: saturation.select_character_primes(K, 3, 4, [K.element([2, 1])]),
         SearchExhausted),
 }
 
 
 @pytest.mark.parametrize("name", sorted(SEARCHES))
 def test_every_search_stops_within_its_budget(monkeypatch, name):
-    search, outcome = SEARCHES[name]
+    module, constant, search, outcome = SEARCHES[name]
+    monkeypatch.setattr(module, constant, BUDGET)
     # a fresh generic field: no is_bad_field answer stored on it by another test
     K_generic = NumberField(GENERIC_F)
     refused = []
@@ -282,7 +289,6 @@ def test_every_search_stops_within_its_budget(monkeypatch, name):
     for K in (K_generic, K15):
         monkeypatch.setattr(K, "prime_ideals", refuse)
     monkeypatch.setattr(K_generic, "discriminant", lambda: EveryPrimeDivides())
-    monkeypatch.setattr(verify, "_VERIFY_BUDGET", BUDGET)
     # verify_root's small input would be decided exactly, before any draw
     monkeypatch.setattr(verify, "_exact_affordable", lambda *args: False)
     if outcome is SearchExhausted:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ethroot import gfpoly
+from ethroot import fq, gfpoly
 from ethroot import saturation as sat
 from ethroot.crtroot import good_prime_stream
 from ethroot.errors import (
@@ -17,10 +17,12 @@ from ethroot.errors import (
     NotUnit,
     RamifiedE,
     SearchExhausted,
+    Unsupported,
     ZeroInput,
 )
-from ethroot.fq import dlog_mod_p
+from ethroot.fq import dlog_mod_p_base
 from ethroot.numfield import NumberField, PrimeIdealRep
+from ethroot.primes import is_prime
 from ethroot.saturation import (
     CharacterPrime,
     GeneratingSet,
@@ -116,11 +118,36 @@ def test_chi_budget_and_group_checks():
         chi(Q.element([3]), CharacterPrime(ideal, 1), 5)  # order 1, not 5
 
 
-def test_dlog_mod_p_budget_and_group_checks():
+def test_chi_rejects_an_even_e():
+    # even e is out of scope, as at eth_root
+    cp = CharacterPrime(PrimeIdealRep(17, (0, 1), 1), 2)  # 2 has order 8 mod 17
+    for e in (2, 8):
+        with pytest.raises(Unsupported):
+            chi(Q.element([3]), cp, e)
+
+
+def test_dlog_mod_p_base_budget_and_group_checks():
     with pytest.raises(BudgetExceeded):
-        dlog_mod_p(1, 2, 3 ** 26, 31)  # above the 2^40 BSGS budget
+        dlog_mod_p_base(2, 3 ** 26, 31)  # above the 2^40 budget
     with pytest.raises(NotInGroup):
-        dlog_mod_p(3, 2, 5, 31)  # 3^5 = 243 = 26 mod 31
+        dlog_mod_p_base(2, 5, 31)(3)  # 3^5 = 243 = 26 mod 31
+
+
+@pytest.mark.parametrize("e, ell, digit", [
+    (3 ** 5, 3, 3), (3 ** 5, 3, 9), (3 ** 5, 3, 27), (5 ** 3, 5, 5), (7 ** 2, 7, 7)])
+def test_dlog_digits_give_every_log(monkeypatch, e, ell, digit):
+    # DLOG_DIGIT below e: the log is read in base-D digits, D the largest
+    # power of l up to DLOG_DIGIT, so 3^5 takes digits 9, 9, 3 at digit 9
+    # and 27, 9 at digit 27
+    q = next(q for q in itertools.count(2 * e + 1, 2 * e) if is_prime(q))
+    z = next(z for z in (pow(g, (q - 1) // e, q) for g in itertools.count(2))
+             if pow(z, e // ell, q) != 1)
+    monkeypatch.setattr(fq, "DLOG_DIGIT", digit)
+    log = dlog_mod_p_base(z, e, q)
+    assert [log(pow(z, j, q)) for j in range(e)] == list(range(e))
+    outside = next(t for t in range(2, q) if pow(t, e, q) != 1)
+    with pytest.raises(NotInGroup):
+        log(outside)
 
 
 # e -> (prime q = 1 mod e, the prime dividing e)
@@ -137,7 +164,7 @@ def test_integer_character_log_matches_fq_dlog(e, g, a, j):
         return  # z must have exact order e
     field = gfpoly._Packed([0, 1], q)
     t = pow(z, j, q)  # a random element of the order-e subgroup
-    assert dlog_mod_p(t, z, e, q) == fq_dlog_order_e([t], [z], e, field)
+    assert dlog_mod_p_base(z, e, q)(t) == fq_dlog_order_e([t], [z], e, field)
     cp = CharacterPrime(PrimeIdealRep(q, (0, 1), 1), z)
     want = fq_dlog_order_e([pow(a, (q - 1) // e, q)], [z], e, field)
     assert chi(Q.element([a]), cp, e) == want
@@ -223,16 +250,21 @@ def test_character_primes_depend_on_the_seed_alone():
         assert select(K, 5, 3) == fresh
 
 
-def test_character_primes_of_a_large_e_fill_their_range(monkeypatch):
+def test_character_primes_of_a_large_e_fill_their_range():
     # Q(zeta_4), e = 3^25: M = 4e leaves about 2^12 values of t for 23
-    # ideals, two per prime, and every seed's walk finds them. The dlog
-    # tables (2^20 baby steps a prime) are stubbed: only the primes count.
-    monkeypatch.setattr(sat, "dlog_mod_p_base", lambda z, e, q: lambda t: 0)
+    # ideals, two per prime, and every seed's walk finds them. The logs are
+    # read in base-3^12 digits, so a prime's table has 729 baby steps
     e = 3 ** 25
     for seed in range(4):
         cps = select_character_primes(K4, e, 23, U4, seed=seed)
         assert len(cps) == 23
-        assert all(cp.Q_ideal.p % (4 * e) == 1 for cp in cps)
+        for cp in cps:
+            q, z = cp.Q_ideal.p, cp.zeta
+            r = (-cp.Q_ideal.g[0]) % q
+            assert q % (4 * e) == 1
+            assert pow(z, e, q) == 1 and pow(z, e // 3, q) != 1
+            assert all(pow(z, t, q) == pow(sat._unit_residue(u, r, q), (q - 1) // e, q)
+                       for u, t in zip(U4, cp.table))
 
 
 def test_character_walk_wraps_past_the_end_of_its_range():
@@ -256,11 +288,12 @@ def test_detect_planted_relation_at_a_31_bit_e():
     for seed in (0, 4):
         assert [alpha for alpha, _ in detect_eth_powers(G, e, K, seed=seed)] == [(1, 0)]
 
-def test_select_preconditions():
+def test_select_preconditions(monkeypatch):
     with pytest.raises(ValueError):
         select_character_primes(K4, 5, 0, U4)
+    monkeypatch.setattr(sat, "SELECT_BUDGET", 0)
     with pytest.raises(SearchExhausted):
-        select_character_primes(K4, 5, 1, U4, budget=0)
+        select_character_primes(K4, 5, 1, U4)
 
 
 # -- schirokauer map -------------------------------------------------------------
@@ -364,6 +397,13 @@ def test_kernel_frozen_examples():
     assert kernel_mod_e([[1]], 5) == []
     assert kernel_mod_e([[3]], 9) == [(3,)]
     assert sorted(kernel_mod_e([[0, 0], [0, 0]], 5)) == [(0, 1), (1, 0)]
+
+
+def test_kernel_rejects_an_even_e():
+    # even e is out of scope, as at eth_root
+    for e in (2, 8):
+        with pytest.raises(Unsupported):
+            kernel_mod_e([[1]], e)
 
 
 def test_kernel_matches_brute_force():

@@ -11,7 +11,7 @@ from ethroot.errors import (
     Unsupported,
 )
 from ethroot.numfield import FactoredElement, NumberField, cyclotomic_poly
-from ethroot.strategy import RootRequest, eth_root
+from ethroot.strategy import RECONSTRUCT_BUDGET, RootRequest, eth_root
 from ethroot.verify import verify_root
 
 K16 = NumberField.cyclotomic(16)
@@ -169,7 +169,7 @@ def test_reconstruct_honours_the_search_budget(monkeypatch):
     y = planted(K16, K16.element([1, 1, 0, 0, 0, 0, 0, 0]), 3)
     with pytest.raises(SearchExhausted):
         eth_root(RootRequest(K16, 3, y, method="reconstruct"))
-    assert 30 < len(factored) <= 200  # the default candidate budget
+    assert 30 < len(factored) <= RECONSTRUCT_BUDGET
 
 
 def _count_is_prime(monkeypatch, n):
