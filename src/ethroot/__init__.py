@@ -6,7 +6,7 @@ and factored elements (numfield), the root backends (crtroot, padic, couveignes)
 dispatcher (strategy) and the e-th power detection pipeline (saturation).
 """
 
-from .couveignes import TowerPlan, build_tower, eth_root_couveignes
+from .couveignes import build_tower, eth_root_couveignes
 from .crtroot import eth_root_double_crt, good_prime_stream, is_bad_field
 from .errors import (
     BadConductor,

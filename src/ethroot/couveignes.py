@@ -45,7 +45,6 @@ from .primes import (
     derive_rng,
     euler_phi,
     factorize,
-    is_cyclic_unit_group,
     multiplicative_order,
     prime_stream,
 )
@@ -61,18 +60,6 @@ class CouveignesPrime:
 
     p: int
     d: int
-
-
-@dataclass(frozen=True)
-class TowerPlan:
-    """Descent chain levels = (K, ..., L_0), top field first.
-
-    Every step is cyclic of degree prime to e and zeta_e lives in every
-    level; base_method says how the root in L_0 should be computed.
-    """
-
-    levels: tuple
-    base_method: str  # "padic" | "reconstruct"
 
 
 def make_couveignes_prime(K: NumberField, emb: SubfieldEmbedding, p: int):
@@ -227,12 +214,15 @@ def _descend(m: int, e: int, l: int) -> int | None:
     return None
 
 
-def build_tower(K: NumberField, e: int) -> TowerPlan:
-    """Cyclotomic descent plan for the bad case e | m.
+def build_tower(K: NumberField, e: int) -> tuple:
+    """Cyclotomic descent chain (K, ..., L_0) for the bad case e | m.
 
-    Repeatedly drops to the smallest admissible subconductor; NotApplicable
-    when already the first step fails (the strategy then falls back to
-    lattice reconstruction in K itself).
+    Every step is cyclic of degree prime to e, and zeta_e lives in every
+    level. Repeatedly drops to the smallest admissible subconductor m', and
+    each level below K is SubfieldEmbedding.cyclotomic(level above, m').L,
+    the one object kept for that field, so what it computes (its cinf, its
+    primes) is paid once. NotApplicable when already the first step fails
+    (the strategy then falls back to lattice reconstruction in K itself).
     """
     l, _ = OddPrimePower(e).split
     m = K.conductor
@@ -241,12 +231,8 @@ def build_tower(K: NumberField, e: int) -> TowerPlan:
     if m % e != 0:
         raise ValueError("tower construction expects the bad case e | m")
     levels = [K]
-    while True:
-        msub = _descend(levels[-1].conductor, e, l)
-        if msub is None:
-            break
-        levels.append(NumberField.cyclotomic(msub))
+    while (msub := _descend(levels[-1].conductor, e, l)) is not None:
+        levels.append(SubfieldEmbedding.cyclotomic(levels[-1], msub).L)
     if len(levels) == 1:
         raise NotApplicable(f"no admissible subfield below Q(zeta_{m}) for e = {e}")
-    base = "padic" if is_cyclic_unit_group(levels[-1].conductor) else "reconstruct"
-    return TowerPlan(tuple(levels), base)
+    return tuple(levels)

@@ -32,12 +32,12 @@ from .numfield import (
     crt_integers_symmetric,
     multi_reduce,
 )
-from .primes import OddPrimePower, derive_rng, prime_stream
+from .primes import OddPrimePower, derive_rng
 from .verify import verify_root
 
 # table primes the double CRT walks before giving up
 SEARCH_BUDGET = 10 ** 6
-BAD_FIELD_CANDIDATES = 200  # random primes is_bad_field tries on a generic K
+BAD_FIELD_CANDIDATES = 200  # table primes is_bad_field walks on a generic K
 
 # split primes stay below 29 bits so the vectorized kernel can keep products
 # of two residues inside int64; generic primes use most of the word
@@ -101,6 +101,14 @@ def check_good_prime(q: int, K: NumberField, e: int, kept=None):
     return GoodPrime(q, degrees)
 
 
+def _generic_degrees(K: NumberField):
+    """What the walks of the double CRT and is_bad_field keep beside each odd
+    GENERIC_BITS prime q of a generic K: q's distinct residue degrees, ()
+    when q ramifies. walk_primes keeps one fact per (M, bits), so both walks
+    take it from here."""
+    return lambda q: K.residue_degrees(q) or ()
+
+
 def good_prime_stream(K: NumberField, e: int, seed: int = 0,
                       avoid_divisors_of=()):
     """Yield distinct good primes, deterministic under seed.
@@ -120,8 +128,8 @@ def good_prime_stream(K: NumberField, e: int, seed: int = 0,
     rng = derive_rng(seed, "crt-primes")
     m = K.conductor
     if m is None:
-        pairs = K.walk_primes(2, GENERIC_BITS, lambda q: K.residue_degrees(q) or (),
-                              rng, avoid_divisors_of, SEARCH_BUDGET)
+        pairs = K.walk_primes(2, GENERIC_BITS, _generic_degrees(K), rng,
+                              avoid_divisors_of, SEARCH_BUDGET)
     elif math.gcd(m, e) > 1:
         raise SearchExhausted(f"gcd({m}, {e}) > 1: every split prime sees mu_l")
     else:
@@ -234,23 +242,20 @@ def is_bad_field(K: NumberField, e: int, seed: int = 0) -> bool:
 
     For odd e = l^k. Cyclotomic fields are decided exactly: bad iff l | m,
     i.e. gcd(m, e) > 1, since that puts a primitive l-th root of unity in K
-    and hence in every residue field. Generic fields fall back to scanning
-    BAD_FIELD_CANDIDATES random primes. Whether q is good depends on l alone,
-    so one good prime certifies "good" for every e = l^k and every seed:
-    K.good_ells keeps that answer. A "bad" verdict is only heuristic and is
-    not kept.
+    and hence in every residue field. A generic field walks the first
+    BAD_FIELD_CANDIDATES primes of the double CRT's own walk at seed (the
+    field's kept table, with the same residue degrees), up to the first good
+    one. Each walked prime's degrees are computed once per field, and the
+    double CRT that follows at the same seed starts on the same primes. A
+    "bad" verdict is only heuristic.
     """
-    l, _ = OddPrimePower(e).split
+    e = OddPrimePower(e)
     if K.conductor is not None:
         return math.gcd(K.conductor, e) > 1
-    if l in K.good_ells:
-        return False
-    rng = derive_rng(seed, "badfield")
+    walk = K.walk_primes(2, GENERIC_BITS, _generic_degrees(K), derive_rng(seed, "crt-primes"),
+                         (), BAD_FIELD_CANDIDATES)
     try:
-        stream = prime_stream(rng, GENERIC_BITS, budget=BAD_FIELD_CANDIDATES)
-        good = any(isinstance(check_good_prime(q, K, e), GoodPrime) for q in stream)
+        return not any(isinstance(check_good_prime(q, K, e, kept), GoodPrime)
+                       for q, kept in walk)
     except SearchExhausted:
-        good = False
-    if good:
-        K.good_ells.add(l)
-    return not good
+        return True

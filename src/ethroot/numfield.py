@@ -127,8 +127,6 @@ class NumberField:
         self._conductor_primes = None  # see split_root()
         # primes kept by walk_primes: (M, bits, block) -> [q, fact, ...]
         self.prime_blocks: dict = {}
-        # primes l with a good prime seen for e = l^k: crtroot.is_bad_field
-        self.good_ells: set[int] = set()
         self._radius = None
         self._subfields = {}  # m' -> SubfieldEmbedding, see cyclotomic()
         if conductor is None and self.discriminant() == 0:
@@ -265,10 +263,12 @@ class NumberField:
 
         The library's one kept-prime table. Its callers fix one fact per
         (M, bits): w = split_root(q) on Q(zeta_m), whose M are multiples of
-        m; on a generic K the residue degrees for odd q (M = 2) and the
-        degree-1 roots for M = e. A block is scanned once, by is_prime, and
-        kept while K holds at most SPLIT_CAP primes over all tables, so a
-        fact is computed at most once per kept prime, when a walk first
+        m (the double CRT, the character primes); on a generic K the
+        residue degrees for odd q (M = 2: the double CRT and is_bad_field,
+        both through crtroot._generic_degrees) and the degree-1 roots for
+        M = e (the character primes). A block is scanned once, by is_prime,
+        and kept while K holds at most SPLIT_CAP primes over all tables, so
+        a fact is computed at most once per kept prime, when a walk first
         reaches it; a block past the cap is scanned again by each walk that
         reaches it. The primes depend on rng alone, whatever ran on K before.
         """

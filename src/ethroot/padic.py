@@ -91,9 +91,10 @@ def find_inert_prime(K: NumberField, e: int, seed: int = 0,
                      avoid=()) -> int | None:
     """Random 16-bit prime p with f irreducible mod p, p prime to e and avoid.
 
-    Returns None when none exists (non-cyclic Galois group, e.g. Q(zeta_8))
-    or after INERT_BUDGET prime draws, repeats included: there are only
-    3,030 primes of 16 bits.
+    Returns None when none exists (non-cyclic Galois group, e.g. Q(zeta_8)),
+    decided before any prime is drawn, or after INERT_BUDGET prime draws,
+    repeats included: there are only 3,030 primes of 16 bits. That None is
+    what sends a Couveignes tower's base field to reconstruct.
     """
     if K.conductor is not None and not is_cyclic_unit_group(K.conductor):
         return None

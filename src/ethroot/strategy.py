@@ -95,28 +95,29 @@ def pick_reconstruct_ideal(K: NumberField, e: int, seed: int = 0,
             return ideals[-1]
 
 
-def _tower_root(y_level: FactoredElement, plan, level: int, e: int,
+def _tower_root(y_level: FactoredElement, levels: tuple, level: int, e: int,
                 seed: int) -> FieldElement:
-    """Root of y_level inside plan.levels[level], recursing down the chain."""
-    top = plan.levels[level]
-    if level == len(plan.levels) - 1:
-        return _base_root(y_level, top, plan.base_method, e, seed)
-    nxt = plan.levels[level + 1]
-    emb = SubfieldEmbedding.cyclotomic(top, nxt.conductor)
+    """Root of y_level inside levels[level], recursing down the chain."""
+    top = levels[level]
+    if level == len(levels) - 1:
+        return _base_root(y_level, top, e, seed)
+    emb = SubfieldEmbedding.cyclotomic(top, levels[level + 1].conductor)
 
     def solver(y_sub: FactoredElement) -> FieldElement:
-        return _tower_root(y_sub, plan, level + 1, e, seed)
+        return _tower_root(y_sub, levels, level + 1, e, seed)
 
     return eth_root_couveignes(y_level, e, top, emb, solver, seed=seed + level)
 
 
-def _base_root(y: FactoredElement, L: NumberField, method: str, e: int,
+def _base_root(y: FactoredElement, L: NumberField, e: int,
                seed: int) -> FieldElement:
-    if method == "padic":
-        try:
-            return run_padic(y, L, e, seed)
-        except NotApplicable:
-            pass  # cyclic unit groups promise an inert prime, but the budget ran dry
+    """Root in the tower's base: padic at an inert prime, else reconstruct."""
+    try:
+        return run_padic(y, L, e, seed)
+    except NotApplicable:
+        # no inert prime: a non-cyclic (Z/m)* has none, and find_inert_prime
+        # says so before it draws; a cyclic one has some, but the budget ran dry
+        pass
     return run_reconstruct(y, L, e, seed)
 
 
@@ -143,8 +144,7 @@ def run_couveignes(y: FactoredElement, K: NumberField, e: int,
                    seed: int) -> FieldElement:
     if K.conductor is None or K.conductor % e != 0:
         raise NotApplicable("tower construction needs a cyclotomic bad case")
-    plan = build_tower(K, e)
-    return _tower_root(y, plan, 0, e, seed)
+    return _tower_root(y, build_tower(K, e), 0, e, seed)
 
 
 def run_reconstruct(y: FactoredElement, K: NumberField, e: int,

@@ -5,11 +5,10 @@ import random
 
 import pytest
 
-from ethroot import couveignes, gfpoly
+from ethroot import couveignes, gfpoly, padic, strategy
 from ethroot.counters import record
 from ethroot.couveignes import (
     CouveignesPrime,
-    TowerPlan,
     build_tower,
     couveignes_mod_p,
     eth_root_couveignes,
@@ -34,6 +33,7 @@ from ethroot.numfield import (
 )
 from ethroot.padic import eth_root_padic, eth_root_padic_reconstruct, find_inert_prime
 from ethroot.primes import multiplicative_order
+from ethroot.strategy import RootRequest, eth_root
 
 from helpers import fold_mod_p, from_subfield
 
@@ -251,15 +251,14 @@ def test_agrees_with_reconstruct():
 
 
 def test_build_tower_examples():
-    plan = build_tower(K15, 3)
-    assert [f.conductor for f in plan.levels] == [15, 3]
-    assert plan.base_method == "padic"
-    plan = build_tower(NumberField.cyclotomic(45), 3)
-    assert [f.conductor for f in plan.levels] == [45, 9]
-    assert plan.base_method == "padic"
-    plan = build_tower(NumberField.cyclotomic(105), 3)
-    assert [f.conductor for f in plan.levels] == [105, 21]
-    assert plan.base_method == "reconstruct"
+    for K, chain in ((K15, [15, 3]), (NumberField.cyclotomic(45), [45, 9]),
+                     (NumberField.cyclotomic(105), [105, 21])):
+        levels = build_tower(K, 3)
+        assert [f.conductor for f in levels] == chain
+        assert levels[0] is K
+        # each level below the top is the subfield its parent keeps
+        for top, bot in zip(levels, levels[1:]):
+            assert bot is SubfieldEmbedding.cyclotomic(top, bot.conductor).L
 
 
 def test_build_tower_not_applicable():
@@ -280,11 +279,11 @@ def test_tower_plan_invariants():
     from ethroot.primes import euler_phi
 
     for m, e in ((15, 3), (45, 3), (105, 3)):
-        plan = build_tower(NumberField.cyclotomic(m), e)
-        assert isinstance(plan, TowerPlan)
-        assert plan.levels[0].conductor == m
-        assert plan.levels[-1].conductor % e == 0  # zeta_e in the base field
-        for top, bot in zip(plan.levels, plan.levels[1:]):
+        levels = build_tower(NumberField.cyclotomic(m), e)
+        assert isinstance(levels, tuple)
+        assert levels[0].conductor == m
+        assert levels[-1].conductor % e == 0  # zeta_e in the base field
+        for top, bot in zip(levels, levels[1:]):
             mt, mb = top.conductor, bot.conductor
             assert mt % mb == 0
             step = euler_phi(mt) // euler_phi(mb)
@@ -292,3 +291,45 @@ def test_tower_plan_invariants():
             group = [t for t in range(1, mt)
                      if math.gcd(t, mt) == 1 and t % mb == 1]
             assert any(multiplicative_order(t, mt) == len(group) for t in group)
+
+
+def test_tower_levels_compute_their_cinf_once(monkeypatch):
+    # the base Q(zeta_3) is the one kept below K, not built again per root
+    K12 = NumberField.cyclotomic(12)
+    computed = []
+    real = NumberField.cinf
+
+    def counted(self):
+        if self._cinf is None:
+            computed.append(self.conductor)
+        return real(self)
+
+    monkeypatch.setattr(NumberField, "cinf", counted)
+    for x in (K12.element([1, 2, 0, -1]), K12.element([3, 0, 1, 1])):
+        r = eth_root(RootRequest(K12, 3, FactoredElement(K12, [(x ** 3, 1)]), "couveignes"))
+        assert r.root ** 3 == x ** 3
+    assert computed.count(3) == 1 and computed.count(12) == 1
+
+
+def test_non_cyclic_tower_base_goes_to_reconstruct(monkeypatch):
+    # (Z/21)* is not cyclic: find_inert_prime answers None before any draw,
+    # and _base_root goes on to reconstruct
+    L21 = NumberField.cyclotomic(21)
+    draws, reconstructs = [], []
+    real_stream, real_reconstruct = padic.prime_stream, strategy.run_reconstruct
+
+    def stream(rng, bits, *args, **kwargs):
+        draws.append(bits)
+        return real_stream(rng, bits, *args, **kwargs)
+
+    def reconstruct(*args):
+        reconstructs.append(args[1])
+        return real_reconstruct(*args)
+
+    monkeypatch.setattr(padic, "prime_stream", stream)
+    monkeypatch.setattr(strategy, "run_reconstruct", reconstruct)
+    x = L21.element([1, -1, 0, 2])
+    root = strategy._base_root(FactoredElement(L21, [(x ** 3, 1)]), L21, 3, 0)
+    assert root ** 3 == x ** 3
+    assert padic.INERT_BITS not in draws
+    assert reconstructs == [L21]

@@ -20,6 +20,7 @@ from ethroot.fq import factor_mod_p
 from ethroot.numfield import FactoredElement, NumberField, multi_reduce
 from ethroot.primes import derive_rng, factorize, is_prime
 from ethroot.saturation import select_character_primes
+from ethroot.strategy import RootRequest, eth_root
 from helpers import eth_root_mod_q_by_ideals, random_prime, select_crt_primes
 
 
@@ -402,18 +403,70 @@ def _count_checks(monkeypatch):
     return calls
 
 
+def _count_degrees(monkeypatch, K):
+    """The primes q whose residue degrees K computes from now on."""
+    calls = []
+    real = K.residue_degrees
+
+    def counted(q):
+        calls.append(q)
+        return real(q)
+
+    monkeypatch.setattr(K, "residue_degrees", counted)
+    return calls
+
+
 def test_good_generic_field_keeps_its_answer(monkeypatch):
-    calls = _count_checks(monkeypatch)
     K = NumberField([-1, -1, 0, 1])
+    degrees = _count_degrees(monkeypatch, K)
     assert not is_bad_field(K, 5)
-    assert calls
-    calls.clear()
-    # a good prime for 5 is good for every 5^k and every seed: no prime drawn
-    for e, seed in ((5, 0), (5, 3), (25, 0)):
-        assert not is_bad_field(K, e, seed=seed)
-    assert calls == []
-    assert not is_bad_field(K, 3)
-    assert calls
+    assert degrees
+    blocks = set(K.prime_blocks)
+    degrees.clear()
+    # the same seed walks the same kept primes, for every power of 5: no
+    # degrees computed again and no block scanned again
+    for e in (5, 25):
+        assert not is_bad_field(K, e)
+    assert degrees == []
+    assert set(K.prime_blocks) == blocks
+
+
+def test_bad_field_verdict_and_double_crt_share_their_primes(monkeypatch):
+    K = NumberField([-1, -1, 0, 1])
+    x = K.element([3 ** 200, -1, 2])  # a root that takes several primes
+    degrees = _count_degrees(monkeypatch, K)
+    assert not is_bad_field(K, 5, seed=4)
+    walked = list(degrees)
+    used = []
+    real = crtroot.eth_root_mod_q
+
+    def recorded(terms, e, gp, K):
+        used.append(gp.q)
+        return real(terms, e, gp, K)
+
+    monkeypatch.setattr(crtroot, "eth_root_mod_q", recorded)
+    assert eth_root_double_crt(factored(K, [(x, 5)]), 5, K, seed=4) == x
+    # the verdict stopped at the double CRT's first prime, and no walked
+    # prime's degrees were computed twice
+    assert used[0] == walked[-1] and len(used) > 1
+    assert len(set(degrees)) == len(degrees) > len(walked)
+
+
+def test_generic_bad_field_repeat_computes_no_degrees(monkeypatch):
+    K = NumberField([1, 1, 1])  # Q(zeta_3) given by its polynomial: bad for 3
+    x = K.element([2, -3])
+    req = RootRequest(K, 3, factored(K, [(x ** 3, 1)]))
+    degrees = _count_degrees(monkeypatch, K)
+    first = eth_root(req)
+    assert first.method_used == "padic" and first.root ** 3 == x ** 3
+    assert len([q for q in degrees if q.bit_length() == crtroot.GENERIC_BITS]) == \
+        crtroot.BAD_FIELD_CANDIDATES
+    degrees.clear()
+    second = eth_root(req)
+    # the verdict walked its table primes again, on degrees kept on K;
+    # only padic's one-shot inert search tests its 16-bit draws afresh
+    assert [q for q in degrees if q.bit_length() == crtroot.GENERIC_BITS] == []
+    assert (second.root, second.method_used) == (first.root, "padic")
 
 
 def test_bad_generic_verdict_is_not_kept(monkeypatch):

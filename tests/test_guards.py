@@ -135,6 +135,25 @@ def cache(k, v):
     assert _global_mutations(ast.parse(code)) == [6, 7, 15, 17]
 
 
+def test_only_numfield_and_cli_build_fields():
+    # a field's kept facts (primes, cinf, subfields) live on its one object:
+    # the backends reach subfields through SubfieldEmbedding.cyclotomic
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name in ("numfield.py", "cli.py"):
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            fn = node.func
+            if isinstance(fn, ast.Attribute) and fn.attr == "cyclotomic":
+                fn = fn.value
+            if isinstance(fn, ast.Name) and fn.id == "NumberField":
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
 WRAPPED = "# noqa: F401, wrapped at this module by layerbench"
 
 

@@ -270,7 +270,7 @@ SEARCHES = {
 def test_every_search_stops_within_its_budget(monkeypatch, name):
     module, constant, search, outcome = SEARCHES[name]
     monkeypatch.setattr(module, constant, BUDGET)
-    # a fresh generic field: no is_bad_field answer stored on it by another test
+    # a fresh generic field: no primes or degrees kept on it by another test
     K_generic = NumberField(GENERIC_F)
     refused = []
 
