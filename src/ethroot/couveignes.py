@@ -40,18 +40,11 @@ from .numfield import (
     crt_integers_symmetric,
     relative_norm,
 )
-from .primes import (
-    OddPrimePower,
-    derive_rng,
-    euler_phi,
-    factorize,
-    multiplicative_order,
-    prime_stream,
-)
+from .primes import OddPrimePower, derive_rng, euler_phi, factorize, multiplicative_order
 from .verify import verify_root
 
 CRT_BITS = 62
-PRIME_BUDGET = 4000
+PRIME_BUDGET = 4000  # table primes select_couveignes_primes walks
 
 
 @dataclass(frozen=True)
@@ -62,17 +55,22 @@ class CouveignesPrime:
     d: int
 
 
-def make_couveignes_prime(K: NumberField, emb: SubfieldEmbedding, p: int):
+def make_couveignes_prime(K: NumberField, emb: SubfieldEmbedding, p: int, degrees=None):
     """CouveignesPrime for p, or None when p does not split the right way.
 
     p qualifies iff it is prime to m (so unramified in K and L) and
-    ord_m(p) = [K:L] * ord_{m'}(p), i.e. every prime of L above p is inert
-    in K/L.
+    D = ord_m(p) is [K:L] * ord_{m'}(p), i.e. every prime of L above p is
+    inert in K/L. degrees is (D,), or () for p | m, as a walk keeps it
+    (K.kept_degrees(p) when None). As ord_{m'}(p) divides D and the
+    residue degree D / ord_{m'}(p) of K/L divides [K:L], that reads
+    p^(D/[K:L]) = 1 mod m'.
     """
-    if K.conductor % p == 0:
+    if degrees is None:
+        degrees = K.kept_degrees(p)
+    if not degrees or degrees[0] % emb.degree:
         return None
-    d = multiplicative_order(p, emb.L.conductor)
-    if multiplicative_order(p, K.conductor) != emb.degree * d:
+    d = degrees[0] // emb.degree
+    if pow(p, d, emb.L.conductor) != 1:
         return None
     return CouveignesPrime(p, d)
 
@@ -81,19 +79,22 @@ def select_couveignes_primes(K: NumberField, emb: SubfieldEmbedding, e: int,
                              B: int, seed: int = 0, avoid=()) -> list:
     """Distinct admissible primes with prod p > 2B.
 
-    Candidates are CRT_BITS-bit primes prime to m and to avoid, which lists
-    integers whose prime factors must be skipped (denominators, numerator
-    contents of the eventual reductions); make_couveignes_prime tests each.
-    SearchExhausted after PRIME_BUDGET prime draws.
+    The candidates are the odd CRT_BITS-bit primes of K's kept table
+    (K.walk_primes, M = 2) from a block the seed picks, kept with K's
+    residue degrees, the fact a generic double CRT keeps there too: a field
+    scans a block once and later roots read its primes.
+    make_couveignes_prime tests each. Primes dividing m or an integer of
+    avoid (denominators, numerator contents of the eventual reductions)
+    are skipped. SearchExhausted after PRIME_BUDGET primes walked.
     """
     if math.gcd(emb.degree, e) != 1:
         raise ValueError("[K:L] must be prime to e")
-    rng = derive_rng(seed, "couveignes")
-    stream = prime_stream(rng, CRT_BITS, avoid=(*avoid, K.conductor), budget=PRIME_BUDGET)
+    walk = K.walk_primes(2, CRT_BITS, K.kept_degrees, derive_rng(seed, "couveignes"),
+                         (*avoid, K.conductor), PRIME_BUDGET)
     chosen: list[CouveignesPrime] = []
     product = 1
     while product <= 2 * B:
-        cp = make_couveignes_prime(K, emb, next(stream))
+        cp = make_couveignes_prime(K, emb, *next(walk))
         if cp is not None:
             chosen.append(cp)
             product *= cp.p

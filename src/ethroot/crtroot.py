@@ -15,6 +15,7 @@ pay for a prime once.
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import NamedTuple
 
 from . import gfpoly
@@ -37,7 +38,7 @@ from .verify import verify_root
 
 # table primes the double CRT walks before giving up
 SEARCH_BUDGET = 10 ** 6
-BAD_FIELD_CANDIDATES = 200  # table primes is_bad_field walks on a generic K
+BAD_FIELD_CANDIDATES = 200  # table primes a generic K walks for a first good one
 
 # split primes stay below 29 bits so the vectorized kernel can keep products
 # of two residues inside int64; generic primes use most of the word
@@ -101,14 +102,6 @@ def check_good_prime(q: int, K: NumberField, e: int, kept=None):
     return GoodPrime(q, degrees)
 
 
-def _generic_degrees(K: NumberField):
-    """What the walks of the double CRT and is_bad_field keep beside each odd
-    GENERIC_BITS prime q of a generic K: q's distinct residue degrees, ()
-    when q ramifies. walk_primes keeps one fact per (M, bits), so both walks
-    take it from here."""
-    return lambda q: K.residue_degrees(q) or ()
-
-
 def good_prime_stream(K: NumberField, e: int, seed: int = 0,
                       avoid_divisors_of=()):
     """Yield distinct good primes, deterministic under seed.
@@ -120,27 +113,32 @@ def good_prime_stream(K: NumberField, e: int, seed: int = 0,
     F_q, the kernel-friendly shape), each kept with its w; a field with
     gcd(m, e) > 1 has no good split prime and raises SearchExhausted at
     once. On other fields they are the odd GENERIC_BITS primes, each kept
-    with its residue degrees, so a prime is split into degrees once per
-    field, whatever e asks. Primes dividing an integer of
-    avoid_divisors_of are skipped. Raises SearchExhausted after
-    SEARCH_BUDGET table primes walked.
+    with its residue degrees (K.kept_degrees), so a prime is split into
+    degrees once per field, whatever e asks; a field none of whose first
+    BAD_FIELD_CANDIDATES is good raises SearchExhausted then. Primes
+    dividing an integer of avoid_divisors_of are skipped. Raises
+    SearchExhausted after SEARCH_BUDGET table primes walked.
     """
     rng = derive_rng(seed, "crt-primes")
     m = K.conductor
     if m is None:
-        pairs = K.walk_primes(2, GENERIC_BITS, _generic_degrees(K), rng,
+        pairs = K.walk_primes(2, GENERIC_BITS, K.kept_degrees, rng,
                               avoid_divisors_of, SEARCH_BUDGET)
     elif math.gcd(m, e) > 1:
         raise SearchExhausted(f"gcd({m}, {e}) > 1: every split prime sees mu_l")
     else:
         pairs = K.walk_primes(m, SPLIT_BITS, K.split_root, rng, avoid_divisors_of,
                               SEARCH_BUDGET)
-    for q, kept in pairs:
+    found = False
+    for walked, (q, kept) in enumerate(pairs, 1):
         count("crt", "candidates")
         gp = check_good_prime(q, K, e, kept)
         if isinstance(gp, GoodPrime):
+            found = True
             count("crt", "accepted")
             yield gp
+        elif not found and m is None and walked == BAD_FIELD_CANDIDATES:
+            raise SearchExhausted(f"no good prime among {walked} table primes")
 
 
 def _cover(stream, B: int) -> list[GoodPrime]:
@@ -186,23 +184,28 @@ def eth_root_double_crt(y: FactoredElement, e: int, K: NumberField,
     """x with x^e = y, via per-prime unique roots and integer CRT.
 
     Requires K good for e, y an e-th power with exponents in [0, e] (the
-    strategy layer normalizes larger ones). A K that is_bad_field calls bad
-    raises NotApplicable up front. A CRT output above the root bound raises
+    strategy layer normalizes larger ones). A bad K, by is_bad_field's
+    verdict read off this call's own stream, raises NotApplicable up front,
+    even for y = 1. A CRT output above the root bound raises
     VerificationFailed early; so does a root that fails its check. On the
     split kernel that check is three more good primes, which ride in the
     kernel's grid; elsewhere it is one verify_root, which needs no factoring.
     """
     e = OddPrimePower(e)
     terms = [(u, a) for u, a in y.terms if a != 0]
-    if not terms:
-        return K.one
-    if is_bad_field(K, e, seed=seed):
-        raise NotApplicable("every prime sees e-th roots of unity")
-    work, T = clear_denominators(FactoredElement(K, terms), e)
-    B = coeff_bound_root(work, e, K)
     avoid = avoid_integers([u for u, _ in terms])
     stream = good_prime_stream(K, e, seed=seed, avoid_divisors_of=avoid)
-    primes = _cover(stream, B)
+    try:
+        first = next(stream)
+    except SearchExhausted as exc:
+        if K.conductor is not None and math.gcd(K.conductor, e) == 1:
+            raise
+        raise NotApplicable("every prime sees e-th roots of unity") from exc
+    if not terms:
+        return K.one
+    work, T = clear_denominators(FactoredElement(K, terms), e)
+    B = coeff_bound_root(work, e, K)
+    primes = _cover(chain([first], stream), B)
     bases = [u for u, _ in work.terms]
     exps = [a for _, a in work.terms]
     # on Q(zeta_m) the stream yields only split primes below SPLIT_BITS
@@ -242,20 +245,16 @@ def is_bad_field(K: NumberField, e: int, seed: int = 0) -> bool:
 
     For odd e = l^k. Cyclotomic fields are decided exactly: bad iff l | m,
     i.e. gcd(m, e) > 1, since that puts a primitive l-th root of unity in K
-    and hence in every residue field. A generic field walks the first
-    BAD_FIELD_CANDIDATES primes of the double CRT's own walk at seed (the
-    field's kept table, with the same residue degrees), up to the first good
-    one. Each walked prime's degrees are computed once per field, and the
-    double CRT that follows at the same seed starts on the same primes. A
-    "bad" verdict is only heuristic.
+    and hence in every residue field. A generic field is bad when the
+    double CRT's stream at seed finds no good prime among its first
+    BAD_FIELD_CANDIDATES, the verdict the double CRT takes itself. A "bad"
+    verdict is only heuristic.
     """
     e = OddPrimePower(e)
     if K.conductor is not None:
         return math.gcd(K.conductor, e) > 1
-    walk = K.walk_primes(2, GENERIC_BITS, _generic_degrees(K), derive_rng(seed, "crt-primes"),
-                         (), BAD_FIELD_CANDIDATES)
     try:
-        return not any(isinstance(check_good_prime(q, K, e, kept), GoodPrime)
-                       for q, kept in walk)
+        next(good_prime_stream(K, e, seed=seed))
     except SearchExhausted:
         return True
+    return False

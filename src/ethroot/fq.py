@@ -7,9 +7,10 @@ exponent that can pass q - 1 is taken mod q - 1 first. The e-th root
 routine dispatches on v = v_l(q-1) for e = l^k: v = 0 gives the unique-root
 exponent inverse, 0 < v <= k an exponent inverse in the prime-to-l part, and
 v > k runs k successive l-th root extractions (Adleman-Manders-Miller /
-Tonelli-Shanks style). The l-th non-residue that run needs is searched among
-the constants first, and those lie in F_p, so each is tested with one
-integer pow mod p instead of a power in F_q.
+Tonelli-Shanks style). That run needs b = t^s for an l-th non-residue t,
+q - 1 = s l^v with s prime to l, and b^(l^(v-1)) != 1 is the test for t,
+so each candidate costs one power in F_q. The constants, tested by integer
+pows mod p, come first unless l | (q-1)/(p-1) makes them all l-th powers.
 """
 
 from __future__ import annotations
@@ -42,35 +43,36 @@ def factor_mod_p(f: list[int], p: int, seed: int = 0) -> list[tuple[list[int], i
 # -- e-th roots ---------------------------------------------------------------
 
 
-def _nonresidue(ring, ell: int) -> list[int]:
-    """Deterministic l-th non-residue: small elements first, then seeded draws.
+def _nonresidue(ring, ell: int, s: int, v: int) -> list[int]:
+    """b = t^s, of exact order l^v (q - 1 = s l^v, s prime to l), for the
+    first l-th non-residue t among the constants, then small elements (idx
+    read as base-p digits), then seeded draws of d coefficients.
 
-    The small-index prefix of the enumeration (idx read as base-p digits)
-    starts with the constants c < p, which lie in F_p: there
-    c^((q-1)/l) = c^(((q-1)/l) mod (p-1)), one integer pow. Constants can be
-    universally l-th powers (e.g. l | p + 1 in F_{p^2}), so the scan must not
-    stay sequential past a short prefix. A draw takes d coefficients.
+    t is a non-residue exactly when b^(l^(v-1)) != 1. A constant c lies in
+    F_p, so b = c^(s mod (p-1)) there; when l | (q-1)/(p-1) (l | p + 1 in
+    F_{p^2}, say) every constant is an l-th power, and they are skipped.
+    The small elements stop at index 31, so a field whose first elements
+    are all l-th powers still reaches the draws.
     """
     p, d = ring.p, gfpoly.deg(ring.mod)
-    q = p ** d
-    exp = (q - 1) // ell
-    exp_p = exp % (p - 1)
-    for idx in range(2, min(q, 32)):
-        if idx < p:
-            if pow(idx, exp_p, p) != 1:
-                return [idx]
-            continue
-        t, rest = [], idx
-        while rest:
-            rest, c = divmod(rest, p)
-            t.append(c)
-        if ring.power(t, exp) != [1]:
-            return t
+    q, top = p ** d, ell ** (v - 1)
+    if (q - 1) // (p - 1) % ell:
+        for c in range(2, min(p, 32)):
+            if pow(b := pow(c, s % (p - 1), p), top, p) != 1:
+                return [b]
     rng = random.Random(q ^ ell)
+    idx = p
     while True:
-        t = gfpoly.trim([rng.randrange(p) for _ in range(d)])
-        if t and ring.power(t, exp) != [1]:
-            return t
+        if idx < min(q, 32):
+            t, rest = [], idx
+            while rest:
+                rest, c = divmod(rest, p)
+                t.append(c)
+            idx += 1
+        else:
+            t = gfpoly.trim([rng.randrange(p) for _ in range(d)])
+        if t and ring.power(b := ring.power(t, s), top) != [1]:
+            return b
 
 
 def _bsgs(target: list[int], base: list[int], order: int, ring) -> int:
@@ -142,19 +144,15 @@ def dlog_mod_p_base(z: int, e: int, p: int):
     return log
 
 
-def _amm_ell_root(y: list[int], ell: int, ring) -> list[int]:
-    """One l-th root in F_q for prime l with l | q - 1; y must be an l-th power."""
+def _amm_ell_root(y: list[int], ell: int, ring, s: int, v: int, b: list[int]) -> list[int]:
+    """One l-th root of y in F_q, q - 1 = s l^v (s prime to l, v > 0), b of
+    exact order l^v. With u = l^-1 mod s and w = (l u - 1) / s, x0 = y^u
+    has x0^l = y (y^s)^w, so the target (y^s)^-w = y x0^-l, in
+    mu_{l^(v-1)} iff y is an l-th power, needs no y^s. The root is x0 b^j,
+    b^(l j) = target."""
     power, mul, inverse = ring.power, ring.mul, ring.inverse
-    s = ring.p ** gfpoly.deg(ring.mod) - 1
-    v = 0
-    while s % ell == 0:
-        s //= ell
-        v += 1
-    b = power(_nonresidue(ring, ell), s)  # exact order ell^v
-    u = modinv(ell, s)
-    w = (ell * u - 1) // s
-    x0 = power(y, u)  # x0^ell = y * (y^s)^w
-    target = inverse(power(power(y, s), w))  # must be in mu_{ell^(v-1)}
+    x0 = power(y, modinv(ell, s))
+    target = mul(y, inverse(power(x0, ell)))
     if power(target, ell ** (v - 1)) != [1]:
         raise NotAPower("not an l-th power residue")
     # solve b^(ell*j) = target by lifting digits of j base ell
@@ -194,7 +192,8 @@ def fq_eth_root(y: list[int], e: int, ring) -> list[int]:
         if ring.power(x, e % qm1) != y:
             raise NotAPower("not an e-th power")
         return x
+    b = _nonresidue(ring, ell, m, v)
     x = y
     for _ in range(k):
-        x = _amm_ell_root(x, ell, ring)
+        x = _amm_ell_root(x, ell, ring, m, v, b)
     return x

@@ -231,6 +231,10 @@ class NumberField:
             return None
         return tuple(d for _, d in gfpoly._ddf(gfpoly.from_int_poly(list(self.f), q), q))
 
+    def kept_degrees(self, q: int) -> tuple:
+        """residue_degrees(q), () when q ramifies: walk_primes' fact at M = 2."""
+        return self.residue_degrees(q) or ()
+
     def degree_one_roots(self, q: int) -> tuple:
         """The roots r of f mod the prime q, one per degree-1 ideal
         (q, alpha - r), in prime_ideals' order (g = (-r) % q ascending); ()
@@ -263,14 +267,15 @@ class NumberField:
 
         The library's one kept-prime table. Its callers fix one fact per
         (M, bits): w = split_root(q) on Q(zeta_m), whose M are multiples of
-        m (the double CRT, the character primes); on a generic K the
-        residue degrees for odd q (M = 2: the double CRT and is_bad_field,
-        both through crtroot._generic_degrees) and the degree-1 roots for
-        M = e (the character primes). A block is scanned once, by is_prime,
-        and kept while K holds at most SPLIT_CAP primes over all tables, so
-        a fact is computed at most once per kept prime, when a walk first
-        reaches it; a block past the cap is scanned again by each walk that
-        reaches it. The primes depend on rng alone, whatever ran on K before.
+        m (the double CRT, the character primes); kept_degrees(q) for odd q
+        (M = 2: the double CRT and its bad-field verdict on a generic K, the
+        Couveignes primes on Q(zeta_m)); and on a generic K the degree-1
+        roots for M = e (the character primes). A block is scanned once, by
+        is_prime, and kept while K holds at most SPLIT_CAP primes over all
+        tables, so a fact is computed at most once per kept prime, when a
+        walk first reaches it; a block past the cap is scanned again by each
+        walk that reaches it. The primes depend on rng alone, whatever ran
+        on K before.
         """
         lo, hi = t_range(bits, M)
         blocks = -(-(hi - lo) // SPLIT_BLOCK)

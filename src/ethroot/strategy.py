@@ -126,7 +126,9 @@ def _base_root(y: FactoredElement, L: NumberField, e: int,
 
 def run_double_crt(y: FactoredElement, K: NumberField, e: int,
                    seed: int) -> FieldElement:
-    if is_bad_field(K, e, seed=seed):
+    # Q(zeta_m)'s verdict is exact and walks no prime; a generic K's is the
+    # first primes of the double CRT's own walk, which the root reads itself
+    if K.conductor is not None and is_bad_field(K, e, seed=seed):
         raise NotApplicable("every prime sees e-th roots of unity")
     return eth_root_double_crt(y, e, K, seed=seed)
 

@@ -1,14 +1,15 @@
 """Test-only helpers built on the library: code that only the tests call."""
 
 import math
+import random
 
 from ethroot import gfpoly
 from ethroot import saturation as sat
 from ethroot.crtroot import _cover, good_prime_stream
-from ethroot.errors import BudgetExceeded, IncompatibleFields, NotInGroup
+from ethroot.errors import BudgetExceeded, IncompatibleFields, NotAPower, NotInGroup
 from ethroot.fq import DLOG_BUDGET, _bsgs, dlog_mod_p_base, fq_eth_root
 from ethroot.numfield import avoid_integers, crt_ideals
-from ethroot.primes import OddPrimePower, derive_rng, prime_stream
+from ethroot.primes import OddPrimePower, derive_rng, modinv, prime_stream
 
 
 def select_crt_primes(K, e: int, B: int, seed: int = 0, avoid_divisors_of=()):
@@ -57,6 +58,63 @@ def fq_dlog_order_e(z, zeta, e: int, field) -> int:
     if not z or field.power(z, e) != [1]:
         raise NotInGroup("element is not in the order-e subgroup")
     return _bsgs(z, zeta, e, field)
+
+
+def nonresidue_by_full_powers(ring, ell: int) -> list[int]:
+    """The first l-th non-residue t of fq._nonresidue's order (constants,
+    then base-p digits up to index 31, then draws seeded by q ^ l), each
+    non-constant tested by a full power t^((q-1)/l) in F_q: the search as
+    it ran before it returned b = t^s."""
+    p, d = ring.p, gfpoly.deg(ring.mod)
+    q = p ** d
+    exp = (q - 1) // ell
+    exp_p = exp % (p - 1)
+    for idx in range(2, min(q, 32)):
+        if idx < p:
+            if pow(idx, exp_p, p) != 1:
+                return [idx]
+            continue
+        t, rest = [], idx
+        while rest:
+            rest, c = divmod(rest, p)
+            t.append(c)
+        if ring.power(t, exp) != [1]:
+            return t
+    rng = random.Random(q ^ ell)
+    while True:
+        t = gfpoly.trim([rng.randrange(p) for _ in range(d)])
+        if t and ring.power(t, exp) != [1]:
+            return t
+
+
+def amm_ell_root_by_full_powers(y: list[int], ell: int, ring) -> list[int]:
+    """One l-th root in F_q (l | q - 1, y an l-th power) as fq._amm_ell_root
+    took it before its target came from x0: b from
+    nonresidue_by_full_powers, and the target (y^s)^-w by two more powers.
+    A reference for fq_eth_root's AMM branch."""
+    power, mul, inverse = ring.power, ring.mul, ring.inverse
+    s = ring.p ** gfpoly.deg(ring.mod) - 1
+    v = 0
+    while s % ell == 0:
+        s //= ell
+        v += 1
+    b = power(nonresidue_by_full_powers(ring, ell), s)  # exact order ell^v
+    u = modinv(ell, s)
+    w = (ell * u - 1) // s
+    x0 = power(y, u)  # x0^ell = y * (y^s)^w
+    target = inverse(power(power(y, s), w))  # must be in mu_{ell^(v-1)}
+    if power(target, ell ** (v - 1)) != [1]:
+        raise NotAPower("not an l-th power residue")
+    gamma = power(b, ell ** (v - 1))  # order ell
+    h = power(b, ell)
+    j = 0
+    for i in range(v - 1):
+        c = power(mul(target, inverse(power(h, j))), ell ** (v - 2 - i))
+        j += _bsgs(c, gamma, ell, ring) * ell ** i
+    x = mul(x0, power(b, j))
+    if power(x, ell) != y:
+        raise NotAPower("root verification failed")
+    return x
 
 
 def field_elements(p: int, d: int):

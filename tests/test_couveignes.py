@@ -32,7 +32,8 @@ from ethroot.numfield import (
     relative_norm,
 )
 from ethroot.padic import eth_root_padic, eth_root_padic_reconstruct, find_inert_prime
-from ethroot.primes import multiplicative_order
+from ethroot.cli import _random_element
+from ethroot.primes import derive_rng, multiplicative_order
 from ethroot.strategy import RootRequest, eth_root
 
 from helpers import fold_mod_p, from_subfield
@@ -81,6 +82,57 @@ def test_select_primes_admissible_classes():
         assert cp.p % 15 in (7, 13)
         assert multiplicative_order(cp.p, 15) == 4 * multiplicative_order(cp.p, 3)
     assert counts["couveignes"]["primes"] == len(cps)
+
+
+def test_select_primes_are_kept_table_primes():
+    K = NumberField.cyclotomic(15)
+    emb = SubfieldEmbedding.cyclotomic(K, 3)
+    cps = select_couveignes_primes(K, emb, 3, 10 ** 40, seed=1)
+    kept = {q for (M, bits, _), block in K.prime_blocks.items()
+            if (M, bits) == (2, couveignes.CRT_BITS) for q in block[::2]}
+    assert len(cps) > 1
+    for cp in cps:
+        assert cp.p % 2 and cp.p.bit_length() == couveignes.CRT_BITS and cp.p in kept
+        assert make_couveignes_prime(K, emb, cp.p) == cp
+
+
+def test_second_root_reads_the_kept_couveignes_primes(monkeypatch):
+    K12 = NumberField.cyclotomic(12)
+    degrees = []
+    real = K12.residue_degrees
+
+    def counted(q):
+        degrees.append(q)
+        return real(q)
+
+    monkeypatch.setattr(K12, "residue_degrees", counted)
+    x = K12.element([5, -2, 7, 3])
+    req = RootRequest(K12, 3, FactoredElement(K12, [(x ** 3, 1)]), seed=2)
+    first = eth_root(req)
+    assert first.method_used == "couveignes" and first.root ** 3 == x ** 3
+    assert degrees
+    blocks = dict(K12.prime_blocks)
+    degrees.clear()
+    second = eth_root(req)
+    # the same seed walks the same kept block, whose degrees are known
+    assert degrees == [] and K12.prime_blocks == blocks
+    assert (second.root, second.method_used) == (first.root, "couveignes")
+
+
+# (m, seed) -> j with root = x zeta_3^j for `ethroot bench --suite
+# couveignes-scaling` (e = 3, 20-bit x): any admissible CRT primes give the
+# one vector within the bound, so the root depends on the norm roots alone
+SCALING_PINS = {(15, 0): 0, (15, 1): 0, (15, 2): 1, (45, 0): 0, (45, 1): 1, (45, 2): 0}
+
+
+@pytest.mark.parametrize("m", [15, 45])
+def test_couveignes_scaling_roots_are_pinned(m):
+    K = NumberField.cyclotomic(m)
+    zeta3 = K.gen ** (m // 3)
+    for seed in range(3):
+        x = _random_element(K, 20, derive_rng(seed, f"bench-couveignes-scaling-{m}-3-20"))
+        req = RootRequest(K, 3, FactoredElement(K, [(x ** 3, 1)]), "couveignes", seed)
+        assert eth_root(req).root == x * zeta3 ** SCALING_PINS[m, seed]
 
 
 def test_select_primes_gcd_precondition():

@@ -479,6 +479,28 @@ def test_bad_generic_verdict_is_not_kept(monkeypatch):
         assert len(calls) == 30
 
 
+def test_auto_root_checks_each_walked_prime_once(monkeypatch):
+    # the generic verdict is the first primes of the double CRT's own walk,
+    # not a walk of its own before it
+    calls = _count_checks(monkeypatch)
+    K = NumberField([-1, -1, 0, 1])
+    x = K.element([3 ** 200, -1, 2])
+    res = eth_root(RootRequest(K, 5, factored(K, [(x ** 5, 1)]), seed=4))
+    assert (res.root, res.method_used) == (x, "double_crt")
+    assert calls and len(calls) == len(set(calls))
+
+
+def test_double_crt_takes_a_generic_bad_verdict_from_its_walk(monkeypatch):
+    calls = _count_checks(monkeypatch)
+    K = NumberField([1, 1, 1])  # Q(zeta_3) given by its polynomial: mu_3 in K
+    monkeypatch.setattr(crtroot, "BAD_FIELD_CANDIDATES", 30)
+    for y in (factored(K, [(K.element([2, -3]), 3)]), factored(K, [])):
+        calls.clear()
+        with pytest.raises(NotApplicable):
+            eth_root_double_crt(y, 3, K)
+        assert len(calls) == 30
+
+
 def test_double_crt_refuses_a_bad_field_up_front():
     K = NumberField.cyclotomic(12)
     x = K.element([1, 2, 0, 1])

@@ -5,6 +5,7 @@ import pytest
 from ethroot import gfpoly, padic
 from ethroot.errors import (
     BudgetExceeded,
+    EthrootError,
     NotAPower,
     NotInGroup,
     ZeroInput,
@@ -12,9 +13,14 @@ from ethroot.errors import (
 from ethroot.fq import _nonresidue, factor_mod_p, fq_eth_root
 from ethroot.crtroot import eth_root_double_crt
 from ethroot.numfield import FactoredElement, NumberField
-from ethroot.primes import is_prime
+from ethroot.primes import OddPrimePower, is_prime
 from ethroot.verify import verify_root
-from helpers import field_elements, fq_dlog_order_e, random_irreducible
+from helpers import (
+    amm_ell_root_by_full_powers,
+    field_elements,
+    fq_dlog_order_e,
+    random_irreducible,
+)
 
 
 def make_field(p, d, seed=1):
@@ -218,14 +224,71 @@ def full_power_nonresidue(field, ell):
             return t
 
 
+def split_q_minus_1(q, ell):
+    """(s, v) with q - 1 = s l^v and s prime to l."""
+    s, v = q - 1, 0
+    while s % ell == 0:
+        s //= ell
+        v += 1
+    return s, v
+
+
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 13, 31, 37, 41, 61, 1009])
 def test_nonresidue_matches_full_power_scan(p):
+    # _nonresidue returns b = t^s for the non-residue t the full scan finds
     checked = 0
     for d in range(1, 7):
         field = make_field(p, d, seed=d)
         for ell in (3, 5, 7):
             if (p ** d - 1) % ell:
                 continue
-            assert _nonresidue(field, ell) == full_power_nonresidue(field, ell)
+            s, v = split_q_minus_1(p ** d, ell)
+            want = field.power(full_power_nonresidue(field, ell), s)
+            assert _nonresidue(field, ell, s, v) == want
             checked += 1
     assert checked >= 2
+
+
+def _root_or_error(root, y, e, field):
+    try:
+        return root(y, e, field)
+    except EthrootError as exc:
+        return type(exc)
+
+
+def reference_eth_root(y, e, field):
+    """fq_eth_root's AMM branch (v > k) as it ran with full-power searches."""
+    ell, k = OddPrimePower(e).split
+    x = gfpoly.rem(y, field.mod, field.p)
+    for _ in range(k):
+        x = amm_ell_root_by_full_powers(x, ell, field)
+    return x
+
+
+def test_amm_roots_match_the_full_power_reference():
+    # random fields with d <= 6 and e = l^k with l^(k+1) | q - 1, so that
+    # fq_eth_root takes k AMM steps: the same roots and the same errors, on
+    # powers and on random elements, with and without l | (q-1)/(p-1) (where
+    # no constant is a non-residue and the constant scan is skipped)
+    rng = random.Random(2024)
+    small = [p for p in range(3, 200) if is_prime(p)] + [1009, 65537, 2 ** 31 - 1]
+    seen = {True: 0, False: 0}
+    outcomes = set()
+    while min(seen.values()) < 60:
+        p, d = rng.choice(small), rng.randrange(1, 7)
+        ell, k = rng.choice((3, 5, 7)), rng.randrange(1, 3)
+        q = p ** d
+        if (q - 1) % ell ** (k + 1):
+            continue
+        constants_skipped = (q - 1) // (p - 1) % ell == 0
+        seen[constants_skipped] += 1
+        field = make_field(p, d, seed=rng.randrange(1 << 30))
+        e = ell ** k
+        for planted in (True, False):
+            y = random_residue(field, rng) or [1]
+            if planted:
+                y = field.power(y, e)
+            got = _root_or_error(fq_eth_root, y, e, field)
+            assert got == _root_or_error(reference_eth_root, y, e, field), (p, d, e, y)
+            outcomes.add(got if isinstance(got, type) else "root")
+    assert outcomes == {"root", NotAPower}

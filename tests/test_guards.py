@@ -176,6 +176,34 @@ def test_searches_take_no_budget_argument():
     assert found == []
 
 
+# the one-shot searches: the inert prime and the reconstruction ideal, whose
+# primes decide which conjugate root comes back on fields holding mu_e
+# (test_padic.TWIST_PINS), and verify_root's trials; every search a field
+# repeats walks the field's kept table (NumberField.walk_primes)
+RANDOM_PRIME_CALLERS = {("padic", "find_inert_prime"), ("strategy", "pick_reconstruct_ideal"),
+                        ("verify", "verify_root")}
+
+
+def _draws(node) -> bool:
+    return isinstance(node, ast.Call) and "prime_stream" in (
+        getattr(node.func, "id", None), getattr(node.func, "attr", None))
+
+
+def test_only_one_shot_searches_draw_random_primes():
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        placed = set()
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                for node in filter(_draws, ast.walk(fn)):
+                    found.add((path.stem, getattr(fn, "name", "<lambda>")))
+                    placed.add(node)
+        if set(filter(_draws, ast.walk(tree))) - placed:
+            found.add((path.stem, "<module>"))
+    assert found == RANDOM_PRIME_CALLERS
+
+
 def test_layerbench_imports_name_wrapped_functions_and_nothing_else():
     # an import kept only for layerbench must name a function that
     # spans.LAYERS wraps at that module, and must have no other use there,

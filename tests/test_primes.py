@@ -254,6 +254,8 @@ SEARCHES = {
     "pick_reconstruct_ideal": (
         strategy, "RECONSTRUCT_BUDGET",
         lambda K: strategy.pick_reconstruct_ideal(K, 3), SearchExhausted),
+    # PRIME_BUDGET counts the table primes walked on K15, each one refused
+    # by make_couveignes_prime
     "select_couveignes_primes": (
         couveignes, "PRIME_BUDGET",
         lambda K: couveignes.select_couveignes_primes(
